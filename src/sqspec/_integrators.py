@@ -23,13 +23,16 @@ attraction is so strong that the angle deviates from the fixed-point branch
 
 by less than one part in 1e12 once locked.  The adaptive driver therefore
 supports an adiabatic fast path: while the relaxation rate times the
-remaining span exceeds a budget, it advances the amplitude r alone with the
-same embedded pair, holding phi on the fixed-point branch, and falls back to
-the full two-variable system as soon as that is affordable.  Entry requires
-the state to already sit on the branch (within 1e-8); exit re-seeds the full
-system from the branch, which is continuous.  The fast path is validated
-against a stiff reference integrator in the test suite; integrate() accepts
-stiff_mode="off" to force the plain explicit method.
+remaining span (to the last checkpoint) exceeds a budget, it advances the
+amplitude r alone with the same embedded pair, holding phi on the
+fixed-point branch, and falls back to the full two-variable system as soon
+as that is affordable.  Each stage of that pair takes dr/dx straight from
+the branch formulas above; the angle itself is formed only on entry and
+after an accepted step.  Entry requires the state to already sit on the
+branch (within 1e-8); exit re-seeds the full system from the branch, which
+is continuous.  The fast path is validated against a stiff reference
+integrator in the test suite; integrate() accepts stiff_mode="off" to force
+the plain explicit method.
 
 Everything here is numba-jitted when numba is importable and falls back to
 pure Python (slow but identical results) otherwise.
@@ -88,38 +91,42 @@ def _coth(r):
 
 
 @njit(cache=True)
-def _rhs_eta(r, phi, a_cc, mu2, mu2_rate, mp, form):
-    """Conformal-time derivatives (dr/deta, dphi/deta) of the printed flow.
-
-    a_cc is the closed-coupling factor: M_P |1 - mu1^2| in literal mode,
-    |z'/z| in hamiltonian-consistent mode (resolved by the caller).
-    """
-    tr = math.tanh(r)
-    s2p = math.sin(2.0 * phi)
-    c2p = math.cos(2.0 * phi)
-
+def _drdeta(r, c2p, a_cc, mu2, mu2_rate, form):
+    """dr/deta of the selected form, given cos(2 phi)."""
     if form == FORM_CLOSED:
         # analytic mu2 = mu2' = 0 limit; finite at r = 0
-        drdeta = -a_cc * c2p
-        dpdeta = 0.5 * s2p * (a_cc * tr + mp * _coth(r))
-        return drdeta, dpdeta
-
+        return -a_cc * c2p
     if form == FORM_CONFORMAL:
         s2r = math.sinh(2.0 * r)
         ch2 = math.cosh(r) ** 2
         den = s2r + 2.0 * mu2 * ch2
         if den == 0.0:
             # r = 0 with mu2 = 0: take the 0/0 limit of the printed ratio
-            drdeta = -a_cc * c2p - mu2_rate
-        else:
-            drdeta = (-a_cc * s2r * c2p - s2r * mu2_rate) / den
-    else:
-        den = tr + mu2
-        if den == 0.0:
-            drdeta = -(mu2_rate + a_cc * c2p)
-        else:
-            drdeta = -tr * (mu2_rate + a_cc * c2p) / den
+            return -a_cc * c2p - mu2_rate
+        return (-a_cc * s2r * c2p - s2r * mu2_rate) / den
+    tr = math.tanh(r)
+    den = tr + mu2
+    if den == 0.0:
+        return -(mu2_rate + a_cc * c2p)
+    return -tr * (mu2_rate + a_cc * c2p) / den
 
+
+@njit(cache=True)
+def _rhs_eta(r, phi, a_cc, mu2, mu2_rate, mp, form):
+    """Conformal-time derivatives (dr/deta, dphi/deta) of the printed flow.
+
+    a_cc is the closed-coupling factor: M_P |1 - mu1^2| in literal mode,
+    |z'/z| in hamiltonian-consistent mode (resolved by the caller).  A
+    non-finite angle (a stage driven through the r = 0 singularity) gives
+    NaN derivatives, which the step controller rejects.
+    """
+    if not math.isfinite(phi):
+        return math.nan, math.nan
+    tr = math.tanh(r)
+    s2p = math.sin(2.0 * phi)
+    drdeta = _drdeta(r, math.cos(2.0 * phi), a_cc, mu2, mu2_rate, form)
+    if form == FORM_CLOSED:
+        return drdeta, 0.5 * s2p * (a_cc * tr + mp * _coth(r))
     dpdeta = -mp * mu2 + 0.5 * s2p * (
         a_cc * tr / (1.0 + mu2 * tr) + mp * (_coth(r) + mu2)
     )
@@ -147,9 +154,8 @@ def _rhs_x(x, r, phi, k, mp, power, form, mu2_rate, zero_coupling):
 
 
 @njit(cache=True)
-def _phase_bracket(x, r, k, mp, power, form, zero_coupling):
+def _phase_bracket(r, a_cc, mu2, mp, form):
     """Bracket B multiplying sin(2 phi)/2 in dphi/deta (the relaxation scale)."""
-    a_cc, mu2 = _couplings_x(x, k, mp, power, zero_coupling)
     tr = math.tanh(r)
     if form == FORM_CLOSED:
         return a_cc * tr + mp * _coth(r)
@@ -163,17 +169,35 @@ def _attractor_phi(x, r, phi_anchor, k, mp, power, form, zero_coupling):
     Returns (phi_star, ok); ok is False when the fixed point does not exist
     or is too marginal (sin 2phi* >= 0.99) to be an attractor.
     """
-    b = _phase_bracket(x, r, k, mp, power, form, zero_coupling)
     if form == FORM_CLOSED:
         s = 0.0
     else:
-        mu2 = k / mp
-        s = 2.0 * mp * mu2 / b
+        a_cc, mu2 = _couplings_x(x, k, mp, power, zero_coupling)
+        s = 2.0 * mp * mu2 / _phase_bracket(r, a_cc, mu2, mp, form)
     if not (0.0 <= s < 0.99):
         return phi_anchor, False
     base = 0.5 * (math.pi - math.asin(s))
     m = round((phi_anchor - base) / math.pi)
     return base + m * math.pi, True
+
+
+@njit(cache=True)
+def _slaved_drdx(x, r, phi_anchor, k, mp, power, form, mu2_rate, zero_coupling):
+    """dr/dx with phi on the branch _attractor_phi picks, without forming phi.
+
+    On the branch cos(2 phi*) = -sqrt(1 - sin^2(2 phi*)); where the branch
+    does not exist the angle stays at phi_anchor, as in _attractor_phi.
+    """
+    a_cc, mu2 = _couplings_x(x, k, mp, power, zero_coupling)
+    if form == FORM_CLOSED:
+        c2p = -1.0
+    else:
+        s = 2.0 * mp * mu2 / _phase_bracket(r, a_cc, mu2, mp, form)
+        if 0.0 <= s < 0.99:
+            c2p = -math.sqrt(1.0 - s * s)
+        else:
+            c2p = math.cos(2.0 * phi_anchor)
+    return -_drdeta(r, c2p, a_cc, mu2, mu2_rate, form) / k
 
 
 # Dormand-Prince 5(4) tableau
@@ -279,7 +303,8 @@ def _drive_adaptive(
 
             # mode switching, with hysteresis to avoid chatter
             if stiff_auto:
-                rate = _phase_bracket(x, r, k, mp, power, form, zero_coupling) / k
+                a_cc, mu2 = _couplings_x(x, k, mp, power, zero_coupling)
+                rate = _phase_bracket(r, a_cc, mu2, mp, form) / k
                 slack = rate * (x - x_end)
                 if slaved:
                     if slack <= stiff_budget:
@@ -314,34 +339,27 @@ def _drive_adaptive(
 
             if slaved:
                 # one-variable embedded step for r on the fixed-point branch
-                p1, _ = _attractor_phi(x, r, phi, k, mp, power, form, zero_coupling)
-                k1, _ = _rhs_x(x, r, p1, k, mp, power, form, mu2_rate, zero_coupling)
+                k1 = _slaved_drdx(x, r, phi, k, mp, power, form, mu2_rate, zero_coupling)
                 y2 = r + h * _DP_A21 * k1
-                p2, _ = _attractor_phi(x + _DP_C2 * h, y2, phi, k, mp, power, form, zero_coupling)
-                k2, _ = _rhs_x(x + _DP_C2 * h, y2, p2, k, mp, power, form, mu2_rate, zero_coupling)
+                k2 = _slaved_drdx(x + _DP_C2 * h, y2, phi, k, mp, power, form, mu2_rate, zero_coupling)
                 y3 = r + h * (_DP_A31 * k1 + _DP_A32 * k2)
-                p3, _ = _attractor_phi(x + _DP_C3 * h, y3, phi, k, mp, power, form, zero_coupling)
-                k3, _ = _rhs_x(x + _DP_C3 * h, y3, p3, k, mp, power, form, mu2_rate, zero_coupling)
+                k3 = _slaved_drdx(x + _DP_C3 * h, y3, phi, k, mp, power, form, mu2_rate, zero_coupling)
                 y4 = r + h * (_DP_A41 * k1 + _DP_A42 * k2 + _DP_A43 * k3)
-                p4, _ = _attractor_phi(x + _DP_C4 * h, y4, phi, k, mp, power, form, zero_coupling)
-                k4, _ = _rhs_x(x + _DP_C4 * h, y4, p4, k, mp, power, form, mu2_rate, zero_coupling)
+                k4 = _slaved_drdx(x + _DP_C4 * h, y4, phi, k, mp, power, form, mu2_rate, zero_coupling)
                 y5 = r + h * (_DP_A51 * k1 + _DP_A52 * k2 + _DP_A53 * k3 + _DP_A54 * k4)
-                p5, _ = _attractor_phi(x + _DP_C5 * h, y5, phi, k, mp, power, form, zero_coupling)
-                k5, _ = _rhs_x(x + _DP_C5 * h, y5, p5, k, mp, power, form, mu2_rate, zero_coupling)
+                k5 = _slaved_drdx(x + _DP_C5 * h, y5, phi, k, mp, power, form, mu2_rate, zero_coupling)
                 y6 = r + h * (_DP_A61 * k1 + _DP_A62 * k2 + _DP_A63 * k3 + _DP_A64 * k4 + _DP_A65 * k5)
-                p6, _ = _attractor_phi(x + h, y6, phi, k, mp, power, form, zero_coupling)
-                k6, _ = _rhs_x(x + h, y6, p6, k, mp, power, form, mu2_rate, zero_coupling)
+                k6 = _slaved_drdx(x + h, y6, phi, k, mp, power, form, mu2_rate, zero_coupling)
                 r_new = r + h * (_DP_B1 * k1 + _DP_B3 * k3 + _DP_B4 * k4 + _DP_B5 * k5 + _DP_B6 * k6)
-                p7, _ = _attractor_phi(x + h, r_new, phi, k, mp, power, form, zero_coupling)
-                k7, _ = _rhs_x(x + h, r_new, p7, k, mp, power, form, mu2_rate, zero_coupling)
+                k7 = _slaved_drdx(x + h, r_new, phi, k, mp, power, form, mu2_rate, zero_coupling)
                 err_r = h * (_DP_E1 * k1 + _DP_E3 * k3 + _DP_E4 * k4 + _DP_E5 * k5 + _DP_E6 * k6 + _DP_E7 * k7)
                 scale = atol + rtol * max(abs(r), abs(r_new))
                 err = abs(err_r) / scale
                 accepted = err <= 1.0
                 if accepted:
+                    phi, _ = _attractor_phi(x + h, r_new, phi, k, mp, power, form, zero_coupling)
                     x = x_target if land else x + h
                     r = r_new
-                    phi = p7
                     n_steps += 1
                     n_slaved += 1
                     if err > max_err:
@@ -395,6 +413,8 @@ def _drive_adaptive(
             # proportional controller on the scalar error
             if err == 0.0:
                 factor = 10.0
+            elif math.isnan(err):  # a non-finite stage: shrink as hard as allowed
+                factor = 0.2
             else:
                 factor = min(10.0, max(0.2, 0.9 * err ** -0.2))
             h = h * factor

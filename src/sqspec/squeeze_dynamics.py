@@ -403,9 +403,13 @@ def evolve_grid(
     """Evaluate each mode of the grid at the configured evaluation point.
 
     eval_point overrides config.eval_point when given ("super-horizon" ->
-    state at x_end, "horizon-crossing" -> state at x = 1).  Per-mode failures
-    are recorded in the result list without aborting the remaining modes.
-    Identical k entries produce bit-identical results (pure function).
+    state at x_end, "horizon-crossing" -> state at x = 1).  Each mode is
+    integrated from x_start to its evaluation point and no further, so the
+    stats (steps, cap hits) cover exactly the evaluated stretch.  Integrator
+    failures (StepSizeUnderflowError, StepBudgetError) are recorded in the
+    result list without aborting the remaining modes; any other exception
+    propagates.  Identical k entries produce bit-identical results (pure
+    function).
     """
     ks = list(k_grid)
     if any(k <= 0 for k in ks):
@@ -439,14 +443,14 @@ def evolve_grid(
                 traj = integrate(
                     k_int,
                     config.x_start,
-                    config.x_end,
+                    eval_x,
                     init=(config.init_r, config.init_phi),
                     form=config.form,
                     params=params,
                     coupling_power=config.coupling_power,
                     rtol=config.rtol,
                     atol=config.atol,
-                    samples=[config.x_start, eval_x, config.x_end],
+                    samples=[config.x_start, eval_x],
                     mu2_rate=config.mu2_rate,
                     r_cap=config.r_cap,
                 )
@@ -457,6 +461,6 @@ def evolve_grid(
                     stats=traj.integrator_stats,
                 )
             )
-        except (StepSizeUnderflowError, StepBudgetError, ValueError) as exc:
+        except (StepSizeUnderflowError, StepBudgetError) as exc:
             results.append(ModeResult(k=k_label, state=None, error=str(exc)))
     return results

@@ -66,6 +66,14 @@ class TestRunSweep:
         assert report.summary.amplitude_fit == pytest.approx(2.196e-9, rel=1e-12)
         assert report.summary.tilt_fit == pytest.approx(0.9649, abs=1e-12)
 
+    def test_capped_modes_count_up_to_the_evaluated_point(self):
+        # r passes r_cap only after horizon crossing, so a crossing sweep
+        # (integrated to x = 1 and no further) reports no cap hits
+        cfg = SweepConfig(k_min=0.5, k_max=1.0, k_points=5)
+        assert run_sweep(cfg).summary.n_capped == 0
+        report = run_sweep(dataclasses.replace(cfg, eval_point="super-horizon"))
+        assert report.summary.n_capped > 0
+
 
 class TestWriteOutputs:
     def test_manifest_and_csv_shape(self, small_report, tmp_path):

@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from sqspec import _integrators as eng
+from sqspec import squeeze_dynamics
 from sqspec.background import BackgroundParams, CouplingCoefficients
 from sqspec.config import SweepConfig
 from sqspec.squeeze_dynamics import (
     CappedGrowthWarning,
     SqueezeState,
+    StepBudgetError,
     StepSizeUnderflowError,
     evolve_grid,
     integrate,
@@ -186,6 +189,15 @@ class TestIntegrate:
         assert len(traj.samples) >= 1
         assert traj.integrator_stats.status == "step-underflow"
 
+    def test_step_budget_keeps_partial_trajectory(self):
+        with pytest.raises(StepBudgetError) as excinfo:
+            integrate(0.5, 10.0, 1.0, max_steps=50)
+        traj = excinfo.value.trajectory
+        assert traj.integrator_stats.status == "max-steps"
+        assert traj.samples[0].x == 10.0
+        assert 1.0 < traj.samples[-1].x < 10.0
+        assert np.all(np.isfinite(traj.r)) and np.all(np.isfinite(traj.phi))
+
     def test_validation(self):
         with pytest.raises(ValueError, match="x_start"):
             integrate(1.0, 0.5, 2.0)
@@ -224,6 +236,42 @@ class TestIntegrate:
         assert auto.samples == off.samples
 
 
+class TestSlavedBranch:
+    """The slaved stages take dr/dx straight from sin(2 phi*); it must agree
+    with the full right-hand side evaluated at the attractor angle."""
+
+    @pytest.mark.parametrize("form", sorted(squeeze_dynamics._FORMS))
+    @pytest.mark.parametrize("power", sorted(squeeze_dynamics._POWERS))
+    @pytest.mark.parametrize(
+        "x,r,k",
+        [(100.0, 1e-6, 0.05), (1.0, 2.7e-6, 1e-4), (3.0, 5e-5, 0.7), (0.5, 0.3, 0.2),
+         (0.02, 4.0, 1.0)],
+    )
+    def test_matches_rhs_at_attractor(self, form, power, x, r, k):
+        args = (k, 1.0, squeeze_dynamics._POWERS[power], squeeze_dynamics._FORMS[form])
+        phi_star, ok = eng._attractor_phi(x, r, math.pi / 2, *args, False)
+        assert ok
+        fast = eng._slaved_drdx(x, r, math.pi / 2, *args, 0.0, False)
+        full, _ = eng._rhs_x(x, r, phi_star, *args, 0.0, False)
+        assert fast == pytest.approx(full, rel=1e-13)
+
+    @pytest.mark.parametrize("form", ["conformal", "transformed"])
+    def test_anchor_angle_where_branch_is_missing(self, form):
+        # at x = 10, r = 3, k = 10 the bracket is ~11.1, so sin(2 phi*) =
+        # 2 mu2 / B ~ 1.8: no fixed point, and the angle stays at the anchor
+        args = (10.0, 1.0, eng.POWER_LITERAL, squeeze_dynamics._FORMS[form])
+        assert not eng._attractor_phi(10.0, 3.0, 0.4, *args, False)[1]
+        fast = eng._slaved_drdx(10.0, 3.0, 0.4, *args, 0.0, False)
+        full, _ = eng._rhs_x(10.0, 3.0, 0.4, *args, 0.0, False)
+        assert full != eng._rhs_x(10.0, 3.0, math.pi / 2, *args, 0.0, False)[0]
+        assert fast == pytest.approx(full, rel=1e-13)
+
+    def test_non_finite_angle_gives_nan(self):
+        # a stage angle driven to inf through coth(0) must be rejected, not raise
+        derivs = eng._rhs_eta(1e-6, math.inf, 1.0, 0.1, 0.0, 1.0, eng.FORM_CONFORMAL)
+        assert all(math.isnan(v) for v in derivs)
+
+
 def _quiet_default_traj(k):
     import warnings
 
@@ -238,11 +286,23 @@ class TestEvolveGrid:
         res = evolve_grid([0.5], cfg)
         assert len(res) == 1 and res[0].error is None
         traj = integrate(
-            0.5, cfg.x_start, cfg.x_end,
+            0.5, cfg.x_start, 1.0,
             init=(cfg.init_r, cfg.init_phi),
-            samples=[cfg.x_start, 1.0, cfg.x_end],
+            samples=[cfg.x_start, 1.0],
         )
         assert res[0].state == traj.state_at(1.0)
+
+    def test_single_k_matches_integrate_super_horizon(self):
+        cfg = SweepConfig()
+        res = evolve_grid([0.5], cfg, eval_point="super-horizon")
+        assert len(res) == 1 and res[0].error is None
+        traj = integrate(
+            0.5, cfg.x_start, cfg.x_end,
+            init=(cfg.init_r, cfg.init_phi),
+            samples=[cfg.x_start, cfg.x_end],
+        )
+        assert res[0].state == traj.state_at(cfg.x_end)
+        assert res[0].stats == traj.integrator_stats
 
     def test_duplicate_entries_bitwise_identical(self):
         res = evolve_grid([0.2, 0.2], SweepConfig())
@@ -259,6 +319,15 @@ class TestEvolveGrid:
         cfg = SweepConfig(init_r=0.0)
         res = evolve_grid([0.3, 0.6], cfg)
         assert all(m.state is None and m.error for m in res)
+        assert all(m.error.startswith("step size underflow") for m in res)
+
+    def test_program_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("math domain error")
+
+        monkeypatch.setattr(squeeze_dynamics, "integrate", broken)
+        with pytest.raises(ValueError, match="math domain error"):
+            evolve_grid([0.3], SweepConfig())
 
     def test_rejects_descending_grid(self):
         with pytest.raises(ValueError, match="ascending"):
