@@ -22,17 +22,24 @@ attraction is so strong that the angle deviates from the fixed-point branch
     cos(2 phi*) = -sqrt(1 - sin^2(2 phi*))        (the attracting branch)
 
 by less than one part in 1e12 once locked.  The adaptive driver therefore
-supports an adiabatic fast path: while the relaxation rate times the
-remaining span (to the last checkpoint) exceeds a budget, it advances the
-amplitude r alone with the same embedded pair, holding phi on the
-fixed-point branch, and falls back to the full two-variable system as soon
-as that is affordable.  Each stage of that pair takes dr/dx straight from
-the branch formulas above; the angle itself is formed only on entry and
-after an accepted step.  Entry requires the state to already sit on the
-branch (within 1e-8); exit re-seeds the full system from the branch, which
-is continuous.  The fast path is validated against a stiff reference
-integrator in the test suite; integrate() accepts stiff_mode="off" to force
-the plain explicit method.
+supports an adiabatic fast path: it advances the amplitude r alone with the
+same embedded pair, holding phi on the fixed-point branch.  Each stage of
+that pair takes dr/dx straight from the branch formulas above; the angle
+itself is formed only on entry and after an accepted step.
+
+The path is entered when the relaxation rate times the remaining span (to
+the last checkpoint), the slack, exceeds twice a budget and the state
+already sits on the branch (within 1e-8).  It is left on accuracy, not on
+cost.  The true angle lags phi* by (d ln rate/dx)/rate^2, so holding it on
+the branch shifts dr/dx by a relative 4 |d ln rate/dx| / rate^3 (with
+sin 2phi* = 2/rate, as mu2 = k/M_P; zero for the closed form).  With
+d ln rate/dx taken as a finite difference between attempts, the path is left
+once the slack is within the budget and that error exceeds rtol, or in any
+case 200 relaxation lengths before the last checkpoint, so the full system
+re-forms the lag before the angle is read.  Exit re-seeds the full system
+from the branch, which is continuous.  The fast path is validated against a
+stiff reference integrator in the test suite; integrate() accepts
+stiff_mode="off" to force the plain explicit method.
 
 Everything here is numba-jitted when numba is importable and falls back to
 pure Python (slow but identical results) otherwise.
@@ -74,7 +81,9 @@ STATUS_STEP_UNDERFLOW = 1
 STATUS_MAX_STEPS = 2
 
 _SLAVE_ENTRY_TOL = 1e-8  # |phi - phi*| required before the fast path engages
-_STALL_SNAP_STEPS = 5000  # full-system steps tolerated in a stiff window
+# relaxation lengths left to the last checkpoint when the fast path always
+# hands back, so the full system re-forms the angle's lag before it is read
+_SLAVE_HANDBACK = 200.0
 
 
 @njit(cache=True)
@@ -257,7 +266,7 @@ def _drive_adaptive(
     """Advance (r, phi) through the decreasing checkpoints xs.
 
     Returns (out_r, out_phi, n_filled, status, n_steps, n_rejected, max_err,
-    n_slaved, capped, clamped, snap_dev, fail_x, fail_r, fail_phi); n_filled
+    n_slaved, capped, clamped, fail_x, fail_r, fail_phi); n_filled
     counts completed checkpoints, and the fail_* scalars carry the true state
     where integration stopped when status != 0.
     """
@@ -279,10 +288,11 @@ def _drive_adaptive(
     max_err = 0.0
     capped = False
     clamped = False
-    snap_dev = 0.0
 
     slaved = False
-    stall = 0
+    x_prev = x
+    ln_rate_prev = 0.0
+    dlnrate = 0.0
     h = -(xs[0] - x_end) * 1e-4  # negative: x decreases
     if h == 0.0:
         h = -1e-8
@@ -298,7 +308,7 @@ def _drive_adaptive(
                 status = STATUS_MAX_STEPS
                 return (
                     out_r, out_phi, i_out, status, n_steps, n_rejected,
-                    max_err, n_slaved, capped, clamped, snap_dev, x, r, phi,
+                    max_err, n_slaved, capped, clamped, x, r, phi,
                 )
 
             # mode switching, with hysteresis to avoid chatter
@@ -307,9 +317,20 @@ def _drive_adaptive(
                 rate = _phase_bracket(r, a_cc, mu2, mp, form) / k
                 slack = rate * (x - x_end)
                 if slaved:
-                    if slack <= stiff_budget:
+                    ln_rate = math.log(rate)
+                    if x != x_prev:
+                        dlnrate = (ln_rate - ln_rate_prev) / (x - x_prev)
+                        x_prev = x
+                        ln_rate_prev = ln_rate
+                    # relative dr/dx error of ignoring the angle's lag behind
+                    # phi* (see the module docstring)
+                    lagging = (
+                        form != FORM_CLOSED
+                        and slack <= stiff_budget
+                        and 4.0 * abs(dlnrate) > rtol * rate * rate * rate
+                    )
+                    if lagging or slack <= _SLAVE_HANDBACK:
                         slaved = False
-                        stall = 0
                         fr, fp = _rhs_x(
                             x, r, phi, k, mp, power, form, mu2_rate, zero_coupling
                         )
@@ -318,19 +339,12 @@ def _drive_adaptive(
                         ps, ok = _attractor_phi(
                             x, r, phi, k, mp, power, form, zero_coupling
                         )
-                        dev = abs(phi - ps)
-                        if ok and dev < _SLAVE_ENTRY_TOL:
+                        if ok and abs(phi - ps) < _SLAVE_ENTRY_TOL:
                             slaved = True
                             phi = ps
-                        elif ok and stall > _STALL_SNAP_STEPS and dev < 1e-4:
-                            # stiff transient refused to contract; record the
-                            # snap distance instead of grinding forever
-                            if dev > snap_dev:
-                                snap_dev = dev
-                            slaved = True
-                            phi = ps
-                        else:
-                            stall += 1
+                            x_prev = x
+                            ln_rate_prev = math.log(rate)
+                            dlnrate = 0.0
 
             land = False
             if h <= x_target - x:
@@ -424,7 +438,7 @@ def _drive_adaptive(
                 status = STATUS_STEP_UNDERFLOW
                 return (
                     out_r, out_phi, i_out, status, n_steps, n_rejected,
-                    max_err, n_slaved, capped, clamped, snap_dev, x, r, phi,
+                    max_err, n_slaved, capped, clamped, x, r, phi,
                 )
 
         out_r[i_out] = r
@@ -433,7 +447,7 @@ def _drive_adaptive(
 
     return (
         out_r, out_phi, n_out, status, n_steps, n_rejected,
-        max_err, n_slaved, capped, clamped, snap_dev, x, r, phi,
+        max_err, n_slaved, capped, clamped, x, r, phi,
     )
 
 

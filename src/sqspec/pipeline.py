@@ -54,6 +54,11 @@ class SummaryStats:
     n_records: int
     n_failures: int
     n_capped: int
+    # integrator totals over the evaluated modes: accepted steps (slaved
+    # ones included), rejected attempts, accepted steps on the fast path
+    n_steps: int
+    n_rejected: int
+    n_slaved_steps: int
 
 
 @dataclass(frozen=True)
@@ -89,13 +94,11 @@ def run_sweep(config: SweepConfig) -> RunReport:
 
     records: list[SpectrumRecord] = []
     failures: list[tuple[float, str]] = []
-    n_capped = 0
+    stats = [res.stats for res in mode_results if res.stats is not None]
     for res in mode_results:
         if res.state is None:
             failures.append((res.k, res.error or "unknown failure"))
             continue
-        if res.stats is not None and res.stats.capped:
-            n_capped += 1
         state = res.state
         pair = coefficients(state)
         gamma = gamma_ratio(state)
@@ -126,7 +129,10 @@ def run_sweep(config: SweepConfig) -> RunReport:
         tilt_fit=tilt_fit,
         n_records=len(records),
         n_failures=len(failures),
-        n_capped=n_capped,
+        n_capped=sum(1 for st in stats if st.capped),
+        n_steps=sum(st.n_steps for st in stats),
+        n_rejected=sum(st.n_rejected for st in stats),
+        n_slaved_steps=sum(st.n_slaved_steps for st in stats),
     )
     echo = serialize(config)
     provenance = Provenance(
@@ -207,6 +213,8 @@ def write_outputs(report: RunReport, out_dir: str | Path) -> list[Path]:
         f"records: {s.n_records}",
         f"failures: {s.n_failures}",
         f"capped modes: {s.n_capped}",
+        f"integrator steps: {s.n_steps} accepted ({s.n_slaved_steps} slaved), "
+        f"{s.n_rejected} rejected",
         f"max |gamma - 1|: {s.max_abs_gamma_minus_one:.6e}",
         f"max wronskian residual: {s.max_wronskian_residual:.6e}",
         f"max occupation |beta|^2: {s.max_occupation:.6e}",

@@ -133,7 +133,6 @@ class IntegratorStats:
     n_slaved_steps: int = 0
     capped: bool = False
     clamped_negative: bool = False
-    snap_deviation: float = 0.0
     status: str = "ok"
 
 
@@ -278,6 +277,9 @@ def integrate(
 
     method="adaptive" is the embedded 5(4) pair with tolerance control (and
     the automatic stiff-window fast path unless stiff_mode="off");
+    stiff_budget governs entry to the fast path (the slack must exceed twice
+    it); below it the path is left once its lag error exceeds rtol, and in
+    any case at a fixed hand-back before x_end (see _integrators);
     method="fixed" is the classical RK4 cross-validator with step h_fixed
     subdivided exactly into each checkpoint segment.
 
@@ -326,7 +328,7 @@ def integrate(
     if method == "adaptive":
         (
             out_r, out_phi, n_filled, status, n_steps, n_rej,
-            max_err, n_slaved, capped, clamped, snap_dev,
+            max_err, n_slaved, capped, clamped,
             fail_x, fail_r, fail_phi,
         ) = _eng._drive_adaptive(
             xs, r0, phi0, k, mp, power_code, form_code, mu2_rate,
@@ -343,7 +345,6 @@ def integrate(
             n_slaved_steps=int(n_slaved),
             capped=bool(capped),
             clamped_negative=bool(clamped),
-            snap_deviation=float(snap_dev),
             status={0: "ok", 1: "step-underflow", 2: "max-steps"}[int(status)],
         )
     else:

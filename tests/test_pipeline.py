@@ -6,6 +6,7 @@ import pytest
 from sqspec.cli import main as cli_main
 from sqspec.config import SweepConfig, parse_config
 from sqspec.pipeline import CSV_COLUMNS, make_k_grid, run_sweep, verify, write_outputs
+from sqspec.squeeze_dynamics import evolve_grid
 
 SMALL = SweepConfig(k_points=24)
 
@@ -100,6 +101,20 @@ class TestWriteOutputs:
     def test_summary_failures_line(self, small_report, tmp_path):
         write_outputs(small_report, tmp_path)
         assert "failures: 0" in (tmp_path / "summary.txt").read_text()
+
+    def test_summary_integrator_totals(self, small_report, tmp_path):
+        stats = [m.stats for m in evolve_grid(make_k_grid(SMALL), SMALL)]
+        s = small_report.summary
+        assert s.n_steps == sum(st.n_steps for st in stats)
+        assert s.n_rejected == sum(st.n_rejected for st in stats)
+        assert s.n_slaved_steps == sum(st.n_slaved_steps for st in stats)
+        assert 0 < s.n_slaved_steps < s.n_steps
+        write_outputs(small_report, tmp_path)
+        line = (
+            f"integrator steps: {s.n_steps} accepted ({s.n_slaved_steps} slaved), "
+            f"{s.n_rejected} rejected"
+        )
+        assert line in (tmp_path / "summary.txt").read_text().splitlines()
 
     def test_gammak_plot_script(self, small_report, tmp_path):
         write_outputs(small_report, tmp_path)

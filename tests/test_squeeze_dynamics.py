@@ -1,5 +1,6 @@
 import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -272,9 +273,58 @@ class TestSlavedBranch:
         assert all(math.isnan(v) for v in derivs)
 
 
-def _quiet_default_traj(k):
-    import warnings
+class TestSlavedExit:
+    """The fast path is left when its adiabatic error exceeds rtol, or
+    200 relaxation lengths before the last checkpoint, whichever is first."""
 
+    @pytest.mark.parametrize(
+        "power,x_end", [("literal", 0.01), ("hamiltonian-consistent", 1.0)]
+    )
+    def test_no_stiff_walk_to_the_evaluation_point(self, power, x_end):
+        # walking the last 4000 relaxation lengths with the full system
+        # costs ~1000 attempts here; staying on the branch costs ~230
+        traj = integrate(
+            1e-4, 100.0, x_end, coupling_power=power, samples=[100.0, x_end]
+        )
+        stats = traj.integrator_stats
+        assert stats.n_steps + stats.n_rejected <= 400
+
+    @pytest.mark.parametrize("k", [1e-4, 3.49e-4, 0.0374, 0.4, 0.69])
+    @pytest.mark.parametrize(
+        "power,x_end,r_bound,phi_bound",
+        [("literal", 0.01, 2e-6, 3e-9), ("hamiltonian-consistent", 1.0, 7e-6, 3e-7)],
+    )
+    def test_accuracy_against_tight_run(self, k, power, x_end, r_bound, phi_bound):
+        # bounds: the largest default-grid deviations of a run that walks the
+        # last 4000 relaxation lengths with the full system; k = 3.49e-4
+        # fails when the hand-back is too short, k = 0.69 (consistent) when
+        # the fast path ignores its lag error
+        kwargs = dict(coupling_power=power, samples=[100.0, x_end])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CappedGrowthWarning)
+            got = integrate(k, 100.0, x_end, **kwargs).samples[-1]
+            ref = integrate(k, 100.0, x_end, rtol=1e-13, atol=1e-16, **kwargs).samples[-1]
+        assert abs(got.r - ref.r) <= r_bound * ref.r
+        assert abs(got.phi - ref.phi) <= phi_bound
+
+    def test_closed_reference_stays_until_hand_back(self):
+        # the closed form has no lag term, so only the hand-back ends the
+        # fast path: stiff_budget (entry only) cannot change the result, and
+        # at most the last 200 relaxation lengths take full-system steps
+        runs = [
+            integrate(
+                1e-4, 100.0, 0.01, init=(1e-6, math.pi / 2), form="closed-reference",
+                samples=[100.0, 0.01], stiff_budget=budget,
+            )
+            for budget in (4000.0, 1e5)
+        ]
+        assert runs[0].samples == runs[1].samples
+        stats = runs[0].integrator_stats
+        assert stats.n_slaved_steps > 0
+        assert stats.n_steps - stats.n_slaved_steps <= 100
+
+
+def _quiet_default_traj(k):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CappedGrowthWarning)
         return integrate(k, 100.0, 0.01)
