@@ -22,27 +22,30 @@ attraction is so strong that the angle deviates from the fixed-point branch
     cos(2 phi*) = -sqrt(1 - sin^2(2 phi*))        (the attracting branch)
 
 by less than one part in 1e12 once locked.  The adaptive driver therefore
-supports an adiabatic fast path: it advances the amplitude r alone with the
-same embedded pair, holding phi on the fixed-point branch.  Each stage of
-that pair takes dr/dx straight from the branch formulas above; the angle
-itself is formed only on entry and after an accepted step.
+has an adiabatic (slaved) regime: the angle is held on the fixed-point branch
+(dphi/dx = 0) and r alone is advanced.  Both regimes run the same Dormand-
+Prince stage sequence, first-same-as-last (FSAL) in both: the derivative at
+the end of an accepted step seeds the next one, and it is re-seeded only
+when the regime changes.  In the slaved regime each stage takes dr/dx
+straight from the branch formulas above, the error norm covers r only, and
+the angle is formed on entry and after an accepted step.
 
-The path is entered when the relaxation rate times the remaining span (to
-the last checkpoint), the slack, exceeds twice a budget and the state
-already sits on the branch (within 1e-8).  It is left on accuracy, not on
-cost.  The true angle lags phi* by (d ln rate/dx)/rate^2, so holding it on
+The slaved regime is entered when the relaxation rate times the remaining
+span (to the last checkpoint), the slack, exceeds twice a budget and the
+state already sits on the branch (within 1e-8).  It is left on accuracy, not
+on cost.  The true angle lags phi* by (d ln rate/dx)/rate^2, so holding it on
 the branch shifts dr/dx by a relative 4 |d ln rate/dx| / rate^3 (with
 sin 2phi* = 2/rate, as mu2 = k/M_P; zero for the closed form).  With
-d ln rate/dx taken as a finite difference between attempts, the path is left
-once the slack is within the budget and that error exceeds rtol, or in any
-case 200 relaxation lengths before the last checkpoint, so the full system
-re-forms the lag before the angle is read.  Exit re-seeds the full system
-from the branch, which is continuous.  The fast path is validated against a
-stiff reference integrator in the test suite; integrate() accepts
+d ln rate/dx taken as a finite difference between attempts, the regime is
+left once the slack is within the budget and that error exceeds rtol, or in
+any case 200 relaxation lengths before the last checkpoint, so the full
+system re-forms the lag before the angle is read.  Exit re-seeds the full
+system from the branch, which is continuous.  The slaved regime is validated
+against a stiff reference integrator in the test suite; integrate() accepts
 stiff_mode="off" to force the plain explicit method.
 
-Everything here is numba-jitted when numba is importable and falls back to
-pure Python (slow but identical results) otherwise.
+Everything here is numba-jitted when numba is importable and runs as plain
+Python otherwise.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ try:
     from numba import njit
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
+except ImportError:
     HAVE_NUMBA = False
 
     def njit(*args, **kwargs):
@@ -143,23 +146,15 @@ def _rhs_eta(r, phi, a_cc, mu2, mu2_rate, mp, form):
 
 
 @njit(cache=True)
-def _couplings_x(x, k, mp, power, zero_coupling):
+def _couplings_x(x, k, mp, power):
     """(a_cc, mu2) at x = -k eta on the constant-eps background."""
-    lam = 0.0 if zero_coupling else k / x  # |z'/z| = 1/|eta|
+    lam = k / x  # |z'/z| = 1/|eta|
     mu2 = k / mp
     if power == POWER_LITERAL:
         a_cc = lam * lam / mp
     else:
         a_cc = lam
     return a_cc, mu2
-
-
-@njit(cache=True)
-def _rhs_x(x, r, phi, k, mp, power, form, mu2_rate, zero_coupling):
-    """(dr/dx, dphi/dx); x = -k eta so d/dx = -(1/k) d/deta."""
-    a_cc, mu2 = _couplings_x(x, k, mp, power, zero_coupling)
-    drdeta, dpdeta = _rhs_eta(r, phi, a_cc, mu2, mu2_rate, mp, form)
-    return -drdeta / k, -dpdeta / k
 
 
 @njit(cache=True)
@@ -172,7 +167,7 @@ def _phase_bracket(r, a_cc, mu2, mp, form):
 
 
 @njit(cache=True)
-def _attractor_phi(x, r, phi_anchor, k, mp, power, form, zero_coupling):
+def _attractor_phi(x, r, phi_anchor, k, mp, power, form):
     """Stable fixed point of the angle equation, branch nearest phi_anchor.
 
     Returns (phi_star, ok); ok is False when the fixed point does not exist
@@ -181,7 +176,7 @@ def _attractor_phi(x, r, phi_anchor, k, mp, power, form, zero_coupling):
     if form == FORM_CLOSED:
         s = 0.0
     else:
-        a_cc, mu2 = _couplings_x(x, k, mp, power, zero_coupling)
+        a_cc, mu2 = _couplings_x(x, k, mp, power)
         s = 2.0 * mp * mu2 / _phase_bracket(r, a_cc, mu2, mp, form)
     if not (0.0 <= s < 0.99):
         return phi_anchor, False
@@ -191,13 +186,13 @@ def _attractor_phi(x, r, phi_anchor, k, mp, power, form, zero_coupling):
 
 
 @njit(cache=True)
-def _slaved_drdx(x, r, phi_anchor, k, mp, power, form, mu2_rate, zero_coupling):
+def _slaved_drdx(x, r, phi_anchor, k, mp, power, form, mu2_rate):
     """dr/dx with phi on the branch _attractor_phi picks, without forming phi.
 
     On the branch cos(2 phi*) = -sqrt(1 - sin^2(2 phi*)); where the branch
     does not exist the angle stays at phi_anchor, as in _attractor_phi.
     """
-    a_cc, mu2 = _couplings_x(x, k, mp, power, zero_coupling)
+    a_cc, mu2 = _couplings_x(x, k, mp, power)
     if form == FORM_CLOSED:
         c2p = -1.0
     else:
@@ -207,6 +202,20 @@ def _slaved_drdx(x, r, phi_anchor, k, mp, power, form, mu2_rate, zero_coupling):
         else:
             c2p = math.cos(2.0 * phi_anchor)
     return -_drdeta(r, c2p, a_cc, mu2, mu2_rate, form) / k
+
+
+@njit(cache=True)
+def _rhs_x(x, r, phi, k, mp, power, form, mu2_rate, slaved=False):
+    """(dr/dx, dphi/dx); x = -k eta so d/dx = -(1/k) d/deta.
+
+    slaved=True holds the angle on the fixed-point branch: dr/dx comes from
+    _slaved_drdx with phi as the branch anchor, and dphi/dx is 0.
+    """
+    if slaved:
+        return _slaved_drdx(x, r, phi, k, mp, power, form, mu2_rate), 0.0
+    a_cc, mu2 = _couplings_x(x, k, mp, power)
+    drdeta, dpdeta = _rhs_eta(r, phi, a_cc, mu2, mu2_rate, mp, form)
+    return -drdeta / k, -dpdeta / k
 
 
 # Dormand-Prince 5(4) tableau
@@ -255,7 +264,6 @@ def _drive_adaptive(
     power,
     form,
     mu2_rate,
-    zero_coupling,
     rtol,
     atol,
     r_cap,
@@ -266,9 +274,9 @@ def _drive_adaptive(
     """Advance (r, phi) through the decreasing checkpoints xs.
 
     Returns (out_r, out_phi, n_filled, status, n_steps, n_rejected, max_err,
-    n_slaved, capped, clamped, fail_x, fail_r, fail_phi); n_filled
-    counts completed checkpoints, and the fail_* scalars carry the true state
-    where integration stopped when status != 0.
+    n_slaved, capped, fail_x, fail_r, fail_phi); n_filled counts completed
+    checkpoints, and the fail_* scalars carry the true state where
+    integration stopped when status != 0.
     """
     n_out = len(xs)
     out_r = np.empty(n_out)
@@ -287,7 +295,6 @@ def _drive_adaptive(
     n_slaved = 0
     max_err = 0.0
     capped = False
-    clamped = False
 
     slaved = False
     x_prev = x
@@ -297,7 +304,7 @@ def _drive_adaptive(
     if h == 0.0:
         h = -1e-8
 
-    fr, fp = _rhs_x(x, r, phi, k, mp, power, form, mu2_rate, zero_coupling)
+    fr, fp = _rhs_x(x, r, phi, k, mp, power, form, mu2_rate)
 
     i_out = 1
     while i_out < n_out:
@@ -308,12 +315,12 @@ def _drive_adaptive(
                 status = STATUS_MAX_STEPS
                 return (
                     out_r, out_phi, i_out, status, n_steps, n_rejected,
-                    max_err, n_slaved, capped, clamped, x, r, phi,
+                    max_err, n_slaved, capped, x, r, phi,
                 )
 
             # mode switching, with hysteresis to avoid chatter
             if stiff_auto:
-                a_cc, mu2 = _couplings_x(x, k, mp, power, zero_coupling)
+                a_cc, mu2 = _couplings_x(x, k, mp, power)
                 rate = _phase_bracket(r, a_cc, mu2, mp, form) / k
                 slack = rate * (x - x_end)
                 if slaved:
@@ -331,17 +338,14 @@ def _drive_adaptive(
                     )
                     if lagging or slack <= _SLAVE_HANDBACK:
                         slaved = False
-                        fr, fp = _rhs_x(
-                            x, r, phi, k, mp, power, form, mu2_rate, zero_coupling
-                        )
+                        fr, fp = _rhs_x(x, r, phi, k, mp, power, form, mu2_rate)
                 else:
                     if slack > 2.0 * stiff_budget:
-                        ps, ok = _attractor_phi(
-                            x, r, phi, k, mp, power, form, zero_coupling
-                        )
+                        ps, ok = _attractor_phi(x, r, phi, k, mp, power, form)
                         if ok and abs(phi - ps) < _SLAVE_ENTRY_TOL:
                             slaved = True
                             phi = ps
+                            fr, fp = _rhs_x(x, r, phi, k, mp, power, form, mu2_rate, True)
                             x_prev = x
                             ln_rate_prev = math.log(rate)
                             dlnrate = 0.0
@@ -351,74 +355,45 @@ def _drive_adaptive(
                 h = x_target - x
                 land = True
 
-            if slaved:
-                # one-variable embedded step for r on the fixed-point branch
-                k1 = _slaved_drdx(x, r, phi, k, mp, power, form, mu2_rate, zero_coupling)
-                y2 = r + h * _DP_A21 * k1
-                k2 = _slaved_drdx(x + _DP_C2 * h, y2, phi, k, mp, power, form, mu2_rate, zero_coupling)
-                y3 = r + h * (_DP_A31 * k1 + _DP_A32 * k2)
-                k3 = _slaved_drdx(x + _DP_C3 * h, y3, phi, k, mp, power, form, mu2_rate, zero_coupling)
-                y4 = r + h * (_DP_A41 * k1 + _DP_A42 * k2 + _DP_A43 * k3)
-                k4 = _slaved_drdx(x + _DP_C4 * h, y4, phi, k, mp, power, form, mu2_rate, zero_coupling)
-                y5 = r + h * (_DP_A51 * k1 + _DP_A52 * k2 + _DP_A53 * k3 + _DP_A54 * k4)
-                k5 = _slaved_drdx(x + _DP_C5 * h, y5, phi, k, mp, power, form, mu2_rate, zero_coupling)
-                y6 = r + h * (_DP_A61 * k1 + _DP_A62 * k2 + _DP_A63 * k3 + _DP_A64 * k4 + _DP_A65 * k5)
-                k6 = _slaved_drdx(x + h, y6, phi, k, mp, power, form, mu2_rate, zero_coupling)
-                r_new = r + h * (_DP_B1 * k1 + _DP_B3 * k3 + _DP_B4 * k4 + _DP_B5 * k5 + _DP_B6 * k6)
-                k7 = _slaved_drdx(x + h, r_new, phi, k, mp, power, form, mu2_rate, zero_coupling)
-                err_r = h * (_DP_E1 * k1 + _DP_E3 * k3 + _DP_E4 * k4 + _DP_E5 * k5 + _DP_E6 * k6 + _DP_E7 * k7)
-                scale = atol + rtol * max(abs(r), abs(r_new))
-                err = abs(err_r) / scale
-                accepted = err <= 1.0
-                if accepted:
-                    phi, _ = _attractor_phi(x + h, r_new, phi, k, mp, power, form, zero_coupling)
-                    x = x_target if land else x + h
-                    r = r_new
-                    n_steps += 1
-                    n_slaved += 1
-                    if err > max_err:
-                        max_err = err
+            k1r, k1p = fr, fp
+            r2 = r + h * _DP_A21 * k1r
+            q2 = phi + h * _DP_A21 * k1p
+            k2r, k2p = _rhs_x(x + _DP_C2 * h, r2, q2, k, mp, power, form, mu2_rate, slaved)
+            r3 = r + h * (_DP_A31 * k1r + _DP_A32 * k2r)
+            q3 = phi + h * (_DP_A31 * k1p + _DP_A32 * k2p)
+            k3r, k3p = _rhs_x(x + _DP_C3 * h, r3, q3, k, mp, power, form, mu2_rate, slaved)
+            r4 = r + h * (_DP_A41 * k1r + _DP_A42 * k2r + _DP_A43 * k3r)
+            q4 = phi + h * (_DP_A41 * k1p + _DP_A42 * k2p + _DP_A43 * k3p)
+            k4r, k4p = _rhs_x(x + _DP_C4 * h, r4, q4, k, mp, power, form, mu2_rate, slaved)
+            r5 = r + h * (_DP_A51 * k1r + _DP_A52 * k2r + _DP_A53 * k3r + _DP_A54 * k4r)
+            q5 = phi + h * (_DP_A51 * k1p + _DP_A52 * k2p + _DP_A53 * k3p + _DP_A54 * k4p)
+            k5r, k5p = _rhs_x(x + _DP_C5 * h, r5, q5, k, mp, power, form, mu2_rate, slaved)
+            r6 = r + h * (_DP_A61 * k1r + _DP_A62 * k2r + _DP_A63 * k3r + _DP_A64 * k4r + _DP_A65 * k5r)
+            q6 = phi + h * (_DP_A61 * k1p + _DP_A62 * k2p + _DP_A63 * k3p + _DP_A64 * k4p + _DP_A65 * k5p)
+            k6r, k6p = _rhs_x(x + h, r6, q6, k, mp, power, form, mu2_rate, slaved)
+            r_new = r + h * (_DP_B1 * k1r + _DP_B3 * k3r + _DP_B4 * k4r + _DP_B5 * k5r + _DP_B6 * k6r)
+            p_new = phi + h * (_DP_B1 * k1p + _DP_B3 * k3p + _DP_B4 * k4p + _DP_B5 * k5p + _DP_B6 * k6p)
+            k7r, k7p = _rhs_x(x + h, r_new, p_new, k, mp, power, form, mu2_rate, slaved)
+            err_r = h * (_DP_E1 * k1r + _DP_E3 * k3r + _DP_E4 * k4r + _DP_E5 * k5r + _DP_E6 * k6r + _DP_E7 * k7r)
+            sr = atol + rtol * max(abs(r), abs(r_new))
+            if slaved:  # the angle is held, so r alone carries the error
+                err = abs(err_r) / sr
             else:
-                k1r, k1p = fr, fp
-                r2 = r + h * _DP_A21 * k1r
-                q2 = phi + h * _DP_A21 * k1p
-                k2r, k2p = _rhs_x(x + _DP_C2 * h, r2, q2, k, mp, power, form, mu2_rate, zero_coupling)
-                r3 = r + h * (_DP_A31 * k1r + _DP_A32 * k2r)
-                q3 = phi + h * (_DP_A31 * k1p + _DP_A32 * k2p)
-                k3r, k3p = _rhs_x(x + _DP_C3 * h, r3, q3, k, mp, power, form, mu2_rate, zero_coupling)
-                r4 = r + h * (_DP_A41 * k1r + _DP_A42 * k2r + _DP_A43 * k3r)
-                q4 = phi + h * (_DP_A41 * k1p + _DP_A42 * k2p + _DP_A43 * k3p)
-                k4r, k4p = _rhs_x(x + _DP_C4 * h, r4, q4, k, mp, power, form, mu2_rate, zero_coupling)
-                r5 = r + h * (_DP_A51 * k1r + _DP_A52 * k2r + _DP_A53 * k3r + _DP_A54 * k4r)
-                q5 = phi + h * (_DP_A51 * k1p + _DP_A52 * k2p + _DP_A53 * k3p + _DP_A54 * k4p)
-                k5r, k5p = _rhs_x(x + _DP_C5 * h, r5, q5, k, mp, power, form, mu2_rate, zero_coupling)
-                r6 = r + h * (_DP_A61 * k1r + _DP_A62 * k2r + _DP_A63 * k3r + _DP_A64 * k4r + _DP_A65 * k5r)
-                q6 = phi + h * (_DP_A61 * k1p + _DP_A62 * k2p + _DP_A63 * k3p + _DP_A64 * k4p + _DP_A65 * k5p)
-                k6r, k6p = _rhs_x(x + h, r6, q6, k, mp, power, form, mu2_rate, zero_coupling)
-                r_new = r + h * (_DP_B1 * k1r + _DP_B3 * k3r + _DP_B4 * k4r + _DP_B5 * k5r + _DP_B6 * k6r)
-                p_new = phi + h * (_DP_B1 * k1p + _DP_B3 * k3p + _DP_B4 * k4p + _DP_B5 * k5p + _DP_B6 * k6p)
-                k7r, k7p = _rhs_x(x + h, r_new, p_new, k, mp, power, form, mu2_rate, zero_coupling)
-                err_r = h * (_DP_E1 * k1r + _DP_E3 * k3r + _DP_E4 * k4r + _DP_E5 * k5r + _DP_E6 * k6r + _DP_E7 * k7r)
                 err_p = h * (_DP_E1 * k1p + _DP_E3 * k3p + _DP_E4 * k4p + _DP_E5 * k5p + _DP_E6 * k6p + _DP_E7 * k7p)
-                sr = atol + rtol * max(abs(r), abs(r_new))
                 sp = atol + rtol * max(abs(phi), abs(p_new))
                 err = math.sqrt(0.5 * ((err_r / sr) ** 2 + (err_p / sp) ** 2))
-                accepted = err <= 1.0
-                if accepted:
-                    x = x_target if land else x + h
-                    r = r_new
-                    phi = p_new
-                    fr, fp = k7r, k7p  # FSAL
-                    n_steps += 1
-                    if err > max_err:
-                        max_err = err
-
+            accepted = err <= 1.0
             if accepted:
-                if r < 0.0:
-                    r = 0.0
-                    clamped = True
-                    if not slaved:
-                        fr, fp = _rhs_x(x, r, phi, k, mp, power, form, mu2_rate, zero_coupling)
+                if slaved:
+                    p_new, _ = _attractor_phi(x + h, r_new, phi, k, mp, power, form)
+                    n_slaved += 1
+                x = x_target if land else x + h
+                r = r_new
+                phi = p_new
+                fr, fp = k7r, k7p  # FSAL
+                n_steps += 1
+                if err > max_err:
+                    max_err = err
                 if r > r_cap:
                     capped = True
             else:
@@ -438,7 +413,7 @@ def _drive_adaptive(
                 status = STATUS_STEP_UNDERFLOW
                 return (
                     out_r, out_phi, i_out, status, n_steps, n_rejected,
-                    max_err, n_slaved, capped, clamped, x, r, phi,
+                    max_err, n_slaved, capped, x, r, phi,
                 )
 
         out_r[i_out] = r
@@ -447,7 +422,7 @@ def _drive_adaptive(
 
     return (
         out_r, out_phi, n_out, status, n_steps, n_rejected,
-        max_err, n_slaved, capped, clamped, x, r, phi,
+        max_err, n_slaved, capped, x, r, phi,
     )
 
 
@@ -462,14 +437,13 @@ def _drive_rk4(
     power,
     form,
     mu2_rate,
-    zero_coupling,
     r_cap,
 ):
     """Classical RK4 with n_sub[i] equal steps on segment xs[i] -> xs[i+1].
 
     Plain full-system stepping, no stiffness bypass; meant for
     cross-validating the adaptive driver on well-conditioned windows.
-    Returns (out_r, out_phi, n_steps, capped, clamped).
+    Returns (out_r, out_phi, n_steps, capped).
     """
     n_out = len(xs)
     out_r = np.empty(n_out)
@@ -481,7 +455,6 @@ def _drive_rk4(
     phi = phi0
     n_steps = 0
     capped = False
-    clamped = False
 
     for i in range(n_out - 1):
         x0 = xs[i]
@@ -490,30 +463,27 @@ def _drive_rk4(
         h = (x1 - x0) / n
         x = x0
         for _ in range(n):
-            k1r, k1p = _rhs_x(x, r, phi, k, mp, power, form, mu2_rate, zero_coupling)
+            k1r, k1p = _rhs_x(x, r, phi, k, mp, power, form, mu2_rate)
             k2r, k2p = _rhs_x(
                 x + 0.5 * h, r + 0.5 * h * k1r, phi + 0.5 * h * k1p,
-                k, mp, power, form, mu2_rate, zero_coupling,
+                k, mp, power, form, mu2_rate,
             )
             k3r, k3p = _rhs_x(
                 x + 0.5 * h, r + 0.5 * h * k2r, phi + 0.5 * h * k2p,
-                k, mp, power, form, mu2_rate, zero_coupling,
+                k, mp, power, form, mu2_rate,
             )
             k4r, k4p = _rhs_x(
                 x + h, r + h * k3r, phi + h * k3p,
-                k, mp, power, form, mu2_rate, zero_coupling,
+                k, mp, power, form, mu2_rate,
             )
             r = r + h * (k1r + 2.0 * k2r + 2.0 * k3r + k4r) / 6.0
             phi = phi + h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
             x += h
             n_steps += 1
-            if r < 0.0:
-                r = 0.0
-                clamped = True
             if r > r_cap:
                 capped = True
         x = x1  # land exactly
         out_r[i + 1] = r
         out_phi[i + 1] = phi
 
-    return out_r, out_phi, n_steps, capped, clamped
+    return out_r, out_phi, n_steps, capped

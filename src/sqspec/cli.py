@@ -17,7 +17,7 @@ import dataclasses
 import sys
 import time
 
-from .config import ConfigError, load_config
+from .config import _ENUMS, ConfigError, load_config
 from .pipeline import run_sweep, verify, write_outputs
 
 _OVERRIDE_FLAGS = {
@@ -32,20 +32,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="flat key = value config file")
     parser.add_argument("--k-points", type=int, dest="k_points", help="override k_points")
     parser.add_argument(
-        "--form",
-        choices=("conformal", "transformed", "closed-reference"),
-        help="which right-hand side to integrate",
+        "--form", choices=_ENUMS["form"], help="which right-hand side to integrate"
     )
     parser.add_argument(
         "--coupling-power",
         dest="coupling_power",
-        choices=("literal", "hamiltonian-consistent"),
+        choices=_ENUMS["coupling_power"],
         help="closed-coupling convention",
     )
     parser.add_argument(
         "--eval",
         dest="eval_point",
-        choices=("super-horizon", "horizon-crossing"),
+        choices=_ENUMS["eval_point"],
         help="where each mode is evaluated",
     )
 

@@ -8,8 +8,8 @@ Example file (all keys optional; omitted keys take the defaults below)::
     k_points = 200
     form     = conformal
 
-Unknown keys are rejected, values are type-checked, and constraint
-violations name the offending field(s).  serialize() emits a canonical
+Unknown keys are rejected, values are type-checked, every float must be
+finite, and constraint violations name the offending field(s).  serialize() emits a canonical
 round-trippable echo of a resolved configuration.
 """
 
@@ -67,6 +67,10 @@ class SweepConfig:
     zero_coupling: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if not self.k_min < self.k_max:
             raise ConfigError(
                 f"k_min must be < k_max, got k_min={self.k_min}, k_max={self.k_max}"

@@ -132,7 +132,6 @@ class IntegratorStats:
     max_error_estimate: float = 0.0
     n_slaved_steps: int = 0
     capped: bool = False
-    clamped_negative: bool = False
     status: str = "ok"
 
 
@@ -267,7 +266,6 @@ def integrate(
     h_fixed: float | None = None,
     samples: int | Sequence[float] | None = None,
     mu2_rate: float = 0.0,
-    zero_coupling: bool = False,
     r_cap: float = 30.0,
     stiff_mode: str = "auto",
     stiff_budget: float = 4000.0,
@@ -281,7 +279,10 @@ def integrate(
     it); below it the path is left once its lag error exceeds rtol, and in
     any case at a fixed hand-back before x_end (see _integrators);
     method="fixed" is the classical RK4 cross-validator with step h_fixed
-    subdivided exactly into each checkpoint segment.
+    subdivided exactly into each checkpoint segment.  The coupling always
+    follows the background (a sweep's zero_coupling debug run is answered
+    by evolve_grid without integrating), and r is never clamped: a negative
+    amplitude fails loudly in SqueezeState.
 
     Raises StepSizeUnderflowError / StepBudgetError with the partial
     trajectory attached; emits CappedGrowthWarning when r exceeds r_cap
@@ -328,15 +329,14 @@ def integrate(
     if method == "adaptive":
         (
             out_r, out_phi, n_filled, status, n_steps, n_rej,
-            max_err, n_slaved, capped, clamped,
+            max_err, n_slaved, capped,
             fail_x, fail_r, fail_phi,
         ) = _eng._drive_adaptive(
-            xs, r0, phi0, k, mp, power_code, form_code, mu2_rate,
-            zero_coupling, rtol, atol, r_cap,
+            xs, r0, phi0, k, mp, power_code, form_code, mu2_rate, rtol, atol, r_cap,
             stiff_mode == "auto", stiff_budget, max_steps,
         )
         if status != _eng.STATUS_OK and fail_x < xs[min(n_filled, len(xs)) - 1]:
-            fail_state = SqueezeState(r=max(fail_r, 0.0), phi=fail_phi, x=fail_x)
+            fail_state = SqueezeState(r=fail_r, phi=fail_phi, x=fail_x)
         stats = IntegratorStats(
             method="adaptive",
             n_steps=int(n_steps),
@@ -344,7 +344,6 @@ def integrate(
             max_error_estimate=float(max_err),
             n_slaved_steps=int(n_slaved),
             capped=bool(capped),
-            clamped_negative=bool(clamped),
             status={0: "ok", 1: "step-underflow", 2: "max-steps"}[int(status)],
         )
     else:
@@ -355,20 +354,14 @@ def integrate(
         n_sub = np.maximum(
             1, np.ceil((xs[:-1] - xs[1:]) / h_fixed).astype(np.int64)
         )
-        out_r, out_phi, n_steps, capped, clamped = _eng._drive_rk4(
-            xs, n_sub, r0, phi0, k, mp, power_code, form_code,
-            mu2_rate, zero_coupling, r_cap,
+        out_r, out_phi, n_steps, capped = _eng._drive_rk4(
+            xs, n_sub, r0, phi0, k, mp, power_code, form_code, mu2_rate, r_cap,
         )
         n_filled = len(xs)
-        stats = IntegratorStats(
-            method="fixed",
-            n_steps=int(n_steps),
-            capped=bool(capped),
-            clamped_negative=bool(clamped),
-        )
+        stats = IntegratorStats(method="fixed", n_steps=int(n_steps), capped=bool(capped))
 
     states = tuple(
-        SqueezeState(r=max(out_r[i], 0.0), phi=out_phi[i], x=xs[i])
+        SqueezeState(r=out_r[i], phi=out_phi[i], x=xs[i])
         for i in range(n_filled)
     )
     if fail_state is not None:

@@ -1,8 +1,11 @@
 import math
+from dataclasses import fields
 
 import pytest
 
 from sqspec.config import ConfigError, SweepConfig, load_config, parse_config, serialize
+
+FLOAT_FIELDS = [f.name for f in fields(SweepConfig) if f.type == "float"]
 
 
 class TestDefaults:
@@ -91,6 +94,12 @@ class TestValidation:
     def test_positive_tolerances(self):
         with pytest.raises(ConfigError, match="tolerances"):
             SweepConfig(atol=-1e-10)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_FIELDS)
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            parse_config(f"{key} = {value}\n")
 
 
 class TestSerialize:

@@ -176,6 +176,13 @@ class TestCli:
         assert cli_main(["sweep", "--config", str(bad)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_non_finite_value_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("n_s = nan\nk_points = 4\n")
+        assert cli_main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert "config error: n_s must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("k_mni = 1\n")

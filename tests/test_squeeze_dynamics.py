@@ -93,6 +93,18 @@ class TestRhsPointwise:
         ham = rhs_conformal(state, 0.5, coupling_power="hamiltonian-consistent")
         assert lit[0] != ham[0]
 
+    def test_zero_coupling_freezes_r(self):
+        # with the coupling and mu2' both zero the r equation vanishes
+        # identically, whatever r, phi and mu2
+        rng = np.random.RandomState(5)
+        for _ in range(100):
+            state = SqueezeState(
+                r=rng.uniform(1e-6, 4.0), phi=rng.uniform(-3.0, 3.0), x=2.0
+            )
+            cc = CouplingCoefficients(mu2=rng.uniform(0.0, 2.0), coupling=0.0)
+            assert rhs_conformal(state, 1.0, couplings=cc)[0] == 0.0
+            assert rhs_transformed(state, 1.0, couplings=cc)[0] == 0.0
+
     def test_singular_angle_term_is_not_a_crash(self):
         # r = 0 with sin(2 phi) != 0: the angle rate is unbounded but must
         # come back as a value, not an exception
@@ -103,14 +115,6 @@ class TestRhsPointwise:
 
 
 class TestIntegrate:
-    def test_zero_coupling_freezes_r(self):
-        # with the coupling frozen to zero the r equation vanishes identically
-        for form in ("conformal", "transformed"):
-            traj = integrate(
-                0.5, 10.0, 0.1, init=(0.3, PI4), form=form, zero_coupling=True
-            )
-            np.testing.assert_allclose(traj.r, 0.3, rtol=1e-12)
-
     def test_dual_integrator_agreement(self):
         ref = integrate(0.8, 5.0, 0.5, init=(0.05, PI4), samples=[5.0, 0.5])
         fix = integrate(
@@ -250,21 +254,31 @@ class TestSlavedBranch:
     )
     def test_matches_rhs_at_attractor(self, form, power, x, r, k):
         args = (k, 1.0, squeeze_dynamics._POWERS[power], squeeze_dynamics._FORMS[form])
-        phi_star, ok = eng._attractor_phi(x, r, math.pi / 2, *args, False)
+        phi_star, ok = eng._attractor_phi(x, r, math.pi / 2, *args)
         assert ok
-        fast = eng._slaved_drdx(x, r, math.pi / 2, *args, 0.0, False)
-        full, _ = eng._rhs_x(x, r, phi_star, *args, 0.0, False)
+        fast = eng._slaved_drdx(x, r, math.pi / 2, *args, 0.0)
+        full, _ = eng._rhs_x(x, r, phi_star, *args, 0.0)
         assert fast == pytest.approx(full, rel=1e-13)
+
+    @pytest.mark.parametrize("form", sorted(squeeze_dynamics._FORMS))
+    def test_slaved_rhs_holds_the_angle(self, form):
+        # the driver's one stage sequence runs the slaved regime through
+        # _rhs_x(..., slaved=True): dr/dx from the branch, dphi/dx exactly 0
+        args = (0.05, 1.0, eng.POWER_LITERAL, squeeze_dynamics._FORMS[form], 0.0)
+        for x, r, anchor in ((100.0, 1e-6, math.pi / 2), (10.0, 3.0, 0.4)):
+            dr, dphi = eng._rhs_x(x, r, anchor, *args, slaved=True)
+            assert dphi == 0.0
+            assert dr == eng._slaved_drdx(x, r, anchor, *args)
 
     @pytest.mark.parametrize("form", ["conformal", "transformed"])
     def test_anchor_angle_where_branch_is_missing(self, form):
         # at x = 10, r = 3, k = 10 the bracket is ~11.1, so sin(2 phi*) =
         # 2 mu2 / B ~ 1.8: no fixed point, and the angle stays at the anchor
         args = (10.0, 1.0, eng.POWER_LITERAL, squeeze_dynamics._FORMS[form])
-        assert not eng._attractor_phi(10.0, 3.0, 0.4, *args, False)[1]
-        fast = eng._slaved_drdx(10.0, 3.0, 0.4, *args, 0.0, False)
-        full, _ = eng._rhs_x(10.0, 3.0, 0.4, *args, 0.0, False)
-        assert full != eng._rhs_x(10.0, 3.0, math.pi / 2, *args, 0.0, False)[0]
+        assert not eng._attractor_phi(10.0, 3.0, 0.4, *args)[1]
+        fast = eng._slaved_drdx(10.0, 3.0, 0.4, *args, 0.0)
+        full, _ = eng._rhs_x(10.0, 3.0, 0.4, *args, 0.0)
+        assert full != eng._rhs_x(10.0, 3.0, math.pi / 2, *args, 0.0)[0]
         assert fast == pytest.approx(full, rel=1e-13)
 
     def test_non_finite_angle_gives_nan(self):
