@@ -9,7 +9,10 @@ Two engines, both explicit:
 
 The flow is integrated in the dimensionless variable x = -k eta, which
 decreases from deep sub-horizon (x >> 1) through horizon crossing (x = 1)
-to the super-horizon evaluation point, so steps are negative in x.
+to the super-horizon evaluation point, so steps are negative in x.  Each
+trajectory has one fixed comoving k, so mu2 = k/M_P is constant and the
+drivers pass mu2' = 0 to the flow (the pointwise rhs_* functions of
+squeeze_dynamics keep the mu2' term of the printed equations).
 
 Stiffness handling.  The rotation-angle equation carries a coth(r) relaxation
 rate: for r ~ 1e-6 the angle is attracted to its quasi-static fixed point
@@ -31,21 +34,19 @@ straight from the branch formulas above, the error norm covers r only, and
 the angle is formed on entry and after an accepted step.
 
 The slaved regime is entered when the relaxation rate times the remaining
-span (to the last checkpoint), the slack, exceeds twice a budget and the
-state already sits on the branch (within 1e-8).  It is left on accuracy, not
-on cost.  The true angle lags phi* by (d ln rate/dx)/rate^2, so holding it on
-the branch shifts dr/dx by a relative 4 |d ln rate/dx| / rate^3 (with
-sin 2phi* = 2/rate, as mu2 = k/M_P; zero for the closed form).  With
-d ln rate/dx taken as a finite difference between attempts, the regime is
-left once the slack is within the budget and that error exceeds rtol, or in
-any case 200 relaxation lengths before the last checkpoint, so the full
-system re-forms the lag before the angle is read.  Exit re-seeds the full
-system from the branch, which is continuous.  The slaved regime is validated
+span (to the last checkpoint), the slack, exceeds twice _STIFF_BUDGET (4000
+relaxation lengths) and the state already sits on the branch (within 1e-8).
+It is left on accuracy, not on cost.  The true angle lags phi* by
+(d ln rate/dx)/rate^2, so holding it on the branch shifts dr/dx by a
+relative 4 |d ln rate/dx| / rate^3 (with sin 2phi* = 2/rate, as
+mu2 = k/M_P; zero for the closed form).  With d ln rate/dx taken as a finite
+difference between attempts, the regime is left once the slack is within
+_STIFF_BUDGET and that error exceeds rtol, or in any case _SLAVE_HANDBACK =
+200 relaxation lengths before the last checkpoint, so the full system
+re-forms the lag before the angle is read.  Exit re-seeds the full system
+from the branch, which is continuous.  The slaved regime is validated
 against a stiff reference integrator in the test suite; integrate() accepts
 stiff_mode="off" to force the plain explicit method.
-
-Everything here is numba-jitted when numba is importable and runs as plain
-Python otherwise.
 """
 
 from __future__ import annotations
@@ -54,23 +55,6 @@ import math
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
-
 # form / coupling-power dispatch codes
 FORM_CONFORMAL = 0
 FORM_TRANSFORMED = 1
@@ -78,18 +62,15 @@ FORM_CLOSED = 2
 POWER_LITERAL = 0
 POWER_CONSISTENT = 1
 
-# driver status codes
-STATUS_OK = 0
-STATUS_STEP_UNDERFLOW = 1
-STATUS_MAX_STEPS = 2
-
 _SLAVE_ENTRY_TOL = 1e-8  # |phi - phi*| required before the fast path engages
+# relaxation lengths of slack to the last checkpoint: the fast path is entered
+# above twice this, and below it may be left on its lag error
+_STIFF_BUDGET = 4000.0
 # relaxation lengths left to the last checkpoint when the fast path always
 # hands back, so the full system re-forms the angle's lag before it is read
 _SLAVE_HANDBACK = 200.0
 
 
-@njit(cache=True)
 def _coth(r):
     # Laurent form keeps coth(r)*sin(2 phi) accurate for tiny |r| (odd in r,
     # so it also serves transient negative stage values).  r = 0 is the
@@ -102,7 +83,6 @@ def _coth(r):
     return math.cosh(r) / math.sinh(r)
 
 
-@njit(cache=True)
 def _drdeta(r, c2p, a_cc, mu2, mu2_rate, form):
     """dr/deta of the selected form, given cos(2 phi)."""
     if form == FORM_CLOSED:
@@ -123,7 +103,6 @@ def _drdeta(r, c2p, a_cc, mu2, mu2_rate, form):
     return -tr * (mu2_rate + a_cc * c2p) / den
 
 
-@njit(cache=True)
 def _rhs_eta(r, phi, a_cc, mu2, mu2_rate, mp, form):
     """Conformal-time derivatives (dr/deta, dphi/deta) of the printed flow.
 
@@ -145,7 +124,6 @@ def _rhs_eta(r, phi, a_cc, mu2, mu2_rate, mp, form):
     return drdeta, dpdeta
 
 
-@njit(cache=True)
 def _couplings_x(x, k, mp, power):
     """(a_cc, mu2) at x = -k eta on the constant-eps background."""
     lam = k / x  # |z'/z| = 1/|eta|
@@ -157,7 +135,6 @@ def _couplings_x(x, k, mp, power):
     return a_cc, mu2
 
 
-@njit(cache=True)
 def _phase_bracket(r, a_cc, mu2, mp, form):
     """Bracket B multiplying sin(2 phi)/2 in dphi/deta (the relaxation scale)."""
     tr = math.tanh(r)
@@ -166,7 +143,6 @@ def _phase_bracket(r, a_cc, mu2, mp, form):
     return a_cc * tr / (1.0 + mu2 * tr) + mp * (_coth(r) + mu2)
 
 
-@njit(cache=True)
 def _attractor_phi(x, r, phi_anchor, k, mp, power, form):
     """Stable fixed point of the angle equation, branch nearest phi_anchor.
 
@@ -185,8 +161,7 @@ def _attractor_phi(x, r, phi_anchor, k, mp, power, form):
     return base + m * math.pi, True
 
 
-@njit(cache=True)
-def _slaved_drdx(x, r, phi_anchor, k, mp, power, form, mu2_rate):
+def _slaved_drdx(x, r, phi_anchor, k, mp, power, form):
     """dr/dx with phi on the branch _attractor_phi picks, without forming phi.
 
     On the branch cos(2 phi*) = -sqrt(1 - sin^2(2 phi*)); where the branch
@@ -201,20 +176,19 @@ def _slaved_drdx(x, r, phi_anchor, k, mp, power, form, mu2_rate):
             c2p = -math.sqrt(1.0 - s * s)
         else:
             c2p = math.cos(2.0 * phi_anchor)
-    return -_drdeta(r, c2p, a_cc, mu2, mu2_rate, form) / k
+    return -_drdeta(r, c2p, a_cc, mu2, 0.0, form) / k
 
 
-@njit(cache=True)
-def _rhs_x(x, r, phi, k, mp, power, form, mu2_rate, slaved=False):
+def _rhs_x(x, r, phi, k, mp, power, form, slaved=False):
     """(dr/dx, dphi/dx); x = -k eta so d/dx = -(1/k) d/deta.
 
     slaved=True holds the angle on the fixed-point branch: dr/dx comes from
     _slaved_drdx with phi as the branch anchor, and dphi/dx is 0.
     """
     if slaved:
-        return _slaved_drdx(x, r, phi, k, mp, power, form, mu2_rate), 0.0
+        return _slaved_drdx(x, r, phi, k, mp, power, form), 0.0
     a_cc, mu2 = _couplings_x(x, k, mp, power)
-    drdeta, dpdeta = _rhs_eta(r, phi, a_cc, mu2, mu2_rate, mp, form)
+    drdeta, dpdeta = _rhs_eta(r, phi, a_cc, mu2, 0.0, mp, form)
     return -drdeta / k, -dpdeta / k
 
 
@@ -254,7 +228,6 @@ _DP_E1, _DP_E3, _DP_E4, _DP_E5, _DP_E6, _DP_E7 = (
 )
 
 
-@njit(cache=True)
 def _drive_adaptive(
     xs,
     r0,
@@ -263,12 +236,10 @@ def _drive_adaptive(
     mp,
     power,
     form,
-    mu2_rate,
     rtol,
     atol,
     r_cap,
     stiff_auto,
-    stiff_budget,
     max_steps,
 ):
     """Advance (r, phi) through the decreasing checkpoints xs.
@@ -276,7 +247,8 @@ def _drive_adaptive(
     Returns (out_r, out_phi, n_filled, status, n_steps, n_rejected, max_err,
     n_slaved, capped, fail_x, fail_r, fail_phi); n_filled counts completed
     checkpoints, and the fail_* scalars carry the true state where
-    integration stopped when status != 0.
+    integration stopped when status != "ok" ("step-underflow" or
+    "max-steps").
     """
     n_out = len(xs)
     out_r = np.empty(n_out)
@@ -289,7 +261,6 @@ def _drive_adaptive(
     r = r0
     phi = phi0
 
-    status = STATUS_OK
     n_steps = 0
     n_rejected = 0
     n_slaved = 0
@@ -304,7 +275,7 @@ def _drive_adaptive(
     if h == 0.0:
         h = -1e-8
 
-    fr, fp = _rhs_x(x, r, phi, k, mp, power, form, mu2_rate)
+    fr, fp = _rhs_x(x, r, phi, k, mp, power, form)
 
     i_out = 1
     while i_out < n_out:
@@ -312,9 +283,8 @@ def _drive_adaptive(
 
         while x > x_target:
             if n_steps + n_rejected > max_steps:
-                status = STATUS_MAX_STEPS
                 return (
-                    out_r, out_phi, i_out, status, n_steps, n_rejected,
+                    out_r, out_phi, i_out, "max-steps", n_steps, n_rejected,
                     max_err, n_slaved, capped, x, r, phi,
                 )
 
@@ -333,19 +303,19 @@ def _drive_adaptive(
                     # phi* (see the module docstring)
                     lagging = (
                         form != FORM_CLOSED
-                        and slack <= stiff_budget
+                        and slack <= _STIFF_BUDGET
                         and 4.0 * abs(dlnrate) > rtol * rate * rate * rate
                     )
                     if lagging or slack <= _SLAVE_HANDBACK:
                         slaved = False
-                        fr, fp = _rhs_x(x, r, phi, k, mp, power, form, mu2_rate)
+                        fr, fp = _rhs_x(x, r, phi, k, mp, power, form)
                 else:
-                    if slack > 2.0 * stiff_budget:
+                    if slack > 2.0 * _STIFF_BUDGET:
                         ps, ok = _attractor_phi(x, r, phi, k, mp, power, form)
                         if ok and abs(phi - ps) < _SLAVE_ENTRY_TOL:
                             slaved = True
                             phi = ps
-                            fr, fp = _rhs_x(x, r, phi, k, mp, power, form, mu2_rate, True)
+                            fr, fp = _rhs_x(x, r, phi, k, mp, power, form, True)
                             x_prev = x
                             ln_rate_prev = math.log(rate)
                             dlnrate = 0.0
@@ -358,22 +328,22 @@ def _drive_adaptive(
             k1r, k1p = fr, fp
             r2 = r + h * _DP_A21 * k1r
             q2 = phi + h * _DP_A21 * k1p
-            k2r, k2p = _rhs_x(x + _DP_C2 * h, r2, q2, k, mp, power, form, mu2_rate, slaved)
+            k2r, k2p = _rhs_x(x + _DP_C2 * h, r2, q2, k, mp, power, form, slaved)
             r3 = r + h * (_DP_A31 * k1r + _DP_A32 * k2r)
             q3 = phi + h * (_DP_A31 * k1p + _DP_A32 * k2p)
-            k3r, k3p = _rhs_x(x + _DP_C3 * h, r3, q3, k, mp, power, form, mu2_rate, slaved)
+            k3r, k3p = _rhs_x(x + _DP_C3 * h, r3, q3, k, mp, power, form, slaved)
             r4 = r + h * (_DP_A41 * k1r + _DP_A42 * k2r + _DP_A43 * k3r)
             q4 = phi + h * (_DP_A41 * k1p + _DP_A42 * k2p + _DP_A43 * k3p)
-            k4r, k4p = _rhs_x(x + _DP_C4 * h, r4, q4, k, mp, power, form, mu2_rate, slaved)
+            k4r, k4p = _rhs_x(x + _DP_C4 * h, r4, q4, k, mp, power, form, slaved)
             r5 = r + h * (_DP_A51 * k1r + _DP_A52 * k2r + _DP_A53 * k3r + _DP_A54 * k4r)
             q5 = phi + h * (_DP_A51 * k1p + _DP_A52 * k2p + _DP_A53 * k3p + _DP_A54 * k4p)
-            k5r, k5p = _rhs_x(x + _DP_C5 * h, r5, q5, k, mp, power, form, mu2_rate, slaved)
+            k5r, k5p = _rhs_x(x + _DP_C5 * h, r5, q5, k, mp, power, form, slaved)
             r6 = r + h * (_DP_A61 * k1r + _DP_A62 * k2r + _DP_A63 * k3r + _DP_A64 * k4r + _DP_A65 * k5r)
             q6 = phi + h * (_DP_A61 * k1p + _DP_A62 * k2p + _DP_A63 * k3p + _DP_A64 * k4p + _DP_A65 * k5p)
-            k6r, k6p = _rhs_x(x + h, r6, q6, k, mp, power, form, mu2_rate, slaved)
+            k6r, k6p = _rhs_x(x + h, r6, q6, k, mp, power, form, slaved)
             r_new = r + h * (_DP_B1 * k1r + _DP_B3 * k3r + _DP_B4 * k4r + _DP_B5 * k5r + _DP_B6 * k6r)
             p_new = phi + h * (_DP_B1 * k1p + _DP_B3 * k3p + _DP_B4 * k4p + _DP_B5 * k5p + _DP_B6 * k6p)
-            k7r, k7p = _rhs_x(x + h, r_new, p_new, k, mp, power, form, mu2_rate, slaved)
+            k7r, k7p = _rhs_x(x + h, r_new, p_new, k, mp, power, form, slaved)
             err_r = h * (_DP_E1 * k1r + _DP_E3 * k3r + _DP_E4 * k4r + _DP_E5 * k5r + _DP_E6 * k6r + _DP_E7 * k7r)
             sr = atol + rtol * max(abs(r), abs(r_new))
             if slaved:  # the angle is held, so r alone carries the error
@@ -410,9 +380,8 @@ def _drive_adaptive(
             # a rejected step that still demands a sub-ulp stride means the
             # integrator cannot advance (angle singularity or equivalent)
             if (not accepted) and -h < 16.0 * 2.220446049250313e-16 * max(1.0, abs(x)):
-                status = STATUS_STEP_UNDERFLOW
                 return (
-                    out_r, out_phi, i_out, status, n_steps, n_rejected,
+                    out_r, out_phi, i_out, "step-underflow", n_steps, n_rejected,
                     max_err, n_slaved, capped, x, r, phi,
                 )
 
@@ -421,12 +390,11 @@ def _drive_adaptive(
         i_out += 1
 
     return (
-        out_r, out_phi, n_out, status, n_steps, n_rejected,
+        out_r, out_phi, n_out, "ok", n_steps, n_rejected,
         max_err, n_slaved, capped, x, r, phi,
     )
 
 
-@njit(cache=True)
 def _drive_rk4(
     xs,
     n_sub,
@@ -436,7 +404,6 @@ def _drive_rk4(
     mp,
     power,
     form,
-    mu2_rate,
     r_cap,
 ):
     """Classical RK4 with n_sub[i] equal steps on segment xs[i] -> xs[i+1].
@@ -463,18 +430,18 @@ def _drive_rk4(
         h = (x1 - x0) / n
         x = x0
         for _ in range(n):
-            k1r, k1p = _rhs_x(x, r, phi, k, mp, power, form, mu2_rate)
+            k1r, k1p = _rhs_x(x, r, phi, k, mp, power, form)
             k2r, k2p = _rhs_x(
                 x + 0.5 * h, r + 0.5 * h * k1r, phi + 0.5 * h * k1p,
-                k, mp, power, form, mu2_rate,
+                k, mp, power, form,
             )
             k3r, k3p = _rhs_x(
                 x + 0.5 * h, r + 0.5 * h * k2r, phi + 0.5 * h * k2p,
-                k, mp, power, form, mu2_rate,
+                k, mp, power, form,
             )
             k4r, k4p = _rhs_x(
                 x + h, r + h * k3r, phi + h * k3p,
-                k, mp, power, form, mu2_rate,
+                k, mp, power, form,
             )
             r = r + h * (k1r + 2.0 * k2r + 2.0 * k3r + k4r) / 6.0
             phi = phi + h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0

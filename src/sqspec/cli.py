@@ -20,32 +20,28 @@ import time
 from .config import _ENUMS, ConfigError, load_config
 from .pipeline import run_sweep, verify, write_outputs
 
+# config key -> (flag, add_argument options) of the per-run overrides
 _OVERRIDE_FLAGS = {
-    "k_points": "--k-points",
-    "form": "--form",
-    "coupling_power": "--coupling-power",
-    "eval_point": "--eval",
+    "k_points": ("--k-points", dict(type=int, help="override k_points")),
+    "form": (
+        "--form",
+        dict(choices=_ENUMS["form"], help="which right-hand side to integrate"),
+    ),
+    "coupling_power": (
+        "--coupling-power",
+        dict(choices=_ENUMS["coupling_power"], help="closed-coupling convention"),
+    ),
+    "eval_point": (
+        "--eval",
+        dict(choices=_ENUMS["eval_point"], help="where each mode is evaluated"),
+    ),
 }
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    parser.add_argument("--k-points", type=int, dest="k_points", help="override k_points")
-    parser.add_argument(
-        "--form", choices=_ENUMS["form"], help="which right-hand side to integrate"
-    )
-    parser.add_argument(
-        "--coupling-power",
-        dest="coupling_power",
-        choices=_ENUMS["coupling_power"],
-        help="closed-coupling convention",
-    )
-    parser.add_argument(
-        "--eval",
-        dest="eval_point",
-        choices=_ENUMS["eval_point"],
-        help="where each mode is evaluated",
-    )
+    for key, (flag, options) in _OVERRIDE_FLAGS.items():
+        parser.add_argument(flag, dest=key, **options)
 
 
 def _resolve(args: argparse.Namespace):

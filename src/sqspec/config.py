@@ -63,7 +63,6 @@ class SweepConfig:
     atol: float = 1e-10
     unit_scale: float = 1.0
     r_cap: float = 30.0
-    mu2_rate: float = 0.0
     zero_coupling: bool = False
 
     def __post_init__(self):

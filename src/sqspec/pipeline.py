@@ -78,12 +78,15 @@ class RunReport:
 
 
 def make_k_grid(config: SweepConfig) -> np.ndarray:
-    """Log-spaced wavenumber labels with the node nearest the pivot snapped
-    onto it exactly, so pivot-row checks need no interpolation."""
+    """Log-spaced wavenumber labels from k_min to k_max.  When the node
+    nearest the pivot is an interior one it is snapped onto the pivot
+    exactly, so pivot-row checks need no interpolation; the endpoints always
+    stay k_min and k_max."""
     grid = np.geomspace(config.k_min, config.k_max, config.k_points)
     if config.k_min <= config.k_pivot <= config.k_max:
         i = int(np.argmin(np.abs(np.log(grid / config.k_pivot))))
-        grid[i] = config.k_pivot
+        if 0 < i < len(grid) - 1:
+            grid[i] = config.k_pivot
     return grid
 
 

@@ -114,8 +114,10 @@ class SqueezeState:
     x: float
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError(f"squeeze amplitude must be >= 0, got r={self.r}")
+        if not (math.isfinite(self.r) and self.r >= 0):
+            raise ValueError(f"squeeze amplitude must be finite and >= 0, got r={self.r}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"squeeze angle must be finite, got phi={self.phi}")
         if not self.x > 0:
             raise ValueError(f"time stamp must be > 0, got x={self.x}")
 
@@ -242,6 +244,8 @@ def _sample_grid(
         pts = np.geomspace(x_start, x_end, max(2, samples))
     else:
         pts = np.asarray(samples, dtype=float)
+        if not np.all(np.isfinite(pts)):
+            raise ValueError(f"samples must be finite, got {samples}")
         if pts.size and (pts.max() > x_start or pts.min() < x_end):
             raise ValueError("sample points must lie within [x_end, x_start]")
     extra = [x_start, x_end]
@@ -255,7 +259,7 @@ def integrate(
     k: float,
     x_start: float,
     x_end: float,
-    init: SqueezeState | tuple[float, float] | None = None,
+    init: tuple[float, float] | None = None,
     form: str = "conformal",
     *,
     params: BackgroundParams | None = None,
@@ -265,29 +269,38 @@ def integrate(
     method: str = "adaptive",
     h_fixed: float | None = None,
     samples: int | Sequence[float] | None = None,
-    mu2_rate: float = 0.0,
     r_cap: float = 30.0,
     stiff_mode: str = "auto",
-    stiff_budget: float = 4000.0,
     max_steps: int = 2_000_000,
 ) -> Trajectory:
     """Integrate the selected flow from x_start down to x_end for one mode.
 
+    init is the (r, phi) seed at x_start (default: r = 1e-6, phi = pi/4).
     method="adaptive" is the embedded 5(4) pair with tolerance control (and
-    the automatic stiff-window fast path unless stiff_mode="off");
-    stiff_budget governs entry to the fast path (the slack must exceed twice
-    it); below it the path is left once its lag error exceeds rtol, and in
-    any case at a fixed hand-back before x_end (see _integrators);
-    method="fixed" is the classical RK4 cross-validator with step h_fixed
-    subdivided exactly into each checkpoint segment.  The coupling always
-    follows the background (a sweep's zero_coupling debug run is answered
-    by evolve_grid without integrating), and r is never clamped: a negative
-    amplitude fails loudly in SqueezeState.
+    the automatic stiff-window fast path unless stiff_mode="off"; its entry
+    and exit rules are fixed in _integrators); method="fixed" is the
+    classical RK4 cross-validator with step h_fixed subdivided exactly into
+    each checkpoint segment.  mu2 = k/M_P is constant along the trajectory,
+    so mu2' = 0.  The coupling always follows the background (a sweep's
+    zero_coupling debug run is answered by evolve_grid without integrating),
+    and r is never clamped: a negative amplitude fails loudly in
+    SqueezeState.
 
-    Raises StepSizeUnderflowError / StepBudgetError with the partial
+    Raises ValueError naming the argument for any non-finite number;
+    raises StepSizeUnderflowError / StepBudgetError with the partial
     trajectory attached; emits CappedGrowthWarning when r exceeds r_cap
     (integration continues, the values stay finite).
     """
+    if init is None:
+        init = (DEFAULT_INIT_R, DEFAULT_INIT_PHI)
+    r0, phi0 = float(init[0]), float(init[1])
+    numbers = {
+        "k": k, "x_start": x_start, "x_end": x_end, "rtol": rtol, "atol": atol,
+        "r_cap": r_cap, "h_fixed": h_fixed, "init r": r0, "init phi": phi0,
+    }
+    for name, value in numbers.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not (x_start > x_end > 0):
         raise ValueError(f"require x_start > x_end > 0, got {x_start}, {x_end}")
     if rtol <= 0 or atol <= 0:
@@ -307,16 +320,6 @@ def integrate(
 
     if params is None:
         params = BackgroundParams()
-    if init is None:
-        r0, phi0 = DEFAULT_INIT_R, DEFAULT_INIT_PHI
-    elif isinstance(init, SqueezeState):
-        if not math.isclose(init.x, x_start, rel_tol=1e-12):
-            raise ValueError(
-                f"initial state stamped at x={init.x}, but integration starts at {x_start}"
-            )
-        r0, phi0 = init.r, init.phi
-    else:
-        r0, phi0 = float(init[0]), float(init[1])
     if r0 < 0:
         raise ValueError(f"initial squeeze amplitude must be >= 0, got {r0}")
 
@@ -332,19 +335,19 @@ def integrate(
             max_err, n_slaved, capped,
             fail_x, fail_r, fail_phi,
         ) = _eng._drive_adaptive(
-            xs, r0, phi0, k, mp, power_code, form_code, mu2_rate, rtol, atol, r_cap,
-            stiff_mode == "auto", stiff_budget, max_steps,
+            xs, r0, phi0, k, mp, power_code, form_code, rtol, atol, r_cap,
+            stiff_mode == "auto", max_steps,
         )
-        if status != _eng.STATUS_OK and fail_x < xs[min(n_filled, len(xs)) - 1]:
+        if status != "ok" and fail_x < xs[min(n_filled, len(xs)) - 1]:
             fail_state = SqueezeState(r=fail_r, phi=fail_phi, x=fail_x)
         stats = IntegratorStats(
             method="adaptive",
-            n_steps=int(n_steps),
-            n_rejected=int(n_rej),
+            n_steps=n_steps,
+            n_rejected=n_rej,
             max_error_estimate=float(max_err),
-            n_slaved_steps=int(n_slaved),
-            capped=bool(capped),
-            status={0: "ok", 1: "step-underflow", 2: "max-steps"}[int(status)],
+            n_slaved_steps=n_slaved,
+            capped=capped,
+            status=status,
         )
     else:
         if h_fixed is None:
@@ -355,10 +358,10 @@ def integrate(
             1, np.ceil((xs[:-1] - xs[1:]) / h_fixed).astype(np.int64)
         )
         out_r, out_phi, n_steps, capped = _eng._drive_rk4(
-            xs, n_sub, r0, phi0, k, mp, power_code, form_code, mu2_rate, r_cap,
+            xs, n_sub, r0, phi0, k, mp, power_code, form_code, r_cap,
         )
         n_filled = len(xs)
-        stats = IntegratorStats(method="fixed", n_steps=int(n_steps), capped=bool(capped))
+        stats = IntegratorStats(method="fixed", n_steps=n_steps, capped=capped)
 
     states = tuple(
         SqueezeState(r=out_r[i], phi=out_phi[i], x=xs[i])
@@ -445,7 +448,6 @@ def evolve_grid(
                     rtol=config.rtol,
                     atol=config.atol,
                     samples=[config.x_start, eval_x],
-                    mu2_rate=config.mu2_rate,
                     r_cap=config.r_cap,
                 )
             results.append(

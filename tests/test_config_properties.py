@@ -36,7 +36,6 @@ def valid_configs(draw):
         atol=draw(positive),
         unit_scale=draw(positive),
         r_cap=draw(positive),
-        mu2_rate=draw(finite),
         zero_coupling=draw(st.booleans()),
     )
 

@@ -27,9 +27,16 @@ class TestKGrid:
             assert np.min(np.abs(grid - 0.05)) / 0.05 < 0.005
 
     def test_endpoints_and_count(self):
-        grid = make_k_grid(SMALL)
-        assert grid[0] == SMALL.k_min and grid[-1] == SMALL.k_max
-        assert len(grid) == SMALL.k_points
+        # the pivot snap never moves an endpoint, even when the pivot sits
+        # nearest one of them
+        for cfg in (
+            SMALL,
+            SweepConfig(k_points=2),
+            SweepConfig(k_min=0.04, k_max=0.2, k_points=2),
+        ):
+            grid = make_k_grid(cfg)
+            assert grid[0] == cfg.k_min and grid[-1] == cfg.k_max
+            assert len(grid) == cfg.k_points
 
     def test_pivot_outside_window_untouched(self):
         cfg = SweepConfig(k_min=0.1, k_max=1.0, k_points=10)
@@ -187,6 +194,13 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("k_mni = 1\n")
         assert cli_main(["show-config", "--config", str(bad)]) == 1
+
+    def test_removed_mu2_rate_key_exit_code(self, tmp_path, capsys):
+        # mu2 = k/M_P is constant for every mode, so there is no mu2' knob
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("mu2_rate = 0.0\n")
+        assert cli_main(["show-config", "--config", str(bad)]) == 1
+        assert "config error: line 1: unknown key 'mu2_rate'" in capsys.readouterr().err
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         # r = 0 exactly sits on the angle singularity: every mode fails,

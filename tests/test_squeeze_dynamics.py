@@ -114,6 +114,15 @@ class TestRhsPointwise:
         assert math.isinf(dp)
 
 
+class TestSqueezeState:
+    @pytest.mark.parametrize(
+        "r,phi", [(math.nan, 0.3), (math.inf, 0.3), (0.3, math.nan), (0.3, math.inf)]
+    )
+    def test_non_finite_rejected(self, r, phi):
+        with pytest.raises(ValueError, match="must be finite"):
+            SqueezeState(r=r, phi=phi, x=1.0)
+
+
 class TestIntegrate:
     def test_dual_integrator_agreement(self):
         ref = integrate(0.8, 5.0, 0.5, init=(0.05, PI4), samples=[5.0, 0.5])
@@ -211,6 +220,29 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="tolerances"):
             integrate(1.0, 5.0, 0.5, rtol=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "k", "x_start", "x_end", "rtol", "atol", "r_cap", "h_fixed", "init r",
+            "init phi", "samples",
+        ],
+    )
+    def test_non_finite_argument_named(self, name, bad):
+        kwargs = dict(k=0.5, x_start=10.0, x_end=1.0)
+        if name == "h_fixed":
+            kwargs["method"] = "fixed"
+        if name == "init r":
+            kwargs["init"] = (bad, PI4)
+        elif name == "init phi":
+            kwargs["init"] = (1e-3, bad)
+        elif name == "samples":
+            kwargs["samples"] = [5.0, bad]
+        else:
+            kwargs[name] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            integrate(**kwargs)
+
     def test_closed_reference_oracle_convergence(self):
         # the dissipation-free form approximates the open flow to first
         # order in mu2 = k: halving k halves the angle deviation and
@@ -256,15 +288,15 @@ class TestSlavedBranch:
         args = (k, 1.0, squeeze_dynamics._POWERS[power], squeeze_dynamics._FORMS[form])
         phi_star, ok = eng._attractor_phi(x, r, math.pi / 2, *args)
         assert ok
-        fast = eng._slaved_drdx(x, r, math.pi / 2, *args, 0.0)
-        full, _ = eng._rhs_x(x, r, phi_star, *args, 0.0)
+        fast = eng._slaved_drdx(x, r, math.pi / 2, *args)
+        full, _ = eng._rhs_x(x, r, phi_star, *args)
         assert fast == pytest.approx(full, rel=1e-13)
 
     @pytest.mark.parametrize("form", sorted(squeeze_dynamics._FORMS))
     def test_slaved_rhs_holds_the_angle(self, form):
         # the driver's one stage sequence runs the slaved regime through
         # _rhs_x(..., slaved=True): dr/dx from the branch, dphi/dx exactly 0
-        args = (0.05, 1.0, eng.POWER_LITERAL, squeeze_dynamics._FORMS[form], 0.0)
+        args = (0.05, 1.0, eng.POWER_LITERAL, squeeze_dynamics._FORMS[form])
         for x, r, anchor in ((100.0, 1e-6, math.pi / 2), (10.0, 3.0, 0.4)):
             dr, dphi = eng._rhs_x(x, r, anchor, *args, slaved=True)
             assert dphi == 0.0
@@ -276,9 +308,9 @@ class TestSlavedBranch:
         # 2 mu2 / B ~ 1.8: no fixed point, and the angle stays at the anchor
         args = (10.0, 1.0, eng.POWER_LITERAL, squeeze_dynamics._FORMS[form])
         assert not eng._attractor_phi(10.0, 3.0, 0.4, *args)[1]
-        fast = eng._slaved_drdx(10.0, 3.0, 0.4, *args, 0.0)
-        full, _ = eng._rhs_x(10.0, 3.0, 0.4, *args, 0.0)
-        assert full != eng._rhs_x(10.0, 3.0, math.pi / 2, *args, 0.0)[0]
+        fast = eng._slaved_drdx(10.0, 3.0, 0.4, *args)
+        full, _ = eng._rhs_x(10.0, 3.0, 0.4, *args)
+        assert full != eng._rhs_x(10.0, 3.0, math.pi / 2, *args)[0]
         assert fast == pytest.approx(full, rel=1e-13)
 
     def test_non_finite_angle_gives_nan(self):
@@ -321,17 +353,19 @@ class TestSlavedExit:
         assert abs(got.r - ref.r) <= r_bound * ref.r
         assert abs(got.phi - ref.phi) <= phi_bound
 
-    def test_closed_reference_stays_until_hand_back(self):
+    def test_closed_reference_stays_until_hand_back(self, monkeypatch):
         # the closed form has no lag term, so only the hand-back ends the
-        # fast path: stiff_budget (entry only) cannot change the result, and
-        # at most the last 200 relaxation lengths take full-system steps
-        runs = [
-            integrate(
-                1e-4, 100.0, 0.01, init=(1e-6, math.pi / 2), form="closed-reference",
-                samples=[100.0, 0.01], stiff_budget=budget,
+        # fast path: the stiff budget (entry only) cannot change the result,
+        # and at most the last 200 relaxation lengths take full-system steps
+        runs = []
+        for budget in (4000.0, 1e5):
+            monkeypatch.setattr(eng, "_STIFF_BUDGET", budget)
+            runs.append(
+                integrate(
+                    1e-4, 100.0, 0.01, init=(1e-6, math.pi / 2),
+                    form="closed-reference", samples=[100.0, 0.01],
+                )
             )
-            for budget in (4000.0, 1e5)
-        ]
         assert runs[0].samples == runs[1].samples
         stats = runs[0].integrator_stats
         assert stats.n_slaved_steps > 0
