@@ -35,10 +35,19 @@ the angle is formed on entry and after an accepted step.
 
 The slaved regime is entered when the relaxation rate times the remaining
 span (to the last checkpoint), the slack, exceeds twice _STIFF_BUDGET (4000
-relaxation lengths) and the state already sits on the branch (within 1e-8).
-It is left on accuracy, not on cost.  The true angle lags phi* by
-(d ln rate/dx)/rate^2, so holding it on the branch shifts dr/dx by a
-relative 4 |d ln rate/dx| / rate^3 (with sin 2phi* = 2/rate, as
+relaxation lengths), the rate is finite, the branch exists and the state
+already sits on it (within 1e-8).  At the seed x = xs[0] the last condition
+is waived: the angle starts on its attractor, so the initial relaxation
+layer from the seed angle, only ~ln(1e8)/rate wide (~2e-5 in x at r ~ 1e-6),
+is taken in closed form instead of being stepped.  This is the reduced
+(Tikhonov) limit of a singularly perturbed system (Hairer & Wanner, Solving
+ODEs II, Ch. VI).  r = 0 has an infinite rate and is not seeded, so it
+still fails as a step-size underflow.  The first sample keeps the caller's
+seed angle.
+
+The slaved regime is left on accuracy, not on cost.  The true angle lags
+phi* by (d ln rate/dx)/rate^2, so holding it on the branch shifts dr/dx by
+a relative 4 |d ln rate/dx| / rate^3 (with sin 2phi* = 2/rate, as
 mu2 = k/M_P; zero for the closed form).  With d ln rate/dx taken as a finite
 difference between attempts, the regime is left once the slack is within
 _STIFF_BUDGET and that error exceeds rtol, or in any case _SLAVE_HANDBACK =
@@ -62,7 +71,7 @@ FORM_CLOSED = 2
 POWER_LITERAL = 0
 POWER_CONSISTENT = 1
 
-_SLAVE_ENTRY_TOL = 1e-8  # |phi - phi*| required before the fast path engages
+_SLAVE_ENTRY_TOL = 1e-8  # |phi - phi*| required to engage the fast path after the seed
 # relaxation lengths of slack to the last checkpoint: the fast path is entered
 # above twice this, and below it may be left on its lag error
 _STIFF_BUDGET = 4000.0
@@ -310,9 +319,11 @@ def _drive_adaptive(
                         slaved = False
                         fr, fp = _rhs_x(x, r, phi, k, mp, power, form)
                 else:
-                    if slack > 2.0 * _STIFF_BUDGET:
+                    if slack > 2.0 * _STIFF_BUDGET and math.isfinite(rate):
                         ps, ok = _attractor_phi(x, r, phi, k, mp, power, form)
-                        if ok and abs(phi - ps) < _SLAVE_ENTRY_TOL:
+                        # at the seed the initial layer is taken in closed
+                        # form: the angle starts on its attractor
+                        if ok and (x == xs[0] or abs(phi - ps) < _SLAVE_ENTRY_TOL):
                             slaved = True
                             phi = ps
                             fr, fp = _rhs_x(x, r, phi, k, mp, power, form, True)

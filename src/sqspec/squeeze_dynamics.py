@@ -26,9 +26,12 @@ two-mode-squeezed flow) used as a weak-dissipation oracle.
 Integration runs in the dimensionless variable x = -k eta (d/dx =
 -(1/k) d/deta), from deep sub-horizon x_start >> 1 down through horizon
 crossing x = 1 to x_end.  r = 0 is a coordinate singularity of the angle
-equation (coth r), so trajectories are seeded with a tiny positive r and the
-default initial angle pi/4 sits at the fixed point of the r equation.  See
-_integrators for the stiffness treatment of the coth(r) relaxation.
+equation (coth r), so trajectories are seeded with a tiny positive r.  The
+default initial angle pi/4 is the fixed point of the r equation (cos 2phi =
+0), not of the angle equation: by default the adaptive driver starts the
+angle on its attractor and takes the initial relaxation layer in closed
+form.  See _integrators for the stiffness treatment of the coth(r)
+relaxation.
 """
 
 from __future__ import annotations
@@ -118,8 +121,8 @@ class SqueezeState:
             raise ValueError(f"squeeze amplitude must be finite and >= 0, got r={self.r}")
         if not math.isfinite(self.phi):
             raise ValueError(f"squeeze angle must be finite, got phi={self.phi}")
-        if not self.x > 0:
-            raise ValueError(f"time stamp must be > 0, got x={self.x}")
+        if not (math.isfinite(self.x) and self.x > 0):
+            raise ValueError(f"time stamp must be finite and > 0, got x={self.x}")
 
     @property
     def phi_wrapped(self) -> float:
@@ -275,12 +278,17 @@ def integrate(
 ) -> Trajectory:
     """Integrate the selected flow from x_start down to x_end for one mode.
 
-    init is the (r, phi) seed at x_start (default: r = 1e-6, phi = pi/4).
-    method="adaptive" is the embedded 5(4) pair with tolerance control (and
-    the automatic stiff-window fast path unless stiff_mode="off"; its entry
-    and exit rules are fixed in _integrators); method="fixed" is the
-    classical RK4 cross-validator with step h_fixed subdivided exactly into
-    each checkpoint segment.  mu2 = k/M_P is constant along the trajectory,
+    init is the (r, phi) seed at x_start (default: r = 1e-6, phi = pi/4);
+    the first sample is always init as passed.  method="adaptive" is the
+    embedded 5(4) pair with tolerance control (and the automatic
+    stiff-window fast path unless stiff_mode="off"; its entry and exit rules
+    are fixed in _integrators).  Where that fast path may be entered at
+    x_start, the angle starts on its attractor: the initial relaxation
+    layer from init phi is taken in closed form, and init phi only picks
+    the copy of the branch (mod pi) nearest to it.  stiff_mode="off" steps
+    through the layer.  method="fixed" is the classical RK4
+    cross-validator with step h_fixed subdivided exactly into each
+    checkpoint segment.  mu2 = k/M_P is constant along the trajectory,
     so mu2' = 0.  The coupling always follows the background (a sweep's
     zero_coupling debug run is answered by evolve_grid without integrating),
     and r is never clamped: a negative amplitude fails loudly in

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from perfbench import oracle
 from sqspec.background import BackgroundParams, CouplingCoefficients, LanczosChain, lanczos_chain
 from sqspec.bogoliubov import coefficients
 from sqspec.config import SweepConfig
@@ -283,4 +284,18 @@ def test_supplementary_initial_condition_scan():
         0, "initial-condition-scan",
         ok, f"growth-factor spread {spread:.2%} (bound 1%) over r0 in [1e-7, 1e-5], "
             f"phi0 in pi/4 +- 0.3; max |gamma - 1| {worst_gamma:.2e} (bound 1e-6)",
+    )
+
+
+def test_supplementary_crossing_closed_form(default_report):
+    # with the angle on its attracting branch the literal-coupling amplitude
+    # has a Lambert-W closed form at x = 1; the sweep must land on it
+    cfg = SweepConfig()
+    worst = 0.0
+    for rec in default_report.records:
+        closed = oracle.r_closed(rec.k * cfg.unit_scale, 1.0, cfg.init_r, cfg.x_start)
+        worst = max(worst, abs(rec.r - closed) / closed)
+    _criterion(
+        0, "crossing-closed-form",
+        worst <= 2e-5, f"max |r - r_closed| / r_closed = {worst:.3e} (bound 2e-5)",
     )

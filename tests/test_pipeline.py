@@ -115,7 +115,11 @@ class TestWriteOutputs:
         assert s.n_steps == sum(st.n_steps for st in stats)
         assert s.n_rejected == sum(st.n_rejected for st in stats)
         assert s.n_slaved_steps == sum(st.n_slaved_steps for st in stats)
-        assert 0 < s.n_slaved_steps < s.n_steps
+        # every crossing step is slaved: the angle starts on its attractor
+        # and is held there up to x = 1
+        assert s.n_slaved_steps == s.n_steps
+        sup = run_sweep(dataclasses.replace(SMALL, eval_point="super-horizon")).summary
+        assert 0 < sup.n_slaved_steps < sup.n_steps
         write_outputs(small_report, tmp_path)
         line = (
             f"integrator steps: {s.n_steps} accepted ({s.n_slaved_steps} slaved), "

@@ -122,6 +122,11 @@ class TestSqueezeState:
         with pytest.raises(ValueError, match="must be finite"):
             SqueezeState(r=r, phi=phi, x=1.0)
 
+    @pytest.mark.parametrize("x", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_time_stamp_rejected(self, x):
+        with pytest.raises(ValueError, match="time stamp"):
+            SqueezeState(r=0.1, phi=0.2, x=x)
+
 
 class TestIntegrate:
     def test_dual_integrator_agreement(self):
@@ -205,7 +210,7 @@ class TestIntegrate:
 
     def test_step_budget_keeps_partial_trajectory(self):
         with pytest.raises(StepBudgetError) as excinfo:
-            integrate(0.5, 10.0, 1.0, max_steps=50)
+            integrate(0.5, 10.0, 1.0, max_steps=50, stiff_mode="off")
         traj = excinfo.value.trajectory
         assert traj.integrator_stats.status == "max-steps"
         assert traj.samples[0].x == 10.0
@@ -370,6 +375,37 @@ class TestSlavedExit:
         stats = runs[0].integrator_stats
         assert stats.n_slaved_steps > 0
         assert stats.n_steps - stats.n_slaved_steps <= 100
+
+
+class TestSeededLayer:
+    """Under stiff_mode="auto" the angle starts on its attractor: the initial
+    relaxation layer from init_phi is taken in closed form, not stepped."""
+
+    @pytest.mark.parametrize("k", [1e-4, 0.05, 1.0])
+    @pytest.mark.parametrize("lengths", [200.0, 1000.0])
+    def test_seed_matches_resolved_layer(self, k, lengths):
+        # sample L relaxation lengths past the seed, where the stepped layer
+        # has decayed to the branch: a tight plain run must agree there
+        a_cc, mu2 = eng._couplings_x(100.0, k, 1.0, eng.POWER_LITERAL)
+        rate = eng._phase_bracket(1e-6, a_cc, mu2, 1.0, eng.FORM_CONFORMAL) / k
+        x_s = 100.0 - lengths / rate
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CappedGrowthWarning)
+            seeded = integrate(k, 100.0, 0.01, samples=[100.0, x_s, 0.01])
+        plain = integrate(
+            k, 100.0, x_s, samples=[100.0, x_s], stiff_mode="off",
+            rtol=1e-13, atol=1e-16,
+        )
+        got, ref = seeded.state_at(x_s), plain.samples[-1]
+        assert abs(got.r - ref.r) <= 1e-9 * ref.r
+        assert abs(got.phi - ref.phi) <= 1e-11
+
+    def test_first_sample_keeps_the_callers_seed(self):
+        # every accepted step is slaved, yet sample 0 is the seed as passed
+        traj = integrate(0.05, 100.0, 1.0, init=(2e-6, 0.7))
+        stats = traj.integrator_stats
+        assert stats.n_steps == stats.n_slaved_steps > 0
+        assert (traj.samples[0].r, traj.samples[0].phi) == (2e-6, 0.7)
 
 
 def _quiet_default_traj(k):
