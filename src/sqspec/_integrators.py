@@ -29,27 +29,29 @@ has an adiabatic (slaved) regime: the angle is held on the fixed-point branch
 (dphi/dx = 0) and r alone is advanced.  Both regimes run the same Dormand-
 Prince stage sequence, first-same-as-last (FSAL) in both: the derivative at
 the end of an accepted step seeds the next one, and it is re-seeded only
-when the regime changes.  In the slaved regime each stage takes dr/dx
+when the slaved regime is left.  In the slaved regime each stage takes dr/dx
 straight from the branch formulas above, the error norm covers r only, and
-the angle is formed on entry and after an accepted step.
+the angle is formed at the seed and after an accepted step.
 
-The slaved regime is entered when the relaxation rate times the remaining
-span (to the last checkpoint), the slack, exceeds twice _STIFF_BUDGET (4000
-relaxation lengths), the rate is finite, the branch exists and the state
-already sits on it (within 1e-8).  At the seed x = xs[0] the last condition
-is waived: the angle starts on its attractor, so the initial relaxation
-layer from the seed angle, only ~ln(1e8)/rate wide (~2e-5 in x at r ~ 1e-6),
-is taken in closed form instead of being stepped.  This is the reduced
-(Tikhonov) limit of a singularly perturbed system (Hairer & Wanner, Solving
-ODEs II, Ch. VI).  r = 0 has an infinite rate and is not seeded, so it
-still fails as a step-size underflow.  The first sample keeps the caller's
-seed angle.
+The slaved regime is a prefix of the trajectory: it is entered at the seed
+x = xs[0] or never.  The seed is put on the branch when the relaxation rate
+is finite, the branch exists and the rate times the remaining span (to the
+last checkpoint), the slack, exceeds twice _STIFF_BUDGET (4000 relaxation
+lengths).  The angle then starts on its attractor, so the initial relaxation
+layer from the seed angle, only ~ln(1e8)/rate wide (~2e-5 in x at
+r ~ 1e-6), is taken in closed form instead of being stepped.  This is the
+reduced (Tikhonov) limit of a singularly perturbed system (Hairer & Wanner,
+Solving ODEs II, Ch. VI).  r = 0 has an infinite rate and is not seeded, so
+it still fails as a step-size underflow.  The first sample keeps the
+caller's seed angle.  A trajectory that starts on the full system stays on
+it.
 
-The slaved regime is left on accuracy, not on cost.  The true angle lags
-phi* by (d ln rate/dx)/rate^2, so holding it on the branch shifts dr/dx by
-a relative 4 |d ln rate/dx| / rate^3 (with sin 2phi* = 2/rate, as
-mu2 = k/M_P; zero for the closed form).  With d ln rate/dx taken as a finite
-difference between attempts, the regime is left once the slack is within
+The slaved regime is left once, on accuracy, not on cost.  The true angle
+lags phi* by (d ln rate/dx)/rate^2, so holding it on the branch shifts
+dr/dx by a relative 4 |d ln rate/dx| / rate^3 (with sin 2phi* = 2/rate, as
+mu2 = k/M_P; zero for the closed form).  The exit is tested after each
+accepted slaved step, with d ln rate/dx a finite difference between
+consecutive accepted points: the regime is left once the slack is within
 _STIFF_BUDGET and that error exceeds rtol, or in any case _SLAVE_HANDBACK =
 200 relaxation lengths before the last checkpoint, so the full system
 re-forms the lag before the angle is read.  Exit re-seeds the full system
@@ -71,9 +73,9 @@ FORM_CLOSED = 2
 POWER_LITERAL = 0
 POWER_CONSISTENT = 1
 
-_SLAVE_ENTRY_TOL = 1e-8  # |phi - phi*| required to engage the fast path after the seed
-# relaxation lengths of slack to the last checkpoint: the fast path is entered
-# above twice this, and below it may be left on its lag error
+# relaxation lengths of slack to the last checkpoint: the seed is put on the
+# fast path above twice this, and below it the path may be left on its lag
+# error
 _STIFF_BUDGET = 4000.0
 # relaxation lengths left to the last checkpoint when the fast path always
 # hands back, so the full system re-forms the angle's lag before it is read
@@ -276,15 +278,22 @@ def _drive_adaptive(
     max_err = 0.0
     capped = False
 
-    slaved = False
-    x_prev = x
-    ln_rate_prev = 0.0
-    dlnrate = 0.0
     h = -(xs[0] - x_end) * 1e-4  # negative: x decreases
     if h == 0.0:
         h = -1e-8
 
-    fr, fp = _rhs_x(x, r, phi, k, mp, power, form)
+    # the only way onto the slaved branch: at the seed, where the initial
+    # layer is taken in closed form and the angle starts on its attractor
+    slaved = False
+    dlnrate = 0.0
+    if stiff_auto:
+        a_cc, mu2 = _couplings_x(x, k, mp, power)
+        rate = _phase_bracket(r, a_cc, mu2, mp, form) / k
+        if math.isfinite(rate) and rate * (x - x_end) > 2.0 * _STIFF_BUDGET:
+            phi, slaved = _attractor_phi(x, r, phi, k, mp, power, form)
+            x_prev = x
+            ln_rate_prev = math.log(rate)
+    fr, fp = _rhs_x(x, r, phi, k, mp, power, form, slaved)
 
     i_out = 1
     while i_out < n_out:
@@ -296,40 +305,6 @@ def _drive_adaptive(
                     out_r, out_phi, i_out, "max-steps", n_steps, n_rejected,
                     max_err, n_slaved, capped, x, r, phi,
                 )
-
-            # mode switching, with hysteresis to avoid chatter
-            if stiff_auto:
-                a_cc, mu2 = _couplings_x(x, k, mp, power)
-                rate = _phase_bracket(r, a_cc, mu2, mp, form) / k
-                slack = rate * (x - x_end)
-                if slaved:
-                    ln_rate = math.log(rate)
-                    if x != x_prev:
-                        dlnrate = (ln_rate - ln_rate_prev) / (x - x_prev)
-                        x_prev = x
-                        ln_rate_prev = ln_rate
-                    # relative dr/dx error of ignoring the angle's lag behind
-                    # phi* (see the module docstring)
-                    lagging = (
-                        form != FORM_CLOSED
-                        and slack <= _STIFF_BUDGET
-                        and 4.0 * abs(dlnrate) > rtol * rate * rate * rate
-                    )
-                    if lagging or slack <= _SLAVE_HANDBACK:
-                        slaved = False
-                        fr, fp = _rhs_x(x, r, phi, k, mp, power, form)
-                else:
-                    if slack > 2.0 * _STIFF_BUDGET and math.isfinite(rate):
-                        ps, ok = _attractor_phi(x, r, phi, k, mp, power, form)
-                        # at the seed the initial layer is taken in closed
-                        # form: the angle starts on its attractor
-                        if ok and (x == xs[0] or abs(phi - ps) < _SLAVE_ENTRY_TOL):
-                            slaved = True
-                            phi = ps
-                            fr, fp = _rhs_x(x, r, phi, k, mp, power, form, True)
-                            x_prev = x
-                            ln_rate_prev = math.log(rate)
-                            dlnrate = 0.0
 
             land = False
             if h <= x_target - x:
@@ -365,10 +340,8 @@ def _drive_adaptive(
                 err = math.sqrt(0.5 * ((err_r / sr) ** 2 + (err_p / sp) ** 2))
             accepted = err <= 1.0
             if accepted:
-                if slaved:
-                    p_new, _ = _attractor_phi(x + h, r_new, phi, k, mp, power, form)
-                    n_slaved += 1
-                x = x_target if land else x + h
+                x_step = x + h
+                x = x_target if land else x_step
                 r = r_new
                 phi = p_new
                 fr, fp = k7r, k7p  # FSAL
@@ -377,6 +350,27 @@ def _drive_adaptive(
                     max_err = err
                 if r > r_cap:
                     capped = True
+                if slaved:
+                    n_slaved += 1
+                    phi, _ = _attractor_phi(x_step, r, phi, k, mp, power, form)
+                    # leave the branch for good on its lag error (see the
+                    # module docstring) or near the last checkpoint
+                    a_cc, mu2 = _couplings_x(x, k, mp, power)
+                    rate = _phase_bracket(r, a_cc, mu2, mp, form) / k
+                    slack = rate * (x - x_end)
+                    ln_rate = math.log(rate)
+                    if x != x_prev:  # a sub-ulp step can leave x unchanged
+                        dlnrate = (ln_rate - ln_rate_prev) / (x - x_prev)
+                        x_prev = x
+                        ln_rate_prev = ln_rate
+                    lagging = (
+                        form != FORM_CLOSED
+                        and slack <= _STIFF_BUDGET
+                        and 4.0 * abs(dlnrate) > rtol * rate * rate * rate
+                    )
+                    if lagging or slack <= _SLAVE_HANDBACK:
+                        slaved = False
+                        fr, fp = _rhs_x(x, r, phi, k, mp, power, form)
             else:
                 n_rejected += 1
 

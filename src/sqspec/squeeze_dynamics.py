@@ -282,10 +282,11 @@ def integrate(
     the first sample is always init as passed.  method="adaptive" is the
     embedded 5(4) pair with tolerance control (and the automatic
     stiff-window fast path unless stiff_mode="off"; its entry and exit rules
-    are fixed in _integrators).  Where that fast path may be entered at
-    x_start, the angle starts on its attractor: the initial relaxation
-    layer from init phi is taken in closed form, and init phi only picks
-    the copy of the branch (mod pi) nearest to it.  stiff_mode="off" steps
+    are fixed in _integrators).  The fast path is entered at x_start or not
+    at all, and once left it is not re-entered.  Where it is entered, the
+    angle starts on its attractor: the initial relaxation layer from init
+    phi is taken in closed form, and init phi only picks the copy of the
+    branch (mod pi) nearest to it.  stiff_mode="off" steps
     through the layer.  method="fixed" is the classical RK4
     cross-validator with step h_fixed subdivided exactly into each
     checkpoint segment.  mu2 = k/M_P is constant along the trajectory,

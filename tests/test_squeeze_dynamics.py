@@ -407,6 +407,33 @@ class TestSeededLayer:
         assert stats.n_steps == stats.n_slaved_steps > 0
         assert (traj.samples[0].r, traj.samples[0].phi) == (2e-6, 0.7)
 
+    def test_slaved_stages_are_a_prefix(self, monkeypatch):
+        # entered at the seed or never, left at most once: every slaved
+        # evaluation comes before every full-system one
+        flags = []
+
+        def spy(*args):
+            flags.append(len(args) > 7 and args[7])
+            return rhs_x(*args)
+
+        rhs_x = eng._rhs_x
+        monkeypatch.setattr(eng, "_rhs_x", spy)
+        traj = integrate(1e-3, 100.0, 0.01, samples=[100.0, 0.01])
+        stats = traj.integrator_stats
+        assert 0 < stats.n_slaved_steps < stats.n_steps
+        assert flags[0] and not flags[-1]
+        assert flags == sorted(flags, reverse=True)
+
+    def test_sub_ulp_step_on_the_branch(self):
+        # the first steps are below half an ulp of x, so accepted slaved
+        # steps leave x unchanged; the lag estimate must skip them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate(1e-6, 1000.0, 1000.0 - 1e-10, init=(1e-9, PI4))
+        stats = traj.integrator_stats
+        assert stats.status == "ok"
+        assert stats.n_steps == stats.n_slaved_steps > 0
+
 
 def _quiet_default_traj(k):
     with warnings.catch_warnings():
