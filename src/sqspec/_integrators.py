@@ -34,35 +34,37 @@ straight from the branch formulas above, the error norm covers r only, and
 the angle is formed at the seed and after an accepted step.
 
 The slaved regime is a prefix of the trajectory: it is entered at the seed
-x = xs[0] or never.  The seed is put on the branch when the relaxation rate
-is finite, the branch exists and the rate times the remaining span (to the
-last checkpoint), the slack, exceeds twice _STIFF_BUDGET (4000 relaxation
-lengths).  The angle then starts on its attractor, so the initial relaxation
-layer from the seed angle, only ~ln(1e8)/rate wide (~2e-5 in x at
-r ~ 1e-6), is taken in closed form instead of being stepped.  This is the
-reduced (Tikhonov) limit of a singularly perturbed system (Hairer & Wanner,
-Solving ODEs II, Ch. VI).  r = 0 has an infinite rate and is not seeded, so
-it still fails as a step-size underflow.  The first sample keeps the
-caller's seed angle.  A trajectory that starts on the full system stays on
-it.
+x = xs[0] or never, when the relaxation rate is finite, the branch exists and
+the rate times the span to the last checkpoint, the slack, exceeds twice
+_STIFF_BUDGET (4000 relaxation lengths).  The angle then starts on its
+attractor, so the initial relaxation layer from the seed angle (~2e-5 wide in
+x at r ~ 1e-6) is taken in closed form: the reduced (Tikhonov) limit of a
+singularly perturbed system (Hairer & Wanner, Solving ODEs II, Ch. VI).
+r = 0 has an infinite rate and is not seeded.  The first sample keeps the
+caller's seed angle.
 
 The slaved regime is left once, on accuracy, not on cost.  The true angle
 lags phi* by (d ln rate/dx)/rate^2, so holding it on the branch shifts
 dr/dx by a relative 4 |d ln rate/dx| / rate^3 (with sin 2phi* = 2/rate, as
-mu2 = k/M_P; zero for the closed form).  The exit is tested after each
-accepted slaved step, with d ln rate/dx a finite difference between
-consecutive accepted points: the regime is left once the slack is within
-_STIFF_BUDGET and that error exceeds rtol, or in any case _SLAVE_HANDBACK =
-200 relaxation lengths before the last checkpoint, so the full system
-re-forms the lag before the angle is read.  Exit re-seeds the full system
-from the branch, which is continuous.  The slaved regime is validated
-against a stiff reference integrator in the test suite; integrate() accepts
-stiff_mode="off" to force the plain explicit method.
+mu2 = k/M_P; zero for the closed form).  After each accepted slaved step,
+with d ln rate/dx a difference between consecutive accepted points, the
+regime is left once the slack is within _STIFF_BUDGET and that error exceeds
+rtol, or in any case _SLAVE_HANDBACK = 200 relaxation lengths before the last
+checkpoint, so the full system re-forms the lag before the angle is read.
+Exit re-seeds the full system from the branch, which is continuous.
+integrate() accepts stiff_mode="off" to force the plain explicit method.
+
+r is never clamped.  An attempt whose new r leaves [0, _R_MAX], or whose
+stages overflow, is rejected like a non-finite stage.  Below 0 lies the
+coordinate singularity r = 0, which the closed form's finite dr/deta would
+step through; past _R_MAX = ln(DBL_MAX)/2 ~ 354.9, cosh 2r overflows.  A mode
+that runs into either edge ends in a step-size underflow there.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -74,9 +76,9 @@ POWER_LITERAL = 0
 POWER_CONSISTENT = 1
 
 # relaxation lengths of slack to the last checkpoint: the seed is put on the
-# fast path above twice this, and below it the path may be left on its lag
-# error
+# fast path above twice this, and below it the path may be left on its lag error
 _STIFF_BUDGET = 4000.0
+_R_MAX = 0.5 * math.log(sys.float_info.max)  # largest r with a finite cosh(2r)
 # relaxation lengths left to the last checkpoint when the fast path always
 # hands back, so the full system re-forms the angle's lag before it is read
 _SLAVE_HANDBACK = 200.0
@@ -282,8 +284,7 @@ def _drive_adaptive(
     if h == 0.0:
         h = -1e-8
 
-    # the only way onto the slaved branch: at the seed, where the initial
-    # layer is taken in closed form and the angle starts on its attractor
+    # the seed is the only way onto the slaved branch (module docstring)
     slaved = False
     dlnrate = 0.0
     if stiff_auto:
@@ -312,32 +313,37 @@ def _drive_adaptive(
                 land = True
 
             k1r, k1p = fr, fp
-            r2 = r + h * _DP_A21 * k1r
-            q2 = phi + h * _DP_A21 * k1p
-            k2r, k2p = _rhs_x(x + _DP_C2 * h, r2, q2, k, mp, power, form, slaved)
-            r3 = r + h * (_DP_A31 * k1r + _DP_A32 * k2r)
-            q3 = phi + h * (_DP_A31 * k1p + _DP_A32 * k2p)
-            k3r, k3p = _rhs_x(x + _DP_C3 * h, r3, q3, k, mp, power, form, slaved)
-            r4 = r + h * (_DP_A41 * k1r + _DP_A42 * k2r + _DP_A43 * k3r)
-            q4 = phi + h * (_DP_A41 * k1p + _DP_A42 * k2p + _DP_A43 * k3p)
-            k4r, k4p = _rhs_x(x + _DP_C4 * h, r4, q4, k, mp, power, form, slaved)
-            r5 = r + h * (_DP_A51 * k1r + _DP_A52 * k2r + _DP_A53 * k3r + _DP_A54 * k4r)
-            q5 = phi + h * (_DP_A51 * k1p + _DP_A52 * k2p + _DP_A53 * k3p + _DP_A54 * k4p)
-            k5r, k5p = _rhs_x(x + _DP_C5 * h, r5, q5, k, mp, power, form, slaved)
-            r6 = r + h * (_DP_A61 * k1r + _DP_A62 * k2r + _DP_A63 * k3r + _DP_A64 * k4r + _DP_A65 * k5r)
-            q6 = phi + h * (_DP_A61 * k1p + _DP_A62 * k2p + _DP_A63 * k3p + _DP_A64 * k4p + _DP_A65 * k5p)
-            k6r, k6p = _rhs_x(x + h, r6, q6, k, mp, power, form, slaved)
-            r_new = r + h * (_DP_B1 * k1r + _DP_B3 * k3r + _DP_B4 * k4r + _DP_B5 * k5r + _DP_B6 * k6r)
-            p_new = phi + h * (_DP_B1 * k1p + _DP_B3 * k3p + _DP_B4 * k4p + _DP_B5 * k5p + _DP_B6 * k6p)
-            k7r, k7p = _rhs_x(x + h, r_new, p_new, k, mp, power, form, slaved)
-            err_r = h * (_DP_E1 * k1r + _DP_E3 * k3r + _DP_E4 * k4r + _DP_E5 * k5r + _DP_E6 * k6r + _DP_E7 * k7r)
-            sr = atol + rtol * max(abs(r), abs(r_new))
-            if slaved:  # the angle is held, so r alone carries the error
-                err = abs(err_r) / sr
-            else:
-                err_p = h * (_DP_E1 * k1p + _DP_E3 * k3p + _DP_E4 * k4p + _DP_E5 * k5p + _DP_E6 * k6p + _DP_E7 * k7p)
-                sp = atol + rtol * max(abs(phi), abs(p_new))
-                err = math.sqrt(0.5 * ((err_r / sr) ** 2 + (err_p / sp) ** 2))
+            try:
+                r2 = r + h * _DP_A21 * k1r
+                q2 = phi + h * _DP_A21 * k1p
+                k2r, k2p = _rhs_x(x + _DP_C2 * h, r2, q2, k, mp, power, form, slaved)
+                r3 = r + h * (_DP_A31 * k1r + _DP_A32 * k2r)
+                q3 = phi + h * (_DP_A31 * k1p + _DP_A32 * k2p)
+                k3r, k3p = _rhs_x(x + _DP_C3 * h, r3, q3, k, mp, power, form, slaved)
+                r4 = r + h * (_DP_A41 * k1r + _DP_A42 * k2r + _DP_A43 * k3r)
+                q4 = phi + h * (_DP_A41 * k1p + _DP_A42 * k2p + _DP_A43 * k3p)
+                k4r, k4p = _rhs_x(x + _DP_C4 * h, r4, q4, k, mp, power, form, slaved)
+                r5 = r + h * (_DP_A51 * k1r + _DP_A52 * k2r + _DP_A53 * k3r + _DP_A54 * k4r)
+                q5 = phi + h * (_DP_A51 * k1p + _DP_A52 * k2p + _DP_A53 * k3p + _DP_A54 * k4p)
+                k5r, k5p = _rhs_x(x + _DP_C5 * h, r5, q5, k, mp, power, form, slaved)
+                r6 = r + h * (_DP_A61 * k1r + _DP_A62 * k2r + _DP_A63 * k3r + _DP_A64 * k4r + _DP_A65 * k5r)
+                q6 = phi + h * (_DP_A61 * k1p + _DP_A62 * k2p + _DP_A63 * k3p + _DP_A64 * k4p + _DP_A65 * k5p)
+                k6r, k6p = _rhs_x(x + h, r6, q6, k, mp, power, form, slaved)
+                r_new = r + h * (_DP_B1 * k1r + _DP_B3 * k3r + _DP_B4 * k4r + _DP_B5 * k5r + _DP_B6 * k6r)
+                p_new = phi + h * (_DP_B1 * k1p + _DP_B3 * k3p + _DP_B4 * k4p + _DP_B5 * k5p + _DP_B6 * k6p)
+                k7r, k7p = _rhs_x(x + h, r_new, p_new, k, mp, power, form, slaved)
+                err_r = h * (_DP_E1 * k1r + _DP_E3 * k3r + _DP_E4 * k4r + _DP_E5 * k5r + _DP_E6 * k6r + _DP_E7 * k7r)
+                sr = atol + rtol * max(abs(r), abs(r_new))
+                if slaved:  # the angle is held, so r alone carries the error
+                    err = abs(err_r) / sr
+                else:
+                    err_p = h * (_DP_E1 * k1p + _DP_E3 * k3p + _DP_E4 * k4p + _DP_E5 * k5p + _DP_E6 * k6p + _DP_E7 * k7p)
+                    sp = atol + rtol * max(abs(phi), abs(p_new))
+                    err = math.sqrt(0.5 * ((err_r / sr) ** 2 + (err_p / sp) ** 2))
+                if not 0.0 <= r_new <= _R_MAX:  # outside the flow's domain
+                    err = math.nan
+            except OverflowError:  # a stage beyond the double range
+                err = math.nan
             accepted = err <= 1.0
             if accepted:
                 x_step = x + h
@@ -353,8 +359,7 @@ def _drive_adaptive(
                 if slaved:
                     n_slaved += 1
                     phi, _ = _attractor_phi(x_step, r, phi, k, mp, power, form)
-                    # leave the branch for good on its lag error (see the
-                    # module docstring) or near the last checkpoint
+                    # leave for good on the lag error or near the last checkpoint
                     a_cc, mu2 = _couplings_x(x, k, mp, power)
                     rate = _phase_bracket(r, a_cc, mu2, mp, form) / k
                     slack = rate * (x - x_end)
@@ -377,7 +382,7 @@ def _drive_adaptive(
             # proportional controller on the scalar error
             if err == 0.0:
                 factor = 10.0
-            elif math.isnan(err):  # a non-finite stage: shrink as hard as allowed
+            elif math.isnan(err):  # a non-finite stage or r: shrink as hard as allowed
                 factor = 0.2
             else:
                 factor = min(10.0, max(0.2, 0.9 * err ** -0.2))

@@ -292,8 +292,9 @@ def integrate(
     checkpoint segment.  mu2 = k/M_P is constant along the trajectory,
     so mu2' = 0.  The coupling always follows the background (a sweep's
     zero_coupling debug run is answered by evolve_grid without integrating),
-    and r is never clamped: a negative amplitude fails loudly in
-    SqueezeState.
+    and r is never clamped: a step that would take r below 0 or past
+    ~354.9, where cosh 2r overflows, is rejected, so a mode that runs into
+    either edge ends in a step-size underflow that names it.
 
     Raises ValueError naming the argument for any non-finite number;
     raises StepSizeUnderflowError / StepBudgetError with the partial
@@ -339,14 +340,17 @@ def integrate(
 
     fail_state: SqueezeState | None = None
     if method == "adaptive":
-        (
-            out_r, out_phi, n_filled, status, n_steps, n_rej,
-            max_err, n_slaved, capped,
-            fail_x, fail_r, fail_phi,
-        ) = _eng._drive_adaptive(
-            xs, r0, phi0, k, mp, power_code, form_code, rtol, atol, r_cap,
-            stiff_mode == "auto", max_steps,
-        )
+        # the step controller rejects non-finite stages, so numpy's
+        # overflow warnings for them carry nothing
+        with np.errstate(all="ignore"):
+            (
+                out_r, out_phi, n_filled, status, n_steps, n_rej,
+                max_err, n_slaved, capped,
+                fail_x, fail_r, fail_phi,
+            ) = _eng._drive_adaptive(
+                xs, r0, phi0, k, mp, power_code, form_code, rtol, atol, r_cap,
+                stiff_mode == "auto", max_steps,
+            )
         if status != "ok" and fail_x < xs[min(n_filled, len(xs)) - 1]:
             fail_state = SqueezeState(r=fail_r, phi=fail_phi, x=fail_x)
         stats = IntegratorStats(
@@ -381,10 +385,16 @@ def integrate(
     traj = Trajectory(samples=states, k=k, form=form, integrator_stats=stats)
 
     if stats.status == "step-underflow":
+        last = states[-1]
+        if last.r > 0.5 * _eng._R_MAX:
+            cause = (
+                "r at the edge of the double range "
+                f"(cosh 2r overflows past r = {_eng._R_MAX:.4f})"
+            )
+        else:
+            cause = "likely the r = 0 angle singularity"
         raise StepSizeUnderflowError(
-            f"step size underflow at x={states[-1].x:.6g} (r={states[-1].r:.6g}); "
-            "likely the r = 0 angle singularity",
-            traj,
+            f"step size underflow at x={last.x:.6g} (r={last.r:.6g}); {cause}", traj
         )
     if stats.status == "max-steps":
         raise StepBudgetError(

@@ -215,6 +215,42 @@ class TestCli:
         assert code == 2
         assert "3 failures" in capsys.readouterr().out
 
+    def test_negative_r_fails_per_mode(self, tmp_path, capsys):
+        # the closed form's dr/deta is finite at r = 0, so an explicit step
+        # would walk through the singularity to r < 0; such steps are
+        # rejected and the modes fail at r = 0 without aborting the sweep
+        cfg = tmp_path / "negative.cfg"
+        cfg.write_text(
+            "k_min = 100\nk_max = 1000\nk_points = 3\nx_start = 2.5\n"
+            "init_phi = 0.0\nform = closed-reference\n"
+            "coupling_power = hamiltonian-consistent\n"
+        )
+        out = tmp_path / "out"
+        code = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "(2 failures)" in capsys.readouterr().out
+        summary = (out / "summary.txt").read_text()
+        assert summary.count("likely the r = 0 angle singularity") == 2
+        assert len(list(out.iterdir())) == 7
+
+    @pytest.mark.parametrize("form", ["transformed", "conformal"])
+    def test_double_range_overflow_fails_per_mode(self, tmp_path, capsys, form):
+        # at k = 1 r grows past 354.9, where cosh 2r overflows: that mode
+        # fails and names the overflow, the other three keep their records
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(
+            f"x_end = 0.001\neval_point = super-horizon\nk_points = 4\nform = {form}\n"
+        )
+        out = tmp_path / "out"
+        code = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "(1 failures)" in capsys.readouterr().out
+        failed = (out / "summary.txt").read_text().split("failed k values:")[1]
+        failed = failed.split("resolved configuration:")[0]
+        assert "k=1.000000e+00" in failed and "double range" in failed
+        assert "r = 0" not in failed
+        assert len((out / "records.csv").read_text().splitlines()) == 1 + 3
+
     def test_verify_subcommand(self, capsys):
         assert cli_main(["verify"]) == 0
         out = capsys.readouterr().out
