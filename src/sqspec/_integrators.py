@@ -382,7 +382,7 @@ def _drive_adaptive(
             # proportional controller on the scalar error
             if err == 0.0:
                 factor = 10.0
-            elif math.isnan(err):  # a non-finite stage or r: shrink as hard as allowed
+            elif math.isnan(err):  # a bad stage or r out of range: shrink as hard as allowed
                 factor = 0.2
             else:
                 factor = min(10.0, max(0.2, 0.9 * err ** -0.2))
