@@ -55,10 +55,19 @@ Exit re-seeds the full system from the branch, which is continuous.
 integrate() accepts stiff_mode="off" to force the plain explicit method.
 
 r is never clamped.  An attempt whose new r leaves [0, _R_MAX], or whose
-stages overflow, is rejected like a non-finite stage.  Below 0 lies the
-coordinate singularity r = 0, which the closed form's finite dr/deta would
-step through; past _R_MAX = ln(DBL_MAX)/2 ~ 354.9, cosh 2r overflows.  A mode
-that runs into either edge ends in a step-size underflow there.
+stages overflow or divide by zero, is rejected like a non-finite stage.
+Below 0 lies the coordinate singularity r = 0, which the closed form's finite
+dr/deta would step through; past _R_MAX = ln(DBL_MAX)/2 ~ 354.9, cosh 2r
+overflows.  A mode that runs into either edge ends in a step-size underflow
+there, and a seed past _R_MAX is refused before the first evaluation.
+
+The engine runs on Python floats, fills lists and imports nothing, numpy
+included: each stage is a chain of scalar operations, and numpy scalar
+arithmetic about doubles their cost, so integrate() converts its numbers
+once.  A float divided by zero raises ZeroDivisionError where a numpy scalar
+gave inf, so a stage that divides by zero is a rejected stage.  form and
+coupling_power are dispatched on their names, FORMS and COUPLING_POWERS,
+which are also what the sweep configuration accepts.
 """
 
 from __future__ import annotations
@@ -66,14 +75,8 @@ from __future__ import annotations
 import math
 import sys
 
-import numpy as np
-
-# form / coupling-power dispatch codes
-FORM_CONFORMAL = 0
-FORM_TRANSFORMED = 1
-FORM_CLOSED = 2
-POWER_LITERAL = 0
-POWER_CONSISTENT = 1
+FORMS = ("conformal", "transformed", "closed-reference")
+COUPLING_POWERS = ("literal", "hamiltonian-consistent")
 
 # relaxation lengths of slack to the last checkpoint: the seed is put on the
 # fast path above twice this, and below it the path may be left on its lag error
@@ -98,10 +101,10 @@ def _coth(r):
 
 def _drdeta(r, c2p, a_cc, mu2, mu2_rate, form):
     """dr/deta of the selected form, given cos(2 phi)."""
-    if form == FORM_CLOSED:
+    if form == "closed-reference":
         # analytic mu2 = mu2' = 0 limit; finite at r = 0
         return -a_cc * c2p
-    if form == FORM_CONFORMAL:
+    if form == "conformal":
         s2r = math.sinh(2.0 * r)
         ch2 = math.cosh(r) ** 2
         den = s2r + 2.0 * mu2 * ch2
@@ -129,7 +132,7 @@ def _rhs_eta(r, phi, a_cc, mu2, mu2_rate, mp, form):
     tr = math.tanh(r)
     s2p = math.sin(2.0 * phi)
     drdeta = _drdeta(r, math.cos(2.0 * phi), a_cc, mu2, mu2_rate, form)
-    if form == FORM_CLOSED:
+    if form == "closed-reference":
         return drdeta, 0.5 * s2p * (a_cc * tr + mp * _coth(r))
     dpdeta = -mp * mu2 + 0.5 * s2p * (
         a_cc * tr / (1.0 + mu2 * tr) + mp * (_coth(r) + mu2)
@@ -137,21 +140,22 @@ def _rhs_eta(r, phi, a_cc, mu2, mu2_rate, mp, form):
     return drdeta, dpdeta
 
 
+def _closed_coupling(lam, mp, power):
+    """Closed-coupling factor a_cc of the flow for |z'/z| = lam."""
+    if power == "literal":
+        return lam * lam / mp
+    return lam
+
+
 def _couplings_x(x, k, mp, power):
     """(a_cc, mu2) at x = -k eta on the constant-eps background."""
-    lam = k / x  # |z'/z| = 1/|eta|
-    mu2 = k / mp
-    if power == POWER_LITERAL:
-        a_cc = lam * lam / mp
-    else:
-        a_cc = lam
-    return a_cc, mu2
+    return _closed_coupling(k / x, mp, power), k / mp  # |z'/z| = 1/|eta|
 
 
 def _phase_bracket(r, a_cc, mu2, mp, form):
     """Bracket B multiplying sin(2 phi)/2 in dphi/deta (the relaxation scale)."""
     tr = math.tanh(r)
-    if form == FORM_CLOSED:
+    if form == "closed-reference":
         return a_cc * tr + mp * _coth(r)
     return a_cc * tr / (1.0 + mu2 * tr) + mp * (_coth(r) + mu2)
 
@@ -162,7 +166,7 @@ def _attractor_phi(x, r, phi_anchor, k, mp, power, form):
     Returns (phi_star, ok); ok is False when the fixed point does not exist
     or is too marginal (sin 2phi* >= 0.99) to be an attractor.
     """
-    if form == FORM_CLOSED:
+    if form == "closed-reference":
         s = 0.0
     else:
         a_cc, mu2 = _couplings_x(x, k, mp, power)
@@ -181,7 +185,7 @@ def _slaved_drdx(x, r, phi_anchor, k, mp, power, form):
     does not exist the angle stays at phi_anchor, as in _attractor_phi.
     """
     a_cc, mu2 = _couplings_x(x, k, mp, power)
-    if form == FORM_CLOSED:
+    if form == "closed-reference":
         c2p = -1.0
     else:
         s = 2.0 * mp * mu2 / _phase_bracket(r, a_cc, mu2, mp, form)
@@ -257,23 +261,19 @@ def _drive_adaptive(
 ):
     """Advance (r, phi) through the decreasing checkpoints xs.
 
-    Returns (out_r, out_phi, n_filled, status, n_steps, n_rejected, max_err,
-    n_slaved, capped, fail_x, fail_r, fail_phi); n_filled counts completed
-    checkpoints, and the fail_* scalars carry the true state where
-    integration stopped when status != "ok" ("step-underflow" or
-    "max-steps").
+    Returns (out_r, out_phi, status, n_steps, n_rejected, max_err, n_slaved,
+    capped, x, r, phi): out_r and out_phi hold one value per completed
+    checkpoint, status is "ok", "step-underflow" or "max-steps", and (x, r,
+    phi) is the true state where integration stopped.
     """
-    n_out = len(xs)
-    out_r = np.empty(n_out)
-    out_phi = np.empty(n_out)
-    out_r[0] = r0
-    out_phi[0] = phi0
-
+    out_r = [r0]
+    out_phi = [phi0]
     x = xs[0]
-    x_end = xs[n_out - 1]
+    x_end = xs[-1]
     r = r0
     phi = phi0
 
+    status = "ok"
     n_steps = 0
     n_rejected = 0
     n_slaved = 0
@@ -296,16 +296,11 @@ def _drive_adaptive(
             ln_rate_prev = math.log(rate)
     fr, fp = _rhs_x(x, r, phi, k, mp, power, form, slaved)
 
-    i_out = 1
-    while i_out < n_out:
-        x_target = xs[i_out]
-
+    for x_target in xs[1:]:
         while x > x_target:
             if n_steps + n_rejected > max_steps:
-                return (
-                    out_r, out_phi, i_out, "max-steps", n_steps, n_rejected,
-                    max_err, n_slaved, capped, x, r, phi,
-                )
+                status = "max-steps"
+                break
 
             land = False
             if h <= x_target - x:
@@ -342,7 +337,7 @@ def _drive_adaptive(
                     err = math.sqrt(0.5 * ((err_r / sr) ** 2 + (err_p / sp) ** 2))
                 if not 0.0 <= r_new <= _R_MAX:  # outside the flow's domain
                     err = math.nan
-            except OverflowError:  # a stage beyond the double range
+            except (OverflowError, ZeroDivisionError):  # beyond the double range, or a pole
                 err = math.nan
             accepted = err <= 1.0
             if accepted:
@@ -369,7 +364,7 @@ def _drive_adaptive(
                         x_prev = x
                         ln_rate_prev = ln_rate
                     lagging = (
-                        form != FORM_CLOSED
+                        form != "closed-reference"
                         and slack <= _STIFF_BUDGET
                         and 4.0 * abs(dlnrate) > rtol * rate * rate * rate
                     )
@@ -390,19 +385,14 @@ def _drive_adaptive(
             # a rejected step that still demands a sub-ulp stride means the
             # integrator cannot advance (angle singularity or equivalent)
             if (not accepted) and -h < 16.0 * 2.220446049250313e-16 * max(1.0, abs(x)):
-                return (
-                    out_r, out_phi, i_out, "step-underflow", n_steps, n_rejected,
-                    max_err, n_slaved, capped, x, r, phi,
-                )
+                status = "step-underflow"
+                break
+        if status != "ok":
+            break
+        out_r.append(r)
+        out_phi.append(phi)
 
-        out_r[i_out] = r
-        out_phi[i_out] = phi
-        i_out += 1
-
-    return (
-        out_r, out_phi, n_out, "ok", n_steps, n_rejected,
-        max_err, n_slaved, capped, x, r, phi,
-    )
+    return out_r, out_phi, status, n_steps, n_rejected, max_err, n_slaved, capped, x, r, phi
 
 
 def _drive_rk4(
@@ -422,21 +412,14 @@ def _drive_rk4(
     cross-validating the adaptive driver on well-conditioned windows.
     Returns (out_r, out_phi, n_steps, capped).
     """
-    n_out = len(xs)
-    out_r = np.empty(n_out)
-    out_phi = np.empty(n_out)
-    out_r[0] = r0
-    out_phi[0] = phi0
-
+    out_r = [r0]
+    out_phi = [phi0]
     r = r0
     phi = phi0
     n_steps = 0
     capped = False
 
-    for i in range(n_out - 1):
-        x0 = xs[i]
-        x1 = xs[i + 1]
-        n = n_sub[i]
+    for x0, x1, n in zip(xs, xs[1:], n_sub):
         h = (x1 - x0) / n
         x = x0
         for _ in range(n):
@@ -459,8 +442,7 @@ def _drive_rk4(
             n_steps += 1
             if r > r_cap:
                 capped = True
-        x = x1  # land exactly
-        out_r[i + 1] = r
-        out_phi[i + 1] = phi
+        out_r.append(r)
+        out_phi.append(phi)
 
     return out_r, out_phi, n_steps, capped

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from ._integrators import _R_MAX, COUPLING_POWERS, FORMS
 from .spectrum import PlanckAnchors
 
 __all__ = ["SweepConfig", "ConfigError", "load_config", "parse_config", "serialize"]
@@ -29,8 +30,8 @@ class ConfigError(ValueError):
 
 
 _ENUMS = {
-    "form": ("conformal", "transformed", "closed-reference"),
-    "coupling_power": ("literal", "hamiltonian-consistent"),
+    "form": FORMS,
+    "coupling_power": COUPLING_POWERS,
     "eval_point": ("horizon-crossing", "super-horizon"),
 }
 
@@ -87,8 +88,8 @@ class SweepConfig:
             raise ConfigError(
                 f"tolerances must be > 0, got rtol={self.rtol}, atol={self.atol}"
             )
-        if self.init_r < 0:
-            raise ConfigError(f"init_r must be >= 0, got {self.init_r}")
+        if not 0 <= self.init_r <= _R_MAX:
+            raise ConfigError(f"init_r must lie in [0, {_R_MAX:.4f}], got {self.init_r}")
         if self.a_s <= 0:
             raise ConfigError(f"a_s must be > 0, got {self.a_s}")
         if self.k_pivot <= 0:

@@ -65,16 +65,6 @@ __all__ = [
     "wrap_angle",
 ]
 
-_FORMS = {
-    "conformal": _eng.FORM_CONFORMAL,
-    "transformed": _eng.FORM_TRANSFORMED,
-    "closed-reference": _eng.FORM_CLOSED,
-}
-_POWERS = {
-    "literal": _eng.POWER_LITERAL,
-    "hamiltonian-consistent": _eng.POWER_CONSISTENT,
-}
-
 DEFAULT_INIT_R = 1e-6
 DEFAULT_INIT_PHI = math.pi / 4.0
 
@@ -185,15 +175,10 @@ def _resolve_rhs_inputs(state, k, params, cc, coupling_power):
     if cc is None:
         eta = -state.x / k
         cc = _bg_couplings(eta, k, params)
-    mp = params.planck_mass
-    lam = cc.coupling
-    if coupling_power == "literal":
-        a_cc = lam * lam / mp
-    elif coupling_power == "hamiltonian-consistent":
-        a_cc = lam
-    else:
+    if coupling_power not in _eng.COUPLING_POWERS:
         raise ValueError(f"unknown coupling_power {coupling_power!r}")
-    return a_cc, cc.mu2, cc.mu2_rate, mp
+    mp = params.planck_mass
+    return _eng._closed_coupling(cc.coupling, mp, coupling_power), cc.mu2, cc.mu2_rate, mp
 
 
 def rhs_conformal(
@@ -205,7 +190,7 @@ def rhs_conformal(
 ) -> tuple[float, float]:
     """(dr/deta, dphi/deta) of the conformal-form flow at the given state."""
     a_cc, mu2, mu2_rate, mp = _resolve_rhs_inputs(state, k, params, couplings, coupling_power)
-    return _eng._rhs_eta(state.r, state.phi, a_cc, mu2, mu2_rate, mp, _eng.FORM_CONFORMAL)
+    return _eng._rhs_eta(state.r, state.phi, a_cc, mu2, mu2_rate, mp, "conformal")
 
 
 def rhs_transformed(
@@ -218,7 +203,7 @@ def rhs_transformed(
     """(dr/dtau, dphi/dtau) of the transformed-form flow; tau is identified
     with conformal time, so the two forms can be compared directly."""
     a_cc, mu2, mu2_rate, mp = _resolve_rhs_inputs(state, k, params, couplings, coupling_power)
-    return _eng._rhs_eta(state.r, state.phi, a_cc, mu2, mu2_rate, mp, _eng.FORM_TRANSFORMED)
+    return _eng._rhs_eta(state.r, state.phi, a_cc, mu2, mu2_rate, mp, "transformed")
 
 
 def rhs_closed_reference(
@@ -230,16 +215,16 @@ def rhs_closed_reference(
 ) -> tuple[float, float]:
     """(dr/deta, dphi/deta) of the analytic dissipation-free limit."""
     a_cc, _, _, mp = _resolve_rhs_inputs(state, k, params, couplings, coupling_power)
-    return _eng._rhs_eta(state.r, state.phi, a_cc, 0.0, 0.0, mp, _eng.FORM_CLOSED)
+    return _eng._rhs_eta(state.r, state.phi, a_cc, 0.0, 0.0, mp, "closed-reference")
 
 
 def _sample_grid(
     x_start: float,
     x_end: float,
     samples: int | Sequence[float] | None,
-) -> np.ndarray:
+) -> list[float]:
     """Decreasing checkpoint grid: requested points plus x_start, x = 1
-    (when inside the window) and x_end."""
+    (when inside the window) and x_end, as Python floats."""
     if samples is None:
         n = max(2, int(math.ceil(12 * math.log10(x_start / x_end))) + 1)
         pts = np.geomspace(x_start, x_end, n)
@@ -254,8 +239,7 @@ def _sample_grid(
     extra = [x_start, x_end]
     if x_end < 1.0 < x_start:
         extra.append(1.0)
-    xs = np.unique(np.concatenate([pts, np.array(extra)]))[::-1]
-    return np.ascontiguousarray(xs)
+    return np.unique(np.concatenate([pts, np.array(extra)]))[::-1].tolist()
 
 
 def integrate(
@@ -296,7 +280,10 @@ def integrate(
     ~354.9, where cosh 2r overflows, is rejected, so a mode that runs into
     either edge ends in a step-size underflow that names it.
 
-    Raises ValueError naming the argument for any non-finite number;
+    The numbers are validated, then converted once to Python floats (the
+    checkpoints too), on which the engine runs.  Raises ValueError naming
+    the argument for any non-finite number, and for an init r outside
+    [0, ~354.9], where the seed itself would overflow;
     raises StepSizeUnderflowError / StepBudgetError with the partial
     trajectory attached; emits CappedGrowthWarning when r exceeds r_cap
     (integration continues, the values stay finite).
@@ -315,11 +302,12 @@ def integrate(
         raise ValueError(f"require x_start > x_end > 0, got {x_start}, {x_end}")
     if rtol <= 0 or atol <= 0:
         raise ValueError("tolerances must be positive")
-    if form not in _FORMS:
-        raise ValueError(f"unknown form {form!r}; expected one of {sorted(_FORMS)}")
-    if coupling_power not in _POWERS:
+    if form not in _eng.FORMS:
+        raise ValueError(f"unknown form {form!r}; expected one of {sorted(_eng.FORMS)}")
+    if coupling_power not in _eng.COUPLING_POWERS:
         raise ValueError(
-            f"unknown coupling_power {coupling_power!r}; expected one of {sorted(_POWERS)}"
+            f"unknown coupling_power {coupling_power!r}; "
+            f"expected one of {sorted(_eng.COUPLING_POWERS)}"
         )
     if method not in ("adaptive", "fixed"):
         raise ValueError(f"unknown method {method!r}")
@@ -328,36 +316,27 @@ def integrate(
     if k <= 0:
         raise ValueError(f"wavenumber must be > 0, got k={k}")
 
+    if not 0 <= r0 <= _eng._R_MAX:
+        raise ValueError(f"init r must lie in [0, {_eng._R_MAX:.4f}], got {r0}")
+
     if params is None:
         params = BackgroundParams()
-    if r0 < 0:
-        raise ValueError(f"initial squeeze amplitude must be >= 0, got {r0}")
-
     xs = _sample_grid(x_start, x_end, samples)
-    form_code = _FORMS[form]
-    power_code = _POWERS[coupling_power]
-    mp = params.planck_mass
+    k, mp, rtol, atol = float(k), float(params.planck_mass), float(rtol), float(atol)
 
-    fail_state: SqueezeState | None = None
     if method == "adaptive":
-        # the step controller rejects non-finite stages, so numpy's
-        # overflow warnings for them carry nothing
-        with np.errstate(all="ignore"):
-            (
-                out_r, out_phi, n_filled, status, n_steps, n_rej,
-                max_err, n_slaved, capped,
-                fail_x, fail_r, fail_phi,
-            ) = _eng._drive_adaptive(
-                xs, r0, phi0, k, mp, power_code, form_code, rtol, atol, r_cap,
-                stiff_mode == "auto", max_steps,
-            )
-        if status != "ok" and fail_x < xs[min(n_filled, len(xs)) - 1]:
-            fail_state = SqueezeState(r=fail_r, phi=fail_phi, x=fail_x)
+        (
+            out_r, out_phi, status, n_steps, n_rej, max_err, n_slaved, capped,
+            x_stop, r_stop, phi_stop,
+        ) = _eng._drive_adaptive(
+            xs, r0, phi0, k, mp, coupling_power, form, rtol, atol, r_cap,
+            stiff_mode == "auto", max_steps,
+        )
         stats = IntegratorStats(
             method="adaptive",
             n_steps=n_steps,
             n_rejected=n_rej,
-            max_error_estimate=float(max_err),
+            max_error_estimate=max_err,
             n_slaved_steps=n_slaved,
             capped=capped,
             status=status,
@@ -367,21 +346,18 @@ def integrate(
             h_fixed = (x_start - x_end) / 1024.0
         if h_fixed <= 0:
             raise ValueError(f"h_fixed must be > 0, got {h_fixed}")
-        n_sub = np.maximum(
-            1, np.ceil((xs[:-1] - xs[1:]) / h_fixed).astype(np.int64)
-        )
+        n_sub = [max(1, math.ceil((a - b) / h_fixed)) for a, b in zip(xs, xs[1:])]
         out_r, out_phi, n_steps, capped = _eng._drive_rk4(
-            xs, n_sub, r0, phi0, k, mp, power_code, form_code, r_cap,
+            xs, n_sub, r0, phi0, k, mp, coupling_power, form, r_cap,
         )
-        n_filled = len(xs)
+        x_stop = xs[-1]
         stats = IntegratorStats(method="fixed", n_steps=n_steps, capped=capped)
 
     states = tuple(
-        SqueezeState(r=out_r[i], phi=out_phi[i], x=xs[i])
-        for i in range(n_filled)
+        SqueezeState(r=r, phi=phi, x=x) for x, r, phi in zip(xs, out_r, out_phi)
     )
-    if fail_state is not None:
-        states = states + (fail_state,)
+    if x_stop < states[-1].x:  # a failed run that stopped between checkpoints
+        states = states + (SqueezeState(r=r_stop, phi=phi_stop, x=x_stop),)
     traj = Trajectory(samples=states, k=k, form=form, integrator_stats=stats)
 
     if stats.status == "step-underflow":

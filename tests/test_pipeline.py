@@ -206,6 +206,15 @@ class TestCli:
         assert cli_main(["show-config", "--config", str(bad)]) == 1
         assert "config error: line 1: unknown key 'mu2_rate'" in capsys.readouterr().err
 
+    def test_seed_past_double_range_is_a_config_error(self, tmp_path, capsys):
+        # cosh 2r of the seed itself overflows past r = 354.9: refused up front
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("init_r = 400\nk_points = 3\n")
+        code = cli_main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "init_r must lie in [0, 354.8914]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         # r = 0 exactly sits on the angle singularity: every mode fails,
         # the run completes and reports exit code 2

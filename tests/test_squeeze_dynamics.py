@@ -9,6 +9,7 @@ from sqspec import _integrators as eng
 from sqspec import squeeze_dynamics
 from sqspec.background import BackgroundParams, CouplingCoefficients
 from sqspec.config import SweepConfig
+from sqspec.pipeline import make_k_grid
 from sqspec.squeeze_dynamics import (
     CappedGrowthWarning,
     SqueezeState,
@@ -224,6 +225,9 @@ class TestIntegrate:
             integrate(1.0, 5.0, 0.5, form="nope")
         with pytest.raises(ValueError, match="tolerances"):
             integrate(1.0, 5.0, 0.5, rtol=0.0)
+        for r0 in (-1e-300, math.nextafter(eng._R_MAX, math.inf)):
+            with pytest.raises(ValueError, match="^init r must lie in"):
+                integrate(1.0, 5.0, 0.5, init=(r0, PI4))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize(
@@ -247,6 +251,11 @@ class TestIntegrate:
             kwargs[name] = bad
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             integrate(**kwargs)
+
+    def test_init_r_at_double_range_edge(self):
+        # the largest valid seed evaluates without overflow; r then stalls there
+        with pytest.raises(StepBudgetError):
+            integrate(0.5, 10.0, 1.0, init=(eng._R_MAX, PI4), max_steps=200)
 
     def test_closed_reference_oracle_convergence(self):
         # the dissipation-free form approximates the open flow to first
@@ -282,26 +291,26 @@ class TestSlavedBranch:
     """The slaved stages take dr/dx straight from sin(2 phi*); it must agree
     with the full right-hand side evaluated at the attractor angle."""
 
-    @pytest.mark.parametrize("form", sorted(squeeze_dynamics._FORMS))
-    @pytest.mark.parametrize("power", sorted(squeeze_dynamics._POWERS))
+    @pytest.mark.parametrize("form", eng.FORMS)
+    @pytest.mark.parametrize("power", eng.COUPLING_POWERS)
     @pytest.mark.parametrize(
         "x,r,k",
         [(100.0, 1e-6, 0.05), (1.0, 2.7e-6, 1e-4), (3.0, 5e-5, 0.7), (0.5, 0.3, 0.2),
          (0.02, 4.0, 1.0)],
     )
     def test_matches_rhs_at_attractor(self, form, power, x, r, k):
-        args = (k, 1.0, squeeze_dynamics._POWERS[power], squeeze_dynamics._FORMS[form])
+        args = (k, 1.0, power, form)
         phi_star, ok = eng._attractor_phi(x, r, math.pi / 2, *args)
         assert ok
         fast = eng._slaved_drdx(x, r, math.pi / 2, *args)
         full, _ = eng._rhs_x(x, r, phi_star, *args)
         assert fast == pytest.approx(full, rel=1e-13)
 
-    @pytest.mark.parametrize("form", sorted(squeeze_dynamics._FORMS))
+    @pytest.mark.parametrize("form", eng.FORMS)
     def test_slaved_rhs_holds_the_angle(self, form):
         # the driver's one stage sequence runs the slaved regime through
         # _rhs_x(..., slaved=True): dr/dx from the branch, dphi/dx exactly 0
-        args = (0.05, 1.0, eng.POWER_LITERAL, squeeze_dynamics._FORMS[form])
+        args = (0.05, 1.0, "literal", form)
         for x, r, anchor in ((100.0, 1e-6, math.pi / 2), (10.0, 3.0, 0.4)):
             dr, dphi = eng._rhs_x(x, r, anchor, *args, slaved=True)
             assert dphi == 0.0
@@ -311,7 +320,7 @@ class TestSlavedBranch:
     def test_anchor_angle_where_branch_is_missing(self, form):
         # at x = 10, r = 3, k = 10 the bracket is ~11.1, so sin(2 phi*) =
         # 2 mu2 / B ~ 1.8: no fixed point, and the angle stays at the anchor
-        args = (10.0, 1.0, eng.POWER_LITERAL, squeeze_dynamics._FORMS[form])
+        args = (10.0, 1.0, "literal", form)
         assert not eng._attractor_phi(10.0, 3.0, 0.4, *args)[1]
         fast = eng._slaved_drdx(10.0, 3.0, 0.4, *args)
         full, _ = eng._rhs_x(10.0, 3.0, 0.4, *args)
@@ -320,7 +329,7 @@ class TestSlavedBranch:
 
     def test_non_finite_angle_gives_nan(self):
         # a stage angle driven to inf through coth(0) must be rejected, not raise
-        derivs = eng._rhs_eta(1e-6, math.inf, 1.0, 0.1, 0.0, 1.0, eng.FORM_CONFORMAL)
+        derivs = eng._rhs_eta(1e-6, math.inf, 1.0, 0.1, 0.0, 1.0, "conformal")
         assert all(math.isnan(v) for v in derivs)
 
 
@@ -386,8 +395,8 @@ class TestSeededLayer:
     def test_seed_matches_resolved_layer(self, k, lengths):
         # sample L relaxation lengths past the seed, where the stepped layer
         # has decayed to the branch: a tight plain run must agree there
-        a_cc, mu2 = eng._couplings_x(100.0, k, 1.0, eng.POWER_LITERAL)
-        rate = eng._phase_bracket(1e-6, a_cc, mu2, 1.0, eng.FORM_CONFORMAL) / k
+        a_cc, mu2 = eng._couplings_x(100.0, k, 1.0, "literal")
+        rate = eng._phase_bracket(1e-6, a_cc, mu2, 1.0, "conformal") / k
         x_s = 100.0 - lengths / rate
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CappedGrowthWarning)
@@ -489,6 +498,22 @@ class TestEvolveGrid:
         monkeypatch.setattr(squeeze_dynamics, "integrate", broken)
         with pytest.raises(ValueError, match="math domain error"):
             evolve_grid([0.3], SweepConfig())
+
+    def test_engine_runs_on_floats(self, monkeypatch):
+        # the sweep's k grid and checkpoints are numpy arrays; every stage
+        # must still see Python floats, on which it runs about twice as fast
+        seen = []
+
+        def spy(x, r, phi, k, *args):
+            seen.append((type(x), type(r), type(phi), type(k)))
+            return rhs_x(x, r, phi, k, *args)
+
+        rhs_x = eng._rhs_x
+        monkeypatch.setattr(eng, "_rhs_x", spy)
+        cfg = SweepConfig(k_points=3)
+        res = evolve_grid(make_k_grid(cfg), cfg)
+        assert all(m.error is None for m in res)
+        assert seen and set(seen) == {(float, float, float, float)}
 
     def test_rejects_descending_grid(self):
         with pytest.raises(ValueError, match="ascending"):
