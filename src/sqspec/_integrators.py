@@ -25,13 +25,15 @@ attraction is so strong that the angle deviates from the fixed-point branch
     cos(2 phi*) = -sqrt(1 - sin^2(2 phi*))        (the attracting branch)
 
 by less than one part in 1e12 once locked.  The adaptive driver therefore
-has an adiabatic (slaved) regime: the angle is held on the fixed-point branch
-(dphi/dx = 0) and r alone is advanced.  Both regimes run the same Dormand-
-Prince stage sequence, first-same-as-last (FSAL) in both: the derivative at
-the end of an accepted step seeds the next one, and it is re-seeded only
-when the slaved regime is left.  In the slaved regime each stage takes dr/dx
-straight from the branch formulas above, the error norm covers r only, and
-the angle is formed at the seed and after an accepted step.
+has an adiabatic (slaved) regime: the angle is held on the branch (dphi/dx =
+0) and r alone is advanced.  Both regimes run the same Dormand-Prince stage
+sequence, first-same-as-last (FSAL) in both: the derivative at the end of an
+accepted step seeds the next one, and it is re-seeded only when the slaved
+regime is left.  _branch is the one place that forms the couplings, the
+bracket B, the rate B/k and s = sin(2 phi*).  In the slaved regime each stage
+takes dr/dx from s; a stage off the branch (s outside [0, 0.99)) is NaN and
+is rejected.  The error norm covers r only, and the angle is formed at the
+seed and after an accepted step.
 
 The slaved regime is a prefix of the trajectory: it is entered at the seed
 x = xs[0] or never, when the relaxation rate is finite, the branch exists and
@@ -40,26 +42,30 @@ _STIFF_BUDGET (4000 relaxation lengths).  The angle then starts on its
 attractor, so the initial relaxation layer from the seed angle (~2e-5 wide in
 x at r ~ 1e-6) is taken in closed form: the reduced (Tikhonov) limit of a
 singularly perturbed system (Hairer & Wanner, Solving ODEs II, Ch. VI).
-r = 0 has an infinite rate and is not seeded.  The first sample keeps the
-caller's seed angle.
+r = 0 has an infinite rate and is not seeded, nor is a window shorter than
+8000 relaxation lengths; those are stepped through with the full system.
+The first sample keeps the caller's seed angle.
 
 The slaved regime is left once, on accuracy, not on cost.  The true angle
-lags phi* by (d ln rate/dx)/rate^2, so holding it on the branch shifts
-dr/dx by a relative 4 |d ln rate/dx| / rate^3 (with sin 2phi* = 2/rate, as
-mu2 = k/M_P; zero for the closed form).  After each accepted slaved step,
-with d ln rate/dx a difference between consecutive accepted points, the
-regime is left once the slack is within _STIFF_BUDGET and that error exceeds
-rtol, or in any case _SLAVE_HANDBACK = 200 relaxation lengths before the last
-checkpoint, so the full system re-forms the lag before the angle is read.
-Exit re-seeds the full system from the branch, which is continuous.
-integrate() accepts stiff_mode="off" to force the plain explicit method.
+lags phi* by (d ln rate/dx)/rate^2, so holding it on the branch shifts dr/dx
+by a relative s^2 |d ln rate/dx| / rate (= 4 |d ln rate/dx| / rate^3, as
+s = 2/rate for mu2 = k/M_P; zero for the closed form).  After each accepted
+slaved step, _branch is evaluated once where stage 7 ran, for phi* and this
+test, with d ln rate/dx a difference between consecutive accepted points.
+The regime is left once the slack is within _STIFF_BUDGET and that error
+exceeds rtol, or in any case _SLAVE_HANDBACK = 200 relaxation lengths before
+the last checkpoint, so the full system re-forms the lag before the angle is
+read.  Exit re-seeds the full system from the branch, which is continuous.
 
 r is never clamped.  An attempt whose new r leaves [0, _R_MAX], or whose
 stages overflow or divide by zero, is rejected like a non-finite stage.
 Below 0 lies the coordinate singularity r = 0, which the closed form's finite
 dr/deta would step through; past _R_MAX = ln(DBL_MAX)/2 ~ 354.9, cosh 2r
 overflows.  A mode that runs into either edge ends in a step-size underflow
-there, and a seed past _R_MAX is refused before the first evaluation.
+there, and a seed past _R_MAX is refused before the first evaluation.  The
+fixed-step RK4 driver has no step to shrink: it stops at the first step the
+adaptive driver would reject, and integrate() raises a ValueError naming
+h_fixed.
 
 The engine runs on Python floats, fills lists and imports nothing, numpy
 included: each stage is a chain of scalar operations, and numpy scalar
@@ -129,14 +135,10 @@ def _rhs_eta(r, phi, a_cc, mu2, mu2_rate, mp, form):
     """
     if not math.isfinite(phi):
         return math.nan, math.nan
-    tr = math.tanh(r)
-    s2p = math.sin(2.0 * phi)
     drdeta = _drdeta(r, math.cos(2.0 * phi), a_cc, mu2, mu2_rate, form)
-    if form == "closed-reference":
-        return drdeta, 0.5 * s2p * (a_cc * tr + mp * _coth(r))
-    dpdeta = -mp * mu2 + 0.5 * s2p * (
-        a_cc * tr / (1.0 + mu2 * tr) + mp * (_coth(r) + mu2)
-    )
+    dpdeta = 0.5 * math.sin(2.0 * phi) * _phase_bracket(r, a_cc, mu2, mp, form)
+    if form != "closed-reference":
+        dpdeta -= mp * mu2
     return drdeta, dpdeta
 
 
@@ -160,50 +162,36 @@ def _phase_bracket(r, a_cc, mu2, mp, form):
     return a_cc * tr / (1.0 + mu2 * tr) + mp * (_coth(r) + mu2)
 
 
-def _attractor_phi(x, r, phi_anchor, k, mp, power, form):
-    """Stable fixed point of the angle equation, branch nearest phi_anchor.
-
-    Returns (phi_star, ok); ok is False when the fixed point does not exist
-    or is too marginal (sin 2phi* >= 0.99) to be an attractor.
-    """
-    if form == "closed-reference":
-        s = 0.0
-    else:
-        a_cc, mu2 = _couplings_x(x, k, mp, power)
-        s = 2.0 * mp * mu2 / _phase_bracket(r, a_cc, mu2, mp, form)
-    if not (0.0 <= s < 0.99):
-        return phi_anchor, False
-    base = 0.5 * (math.pi - math.asin(s))
-    m = round((phi_anchor - base) / math.pi)
-    return base + m * math.pi, True
-
-
-def _slaved_drdx(x, r, phi_anchor, k, mp, power, form):
-    """dr/dx with phi on the branch _attractor_phi picks, without forming phi.
-
-    On the branch cos(2 phi*) = -sqrt(1 - sin^2(2 phi*)); where the branch
-    does not exist the angle stays at phi_anchor, as in _attractor_phi.
-    """
+def _branch(x, r, k, mp, power, form):
+    """(a_cc, mu2, rate, s) at (x, r): the couplings, the angle's relaxation
+    rate B/k and s = sin(2 phi*) = 2 M_P mu2 / B of its attractor (0 for the
+    closed form, whose bracket carries no mu2).  The attractor exists where
+    0 <= s < 0.99; nearer s = 1 it is too marginal to hold the angle."""
     a_cc, mu2 = _couplings_x(x, k, mp, power)
-    if form == "closed-reference":
-        c2p = -1.0
-    else:
-        s = 2.0 * mp * mu2 / _phase_bracket(r, a_cc, mu2, mp, form)
-        if 0.0 <= s < 0.99:
-            c2p = -math.sqrt(1.0 - s * s)
-        else:
-            c2p = math.cos(2.0 * phi_anchor)
-    return -_drdeta(r, c2p, a_cc, mu2, 0.0, form) / k
+    bracket = _phase_bracket(r, a_cc, mu2, mp, form)
+    s = 0.0 if form == "closed-reference" else 2.0 * mp * mu2 / bracket
+    return a_cc, mu2, bracket / k, s
+
+
+def _attractor_phi(s, phi_anchor):
+    """The attractor angle with sin(2 phi*) = s, on the copy (mod pi) nearest
+    phi_anchor; the attracting branch has cos(2 phi*) = -sqrt(1 - s^2)."""
+    base = 0.5 * (math.pi - math.asin(s))
+    return base + round((phi_anchor - base) / math.pi) * math.pi
 
 
 def _rhs_x(x, r, phi, k, mp, power, form, slaved=False):
     """(dr/dx, dphi/dx); x = -k eta so d/dx = -(1/k) d/deta.
 
-    slaved=True holds the angle on the fixed-point branch: dr/dx comes from
-    _slaved_drdx with phi as the branch anchor, and dphi/dx is 0.
+    slaved=True holds the angle on the attractor branch: dr/dx takes
+    cos(2 phi*) from _branch, so phi is not read, and dphi/dx is 0.  A slaved
+    stage off the branch gives NaN, which the step controller rejects.
     """
     if slaved:
-        return _slaved_drdx(x, r, phi, k, mp, power, form), 0.0
+        a_cc, mu2, _, s = _branch(x, r, k, mp, power, form)
+        if not 0.0 <= s < 0.99:
+            return math.nan, 0.0
+        return -_drdeta(r, -math.sqrt(1.0 - s * s), a_cc, mu2, 0.0, form) / k, 0.0
     a_cc, mu2 = _couplings_x(x, k, mp, power)
     drdeta, dpdeta = _rhs_eta(r, phi, a_cc, mu2, 0.0, mp, form)
     return -drdeta / k, -dpdeta / k
@@ -245,20 +233,7 @@ _DP_E1, _DP_E3, _DP_E4, _DP_E5, _DP_E6, _DP_E7 = (
 )
 
 
-def _drive_adaptive(
-    xs,
-    r0,
-    phi0,
-    k,
-    mp,
-    power,
-    form,
-    rtol,
-    atol,
-    r_cap,
-    stiff_auto,
-    max_steps,
-):
+def _drive_adaptive(xs, r0, phi0, k, mp, power, form, rtol, atol, r_cap, max_steps):
     """Advance (r, phi) through the decreasing checkpoints xs.
 
     Returns (out_r, out_phi, status, n_steps, n_rejected, max_err, n_slaved,
@@ -285,15 +260,13 @@ def _drive_adaptive(
         h = -1e-8
 
     # the seed is the only way onto the slaved branch (module docstring)
-    slaved = False
-    dlnrate = 0.0
-    if stiff_auto:
-        a_cc, mu2 = _couplings_x(x, k, mp, power)
-        rate = _phase_bracket(r, a_cc, mu2, mp, form) / k
-        if math.isfinite(rate) and rate * (x - x_end) > 2.0 * _STIFF_BUDGET:
-            phi, slaved = _attractor_phi(x, r, phi, k, mp, power, form)
-            x_prev = x
-            ln_rate_prev = math.log(rate)
+    _, _, rate, s = _branch(x, r, k, mp, power, form)
+    slaved = math.isfinite(rate) and rate * (x - x_end) > 2.0 * _STIFF_BUDGET and 0.0 <= s < 0.99
+    if slaved:
+        phi = _attractor_phi(s, phi)
+        x_prev = x
+        ln_rate_prev = math.log(rate)
+        dlnrate = 0.0
     fr, fp = _rhs_x(x, r, phi, k, mp, power, form, slaved)
 
     for x_target in xs[1:]:
@@ -353,21 +326,17 @@ def _drive_adaptive(
                     capped = True
                 if slaved:
                     n_slaved += 1
-                    phi, _ = _attractor_phi(x_step, r, phi, k, mp, power, form)
+                    # stage 7 ran here, so the step was accepted on the branch
+                    _, _, rate, s = _branch(x_step, r, k, mp, power, form)
+                    phi = _attractor_phi(s, phi)
                     # leave for good on the lag error or near the last checkpoint
-                    a_cc, mu2 = _couplings_x(x, k, mp, power)
-                    rate = _phase_bracket(r, a_cc, mu2, mp, form) / k
                     slack = rate * (x - x_end)
                     ln_rate = math.log(rate)
                     if x != x_prev:  # a sub-ulp step can leave x unchanged
                         dlnrate = (ln_rate - ln_rate_prev) / (x - x_prev)
                         x_prev = x
                         ln_rate_prev = ln_rate
-                    lagging = (
-                        form != "closed-reference"
-                        and slack <= _STIFF_BUDGET
-                        and 4.0 * abs(dlnrate) > rtol * rate * rate * rate
-                    )
+                    lagging = slack <= _STIFF_BUDGET and s * s * abs(dlnrate) > rtol * rate
                     if lagging or slack <= _SLAVE_HANDBACK:
                         slaved = False
                         fr, fp = _rhs_x(x, r, phi, k, mp, power, form)
@@ -395,22 +364,15 @@ def _drive_adaptive(
     return out_r, out_phi, status, n_steps, n_rejected, max_err, n_slaved, capped, x, r, phi
 
 
-def _drive_rk4(
-    xs,
-    n_sub,
-    r0,
-    phi0,
-    k,
-    mp,
-    power,
-    form,
-    r_cap,
-):
+def _drive_rk4(xs, n_sub, r0, phi0, k, mp, power, form, r_cap):
     """Classical RK4 with n_sub[i] equal steps on segment xs[i] -> xs[i+1].
 
     Plain full-system stepping, no stiffness bypass; meant for
-    cross-validating the adaptive driver on well-conditioned windows.
-    Returns (out_r, out_phi, n_steps, capped).
+    cross-validating the adaptive driver on well-conditioned windows.  It
+    stops at the first step the adaptive driver would reject: a non-finite
+    stage, an overflow or a pole, or a new r outside [0, _R_MAX].
+    Returns (out_r, out_phi, ok, n_steps, capped, x, r): ok is False when it
+    stopped early, and then (x, r) is the state the bad step started from.
     """
     out_r = [r0]
     out_phi = [phi0]
@@ -418,31 +380,34 @@ def _drive_rk4(
     phi = phi0
     n_steps = 0
     capped = False
+    ok = True
 
     for x0, x1, n in zip(xs, xs[1:], n_sub):
         h = (x1 - x0) / n
         x = x0
         for _ in range(n):
-            k1r, k1p = _rhs_x(x, r, phi, k, mp, power, form)
-            k2r, k2p = _rhs_x(
-                x + 0.5 * h, r + 0.5 * h * k1r, phi + 0.5 * h * k1p,
-                k, mp, power, form,
-            )
-            k3r, k3p = _rhs_x(
-                x + 0.5 * h, r + 0.5 * h * k2r, phi + 0.5 * h * k2p,
-                k, mp, power, form,
-            )
-            k4r, k4p = _rhs_x(
-                x + h, r + h * k3r, phi + h * k3p,
-                k, mp, power, form,
-            )
-            r = r + h * (k1r + 2.0 * k2r + 2.0 * k3r + k4r) / 6.0
-            phi = phi + h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
+            try:
+                k1r, k1p = _rhs_x(x, r, phi, k, mp, power, form)
+                k2r, k2p = _rhs_x(x + 0.5 * h, r + 0.5 * h * k1r, phi + 0.5 * h * k1p, k, mp, power, form)
+                k3r, k3p = _rhs_x(x + 0.5 * h, r + 0.5 * h * k2r, phi + 0.5 * h * k2p, k, mp, power, form)
+                k4r, k4p = _rhs_x(x + h, r + h * k3r, phi + h * k3p, k, mp, power, form)
+                r_new = r + h * (k1r + 2.0 * k2r + 2.0 * k3r + k4r) / 6.0
+                p_new = phi + h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
+            except (OverflowError, ZeroDivisionError):
+                r_new = p_new = math.nan
+            # a non-finite stage reaches r_new or p_new
+            if not (0.0 <= r_new <= _R_MAX and math.isfinite(p_new)):
+                ok = False
+                break
+            r = r_new
+            phi = p_new
             x += h
             n_steps += 1
             if r > r_cap:
                 capped = True
+        if not ok:
+            break
         out_r.append(r)
         out_phi.append(phi)
 
-    return out_r, out_phi, n_steps, capped
+    return out_r, out_phi, ok, n_steps, capped, x, r

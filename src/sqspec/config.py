@@ -9,8 +9,9 @@ Example file (all keys optional; omitted keys take the defaults below)::
     form     = conformal
 
 Unknown keys are rejected, values are type-checked, every float must be
-finite, and constraint violations name the offending field(s).  serialize() emits a canonical
-round-trippable echo of a resolved configuration.
+finite, and constraint violations name the offending field(s).  The anchors
+must give a finite positive BD power over the whole k window.  serialize()
+emits a canonical round-trippable echo of a resolved configuration.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from ._integrators import _R_MAX, COUPLING_POWERS, FORMS
-from .spectrum import PlanckAnchors
+from .spectrum import PlanckAnchors, bd_reference_power
 
 __all__ = ["SweepConfig", "ConfigError", "load_config", "parse_config", "serialize"]
 
@@ -94,6 +95,18 @@ class SweepConfig:
             raise ConfigError(f"a_s must be > 0, got {self.a_s}")
         if self.k_pivot <= 0:
             raise ConfigError(f"k_pivot must be > 0, got {self.k_pivot}")
+        # the power law is monotone in k, so its ends bound every grid node
+        for k in (self.k_min, self.k_max):
+            try:
+                power = bd_reference_power(k, self.anchors)
+            except (OverflowError, ZeroDivisionError):
+                power = math.inf
+            if not 0.0 < power < math.inf:
+                raise ConfigError(
+                    "a_s, n_s and k_pivot must give a finite positive BD power "
+                    f"a_s (k/k_pivot)^(n_s - 1) from k_min to k_max; at k = {k!r} "
+                    f"it is {power!r}"
+                )
         if self.unit_scale <= 0:
             raise ConfigError(f"unit_scale must be > 0, got {self.unit_scale}")
         if self.r_cap <= 0:

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .background import BackgroundParams, CouplingCoefficients, LanczosChain, lanczos_chain
 from .bogoliubov import coefficients, occupation
-from .config import SweepConfig, parse_config, serialize
+from .config import ConfigError, SweepConfig, parse_config, serialize
 from .krylov import characteristic_poly_residual, meixner_poly, otmss_amplitudes, tmss_amplitudes
 from .spectrum import SpectrumRecord, bd_reference_power, fit_tilt, gamma_ratio
 from .squeeze_dynamics import SqueezeState, evolve_grid, integrate
@@ -81,8 +81,14 @@ def make_k_grid(config: SweepConfig) -> np.ndarray:
     """Log-spaced wavenumber labels from k_min to k_max.  When the node
     nearest the pivot is an interior one it is snapped onto the pivot
     exactly, so pivot-row checks need no interpolation; the endpoints always
-    stay k_min and k_max."""
+    stay k_min and k_max.  Raises ConfigError when the window is too narrow
+    for k_points distinct doubles."""
     grid = np.geomspace(config.k_min, config.k_max, config.k_points)
+    if not np.all(grid[1:] > grid[:-1]):
+        raise ConfigError(
+            f"k_min = {config.k_min!r} to k_max = {config.k_max!r} holds no "
+            f"{config.k_points} distinct log-spaced wavenumbers"
+        )
     if config.k_min <= config.k_pivot <= config.k_max:
         i = int(np.argmin(np.abs(np.log(grid / config.k_pivot))))
         if 0 < i < len(grid) - 1:

@@ -28,10 +28,10 @@ Integration runs in the dimensionless variable x = -k eta (d/dx =
 crossing x = 1 to x_end.  r = 0 is a coordinate singularity of the angle
 equation (coth r), so trajectories are seeded with a tiny positive r.  The
 default initial angle pi/4 is the fixed point of the r equation (cos 2phi =
-0), not of the angle equation: by default the adaptive driver starts the
-angle on its attractor and takes the initial relaxation layer in closed
-form.  See _integrators for the stiffness treatment of the coth(r)
-relaxation.
+0), not of the angle equation: where its fast path applies, the adaptive
+driver starts the angle on its attractor and takes the initial relaxation
+layer in closed form.  See _integrators for the stiffness treatment of the
+coth(r) relaxation.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class StepSizeUnderflowError(RuntimeError):
 
 
 class StepBudgetError(RuntimeError):
-    """Step budget exhausted (stiffness bypass disabled or misconfigured)."""
+    """Step budget exhausted, typically by a stiff window stepped explicitly."""
 
     def __init__(self, message: str, trajectory: "Trajectory"):
         super().__init__(message)
@@ -257,33 +257,34 @@ def integrate(
     h_fixed: float | None = None,
     samples: int | Sequence[float] | None = None,
     r_cap: float = 30.0,
-    stiff_mode: str = "auto",
     max_steps: int = 2_000_000,
 ) -> Trajectory:
     """Integrate the selected flow from x_start down to x_end for one mode.
 
     init is the (r, phi) seed at x_start (default: r = 1e-6, phi = pi/4);
     the first sample is always init as passed.  method="adaptive" is the
-    embedded 5(4) pair with tolerance control (and the automatic
-    stiff-window fast path unless stiff_mode="off"; its entry and exit rules
-    are fixed in _integrators).  The fast path is entered at x_start or not
-    at all, and once left it is not re-entered.  Where it is entered, the
-    angle starts on its attractor: the initial relaxation layer from init
-    phi is taken in closed form, and init phi only picks the copy of the
-    branch (mod pi) nearest to it.  stiff_mode="off" steps
-    through the layer.  method="fixed" is the classical RK4
-    cross-validator with step h_fixed subdivided exactly into each
-    checkpoint segment.  mu2 = k/M_P is constant along the trajectory,
-    so mu2' = 0.  The coupling always follows the background (a sweep's
-    zero_coupling debug run is answered by evolve_grid without integrating),
-    and r is never clamped: a step that would take r below 0 or past
-    ~354.9, where cosh 2r overflows, is rejected, so a mode that runs into
-    either edge ends in a step-size underflow that names it.
+    embedded 5(4) pair with tolerance control and the stiff-window fast path,
+    whose entry and exit rules are fixed in _integrators.  The fast path is
+    entered at x_start or not at all, and once left it is not re-entered.
+    Where it is entered, the angle starts on its attractor: the initial
+    relaxation layer from init phi is taken in closed form, and init phi only
+    picks the copy of the branch (mod pi) nearest to it.  A seed at r = 0, or
+    a window shorter than 8000 relaxation lengths, is stepped through with
+    the full system.  method="fixed" is the classical RK4 cross-validator
+    with step h_fixed subdivided exactly into each checkpoint segment.
+    mu2 = k/M_P is constant along the trajectory, so mu2' = 0.  The coupling
+    always follows the background (a sweep's zero_coupling debug run is
+    answered by evolve_grid without integrating), and r is never clamped: an
+    adaptive step that would take r below 0 or past ~354.9, where cosh 2r
+    overflows, is rejected, so a mode that runs into either edge ends in a
+    step-size underflow that names it.
 
     The numbers are validated, then converted once to Python floats (the
     checkpoints too), on which the engine runs.  Raises ValueError naming
     the argument for any non-finite number, and for an init r outside
-    [0, ~354.9], where the seed itself would overflow;
+    [0, ~354.9], where the seed itself would overflow, and for a fixed
+    step that is not finite or leaves that range of r (naming h_fixed, x
+    and r);
     raises StepSizeUnderflowError / StepBudgetError with the partial
     trajectory attached; emits CappedGrowthWarning when r exceeds r_cap
     (integration continues, the values stay finite).
@@ -311,8 +312,6 @@ def integrate(
         )
     if method not in ("adaptive", "fixed"):
         raise ValueError(f"unknown method {method!r}")
-    if stiff_mode not in ("auto", "off"):
-        raise ValueError(f"unknown stiff_mode {stiff_mode!r}")
     if k <= 0:
         raise ValueError(f"wavenumber must be > 0, got k={k}")
 
@@ -329,8 +328,7 @@ def integrate(
             out_r, out_phi, status, n_steps, n_rej, max_err, n_slaved, capped,
             x_stop, r_stop, phi_stop,
         ) = _eng._drive_adaptive(
-            xs, r0, phi0, k, mp, coupling_power, form, rtol, atol, r_cap,
-            stiff_mode == "auto", max_steps,
+            xs, r0, phi0, k, mp, coupling_power, form, rtol, atol, r_cap, max_steps,
         )
         stats = IntegratorStats(
             method="adaptive",
@@ -347,9 +345,14 @@ def integrate(
         if h_fixed <= 0:
             raise ValueError(f"h_fixed must be > 0, got {h_fixed}")
         n_sub = [max(1, math.ceil((a - b) / h_fixed)) for a, b in zip(xs, xs[1:])]
-        out_r, out_phi, n_steps, capped = _eng._drive_rk4(
+        out_r, out_phi, ok, n_steps, capped, x_bad, r_bad = _eng._drive_rk4(
             xs, n_sub, r0, phi0, k, mp, coupling_power, form, r_cap,
         )
+        if not ok:
+            raise ValueError(
+                f"h_fixed={h_fixed:.6g} is too coarse: the RK4 step from x={x_bad:.6g} "
+                f"(r={r_bad:.6g}) is not finite or leaves 0 <= r <= {_eng._R_MAX:.4f}"
+            )
         x_stop = xs[-1]
         stats = IntegratorStats(method="fixed", n_steps=n_steps, capped=capped)
 
@@ -374,8 +377,8 @@ def integrate(
         )
     if stats.status == "max-steps":
         raise StepBudgetError(
-            f"exceeded {max_steps} steps at x={states[-1].x:.6g}; the window is "
-            "stiff -- use stiff_mode='auto' or shrink the span",
+            f"exceeded {max_steps} steps at x={states[-1].x:.6g}; "
+            "raise max_steps or shrink the span",
             traj,
         )
     if stats.capped:

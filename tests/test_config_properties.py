@@ -14,11 +14,14 @@ FLOAT_FIELDS = [f.name for f in fields(SweepConfig) if f.type == "float"]
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# window and anchors where a_s (k/k_pivot)^(n_s - 1) stays a positive double
+# (between 1e-50 * 1e-240 and 1e50 * 1e240), as a valid config requires
+wavenumber = st.floats(min_value=1e-30, max_value=1e30)
 
 
 @st.composite
 def valid_configs(draw):
-    k_min, k_max = sorted(draw(st.lists(positive, min_size=2, max_size=2, unique=True)))
+    k_min, k_max = sorted(draw(st.lists(wavenumber, min_size=2, max_size=2, unique=True)))
     return SweepConfig(
         k_min=k_min,
         k_max=k_max,
@@ -30,9 +33,9 @@ def valid_configs(draw):
         form=draw(st.sampled_from(_ENUMS["form"])),
         coupling_power=draw(st.sampled_from(_ENUMS["coupling_power"])),
         eval_point=draw(st.sampled_from(_ENUMS["eval_point"])),
-        a_s=draw(positive),
-        n_s=draw(finite),
-        k_pivot=draw(positive),
+        a_s=draw(st.floats(min_value=1e-50, max_value=1e50)),
+        n_s=draw(st.floats(min_value=-3.0, max_value=5.0)),
+        k_pivot=draw(wavenumber),
         rtol=draw(positive),
         atol=draw(positive),
         unit_scale=draw(positive),

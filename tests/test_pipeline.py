@@ -215,6 +215,24 @@ class TestCli:
         assert "init_r must lie in [0, 354.8914]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_bd_power_past_double_range_is_a_config_error(self, tmp_path, capsys):
+        # (1/0.05)^999 overflows at k = 1 and (1e-4/0.05)^999 underflows to 0
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("k_points = 5\nn_s = 1000\n")
+        code = cli_main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "must give a finite positive BD power" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_window_without_distinct_nodes_is_a_config_error(self, tmp_path, capsys):
+        # one ulp between k_min and k_max leaves no room for a third node
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("k_min = 1.0\nk_max = 1.0000000000000002\nk_points = 3\n")
+        code = cli_main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "holds no 3 distinct log-spaced wavenumbers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         # r = 0 exactly sits on the angle singularity: every mode fails,
         # the run completes and reports exit code 2
