@@ -26,7 +26,6 @@ from .background import (
 )
 from .bogoliubov import (
     BogoliubovPair,
-    ModeSample,
     bd_mode,
     coefficients,
     mode_function,
@@ -79,7 +78,7 @@ __all__ = [
     "CappedGrowthWarning", "StepSizeUnderflowError", "StepBudgetError",
     "rhs_conformal", "rhs_transformed", "rhs_closed_reference",
     "integrate", "evolve_grid",
-    "BogoliubovPair", "ModeSample", "bd_mode", "coefficients",
+    "BogoliubovPair", "bd_mode", "coefficients",
     "mode_function", "occupation", "vacuum_kernel",
     "PlanckAnchors", "SpectrumRecord", "gamma_ratio", "bd_reference_power",
     "mode_power", "curvature_power", "fit_tilt",

@@ -10,9 +10,8 @@ Two engines, both explicit:
 The flow is integrated in the dimensionless variable x = -k eta, which
 decreases from deep sub-horizon (x >> 1) through horizon crossing (x = 1)
 to the super-horizon evaluation point, so steps are negative in x.  Each
-trajectory has one fixed comoving k, so mu2 = k/M_P is constant and the
-drivers pass mu2' = 0 to the flow (the pointwise rhs_* functions of
-squeeze_dynamics keep the mu2' term of the printed equations).
+trajectory has one fixed comoving k, so in Planck units (M_P = 1) mu2 = k
+is constant and mu2' = 0.
 
 Stiffness handling.  The rotation-angle equation carries a coth(r) relaxation
 rate: for r ~ 1e-6 the angle is attracted to its quasi-static fixed point
@@ -21,7 +20,7 @@ with an explicit method costs ~coth(r)/k steps per unit x, which is
 astronomically many exactly in the regime the pipeline must sweep.  The
 attraction is so strong that the angle deviates from the fixed-point branch
 
-    sin(2 phi*) = 2 M_P mu2 / [A tanh(r)/(1 + mu2 tanh r) + M_P (coth r + mu2)]
+    sin(2 phi*) = 2 mu2 / [A tanh(r)/(1 + mu2 tanh r) + coth r + mu2]
     cos(2 phi*) = -sqrt(1 - sin^2(2 phi*))        (the attracting branch)
 
 by less than one part in 1e12 once locked.  The adaptive driver therefore
@@ -49,7 +48,7 @@ The first sample keeps the caller's seed angle.
 The slaved regime is left once, on accuracy, not on cost.  The true angle
 lags phi* by (d ln rate/dx)/rate^2, so holding it on the branch shifts dr/dx
 by a relative s^2 |d ln rate/dx| / rate (= 4 |d ln rate/dx| / rate^3, as
-s = 2/rate for mu2 = k/M_P; zero for the closed form).  After each accepted
+s = 2/rate for mu2 = k; zero for the closed form).  After each accepted
 slaved step, _branch is evaluated once where stage 7 ran, for phi* and this
 test, with d ln rate/dx a difference between consecutive accepted points.
 The regime is left once the slack is within _STIFF_BUDGET and that error
@@ -105,10 +104,10 @@ def _coth(r):
     return math.cosh(r) / math.sinh(r)
 
 
-def _drdeta(r, c2p, a_cc, mu2, mu2_rate, form):
+def _drdeta(r, c2p, a_cc, mu2, form):
     """dr/deta of the selected form, given cos(2 phi)."""
     if form == "closed-reference":
-        # analytic mu2 = mu2' = 0 limit; finite at r = 0
+        # analytic mu2 = 0 limit; finite at r = 0
         return -a_cc * c2p
     if form == "conformal":
         s2r = math.sinh(2.0 * r)
@@ -116,60 +115,61 @@ def _drdeta(r, c2p, a_cc, mu2, mu2_rate, form):
         den = s2r + 2.0 * mu2 * ch2
         if den == 0.0:
             # r = 0 with mu2 = 0: take the 0/0 limit of the printed ratio
-            return -a_cc * c2p - mu2_rate
-        return (-a_cc * s2r * c2p - s2r * mu2_rate) / den
+            return -a_cc * c2p
+        return -a_cc * s2r * c2p / den
     tr = math.tanh(r)
     den = tr + mu2
     if den == 0.0:
-        return -(mu2_rate + a_cc * c2p)
-    return -tr * (mu2_rate + a_cc * c2p) / den
+        return -a_cc * c2p
+    return -tr * (a_cc * c2p) / den
 
 
-def _rhs_eta(r, phi, a_cc, mu2, mu2_rate, mp, form):
+def _rhs_eta(r, phi, a_cc, mu2, form):
     """Conformal-time derivatives (dr/deta, dphi/deta) of the printed flow.
 
-    a_cc is the closed-coupling factor: M_P |1 - mu1^2| in literal mode,
+    a_cc is the closed-coupling factor: |1 - mu1^2| in literal mode,
     |z'/z| in hamiltonian-consistent mode (resolved by the caller).  A
     non-finite angle (a stage driven through the r = 0 singularity) gives
     NaN derivatives, which the step controller rejects.
     """
     if not math.isfinite(phi):
         return math.nan, math.nan
-    drdeta = _drdeta(r, math.cos(2.0 * phi), a_cc, mu2, mu2_rate, form)
-    dpdeta = 0.5 * math.sin(2.0 * phi) * _phase_bracket(r, a_cc, mu2, mp, form)
+    drdeta = _drdeta(r, math.cos(2.0 * phi), a_cc, mu2, form)
+    dpdeta = 0.5 * math.sin(2.0 * phi) * _phase_bracket(r, a_cc, mu2, form)
     if form != "closed-reference":
-        dpdeta -= mp * mu2
+        dpdeta -= mu2
     return drdeta, dpdeta
 
 
-def _closed_coupling(lam, mp, power):
+def _closed_coupling(lam, power):
     """Closed-coupling factor a_cc of the flow for |z'/z| = lam."""
     if power == "literal":
-        return lam * lam / mp
+        return lam * lam
     return lam
 
 
-def _couplings_x(x, k, mp, power):
+def _couplings_x(x, k, power):
     """(a_cc, mu2) at x = -k eta on the constant-eps background."""
-    return _closed_coupling(k / x, mp, power), k / mp  # |z'/z| = 1/|eta|
+    return _closed_coupling(k / x, power), k  # |z'/z| = 1/|eta|
 
 
-def _phase_bracket(r, a_cc, mu2, mp, form):
+def _phase_bracket(r, a_cc, mu2, form):
     """Bracket B multiplying sin(2 phi)/2 in dphi/deta (the relaxation scale)."""
     tr = math.tanh(r)
     if form == "closed-reference":
-        return a_cc * tr + mp * _coth(r)
-    return a_cc * tr / (1.0 + mu2 * tr) + mp * (_coth(r) + mu2)
+        return a_cc * tr + _coth(r)
+    # coth r + mu2 is summed first, as in the printed M_P (coth r + mu2)
+    return a_cc * tr / (1.0 + mu2 * tr) + (_coth(r) + mu2)
 
 
-def _branch(x, r, k, mp, power, form):
+def _branch(x, r, k, power, form):
     """(a_cc, mu2, rate, s) at (x, r): the couplings, the angle's relaxation
-    rate B/k and s = sin(2 phi*) = 2 M_P mu2 / B of its attractor (0 for the
+    rate B/k and s = sin(2 phi*) = 2 mu2 / B of its attractor (0 for the
     closed form, whose bracket carries no mu2).  The attractor exists where
     0 <= s < 0.99; nearer s = 1 it is too marginal to hold the angle."""
-    a_cc, mu2 = _couplings_x(x, k, mp, power)
-    bracket = _phase_bracket(r, a_cc, mu2, mp, form)
-    s = 0.0 if form == "closed-reference" else 2.0 * mp * mu2 / bracket
+    a_cc, mu2 = _couplings_x(x, k, power)
+    bracket = _phase_bracket(r, a_cc, mu2, form)
+    s = 0.0 if form == "closed-reference" else 2.0 * mu2 / bracket
     return a_cc, mu2, bracket / k, s
 
 
@@ -180,7 +180,7 @@ def _attractor_phi(s, phi_anchor):
     return base + round((phi_anchor - base) / math.pi) * math.pi
 
 
-def _rhs_x(x, r, phi, k, mp, power, form, slaved=False):
+def _rhs_x(x, r, phi, k, power, form, slaved=False):
     """(dr/dx, dphi/dx); x = -k eta so d/dx = -(1/k) d/deta.
 
     slaved=True holds the angle on the attractor branch: dr/dx takes
@@ -188,12 +188,12 @@ def _rhs_x(x, r, phi, k, mp, power, form, slaved=False):
     stage off the branch gives NaN, which the step controller rejects.
     """
     if slaved:
-        a_cc, mu2, _, s = _branch(x, r, k, mp, power, form)
+        a_cc, mu2, _, s = _branch(x, r, k, power, form)
         if not 0.0 <= s < 0.99:
             return math.nan, 0.0
-        return -_drdeta(r, -math.sqrt(1.0 - s * s), a_cc, mu2, 0.0, form) / k, 0.0
-    a_cc, mu2 = _couplings_x(x, k, mp, power)
-    drdeta, dpdeta = _rhs_eta(r, phi, a_cc, mu2, 0.0, mp, form)
+        return -_drdeta(r, -math.sqrt(1.0 - s * s), a_cc, mu2, form) / k, 0.0
+    a_cc, mu2 = _couplings_x(x, k, power)
+    drdeta, dpdeta = _rhs_eta(r, phi, a_cc, mu2, form)
     return -drdeta / k, -dpdeta / k
 
 
@@ -233,7 +233,7 @@ _DP_E1, _DP_E3, _DP_E4, _DP_E5, _DP_E6, _DP_E7 = (
 )
 
 
-def _drive_adaptive(xs, r0, phi0, k, mp, power, form, rtol, atol, r_cap, max_steps):
+def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, r_cap, max_steps):
     """Advance (r, phi) through the decreasing checkpoints xs.
 
     Returns (out_r, out_phi, status, n_steps, n_rejected, max_err, n_slaved,
@@ -260,14 +260,14 @@ def _drive_adaptive(xs, r0, phi0, k, mp, power, form, rtol, atol, r_cap, max_ste
         h = -1e-8
 
     # the seed is the only way onto the slaved branch (module docstring)
-    _, _, rate, s = _branch(x, r, k, mp, power, form)
+    _, _, rate, s = _branch(x, r, k, power, form)
     slaved = math.isfinite(rate) and rate * (x - x_end) > 2.0 * _STIFF_BUDGET and 0.0 <= s < 0.99
     if slaved:
         phi = _attractor_phi(s, phi)
         x_prev = x
         ln_rate_prev = math.log(rate)
         dlnrate = 0.0
-    fr, fp = _rhs_x(x, r, phi, k, mp, power, form, slaved)
+    fr, fp = _rhs_x(x, r, phi, k, power, form, slaved)
 
     for x_target in xs[1:]:
         while x > x_target:
@@ -284,22 +284,22 @@ def _drive_adaptive(xs, r0, phi0, k, mp, power, form, rtol, atol, r_cap, max_ste
             try:
                 r2 = r + h * _DP_A21 * k1r
                 q2 = phi + h * _DP_A21 * k1p
-                k2r, k2p = _rhs_x(x + _DP_C2 * h, r2, q2, k, mp, power, form, slaved)
+                k2r, k2p = _rhs_x(x + _DP_C2 * h, r2, q2, k, power, form, slaved)
                 r3 = r + h * (_DP_A31 * k1r + _DP_A32 * k2r)
                 q3 = phi + h * (_DP_A31 * k1p + _DP_A32 * k2p)
-                k3r, k3p = _rhs_x(x + _DP_C3 * h, r3, q3, k, mp, power, form, slaved)
+                k3r, k3p = _rhs_x(x + _DP_C3 * h, r3, q3, k, power, form, slaved)
                 r4 = r + h * (_DP_A41 * k1r + _DP_A42 * k2r + _DP_A43 * k3r)
                 q4 = phi + h * (_DP_A41 * k1p + _DP_A42 * k2p + _DP_A43 * k3p)
-                k4r, k4p = _rhs_x(x + _DP_C4 * h, r4, q4, k, mp, power, form, slaved)
+                k4r, k4p = _rhs_x(x + _DP_C4 * h, r4, q4, k, power, form, slaved)
                 r5 = r + h * (_DP_A51 * k1r + _DP_A52 * k2r + _DP_A53 * k3r + _DP_A54 * k4r)
                 q5 = phi + h * (_DP_A51 * k1p + _DP_A52 * k2p + _DP_A53 * k3p + _DP_A54 * k4p)
-                k5r, k5p = _rhs_x(x + _DP_C5 * h, r5, q5, k, mp, power, form, slaved)
+                k5r, k5p = _rhs_x(x + _DP_C5 * h, r5, q5, k, power, form, slaved)
                 r6 = r + h * (_DP_A61 * k1r + _DP_A62 * k2r + _DP_A63 * k3r + _DP_A64 * k4r + _DP_A65 * k5r)
                 q6 = phi + h * (_DP_A61 * k1p + _DP_A62 * k2p + _DP_A63 * k3p + _DP_A64 * k4p + _DP_A65 * k5p)
-                k6r, k6p = _rhs_x(x + h, r6, q6, k, mp, power, form, slaved)
+                k6r, k6p = _rhs_x(x + h, r6, q6, k, power, form, slaved)
                 r_new = r + h * (_DP_B1 * k1r + _DP_B3 * k3r + _DP_B4 * k4r + _DP_B5 * k5r + _DP_B6 * k6r)
                 p_new = phi + h * (_DP_B1 * k1p + _DP_B3 * k3p + _DP_B4 * k4p + _DP_B5 * k5p + _DP_B6 * k6p)
-                k7r, k7p = _rhs_x(x + h, r_new, p_new, k, mp, power, form, slaved)
+                k7r, k7p = _rhs_x(x + h, r_new, p_new, k, power, form, slaved)
                 err_r = h * (_DP_E1 * k1r + _DP_E3 * k3r + _DP_E4 * k4r + _DP_E5 * k5r + _DP_E6 * k6r + _DP_E7 * k7r)
                 sr = atol + rtol * max(abs(r), abs(r_new))
                 if slaved:  # the angle is held, so r alone carries the error
@@ -327,7 +327,7 @@ def _drive_adaptive(xs, r0, phi0, k, mp, power, form, rtol, atol, r_cap, max_ste
                 if slaved:
                     n_slaved += 1
                     # stage 7 ran here, so the step was accepted on the branch
-                    _, _, rate, s = _branch(x_step, r, k, mp, power, form)
+                    _, _, rate, s = _branch(x_step, r, k, power, form)
                     phi = _attractor_phi(s, phi)
                     # leave for good on the lag error or near the last checkpoint
                     slack = rate * (x - x_end)
@@ -339,7 +339,7 @@ def _drive_adaptive(xs, r0, phi0, k, mp, power, form, rtol, atol, r_cap, max_ste
                     lagging = slack <= _STIFF_BUDGET and s * s * abs(dlnrate) > rtol * rate
                     if lagging or slack <= _SLAVE_HANDBACK:
                         slaved = False
-                        fr, fp = _rhs_x(x, r, phi, k, mp, power, form)
+                        fr, fp = _rhs_x(x, r, phi, k, power, form)
             else:
                 n_rejected += 1
 
@@ -364,7 +364,7 @@ def _drive_adaptive(xs, r0, phi0, k, mp, power, form, rtol, atol, r_cap, max_ste
     return out_r, out_phi, status, n_steps, n_rejected, max_err, n_slaved, capped, x, r, phi
 
 
-def _drive_rk4(xs, n_sub, r0, phi0, k, mp, power, form, r_cap):
+def _drive_rk4(xs, n_sub, r0, phi0, k, power, form, r_cap):
     """Classical RK4 with n_sub[i] equal steps on segment xs[i] -> xs[i+1].
 
     Plain full-system stepping, no stiffness bypass; meant for
@@ -387,10 +387,10 @@ def _drive_rk4(xs, n_sub, r0, phi0, k, mp, power, form, r_cap):
         x = x0
         for _ in range(n):
             try:
-                k1r, k1p = _rhs_x(x, r, phi, k, mp, power, form)
-                k2r, k2p = _rhs_x(x + 0.5 * h, r + 0.5 * h * k1r, phi + 0.5 * h * k1p, k, mp, power, form)
-                k3r, k3p = _rhs_x(x + 0.5 * h, r + 0.5 * h * k2r, phi + 0.5 * h * k2p, k, mp, power, form)
-                k4r, k4p = _rhs_x(x + h, r + h * k3r, phi + h * k3p, k, mp, power, form)
+                k1r, k1p = _rhs_x(x, r, phi, k, power, form)
+                k2r, k2p = _rhs_x(x + 0.5 * h, r + 0.5 * h * k1r, phi + 0.5 * h * k1p, k, power, form)
+                k3r, k3p = _rhs_x(x + 0.5 * h, r + 0.5 * h * k2r, phi + 0.5 * h * k2p, k, power, form)
+                k4r, k4p = _rhs_x(x + h, r + h * k3r, phi + h * k3p, k, power, form)
                 r_new = r + h * (k1r + 2.0 * k2r + 2.0 * k3r + k4r) / 6.0
                 p_new = phi + h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
             except (OverflowError, ZeroDivisionError):

@@ -2,13 +2,14 @@
 
 Everything downstream is parametrized by two per-(eta, k) numbers:
 
-    mu2      = k / M_P                  (dimensionless dissipative coefficient)
+    mu2      = k / M_P = k              (dimensionless dissipative coefficient)
     coupling = |z'/z| = 1/|eta|         (closed-system coupling, inverse time)
 
 with z = sqrt(2 eps) a and a(eta) = -1/(H eta) for conformal time eta < 0,
 so z'/z = a'/a = -1/eta at constant slow-roll eps.  Units are Planck units
-throughout (M_P = 1 by default); wavenumber labels in Mpc^-1 are mapped onto
-the internal dimensionless grid by the pipeline, never here.
+throughout, M_P = 1; a mode has one fixed comoving k, so mu2' = 0.
+Wavenumber labels in Mpc^-1 are mapped onto the internal dimensionless grid
+by the pipeline, never here.
 
 The ladder coefficients of the tridiagonal mode chain are
 
@@ -43,20 +44,16 @@ class BackgroundParams:
 
     hubble_rate : Hubble rate H (inverse time, constant during inflation)
     epsilon     : slow-roll parameter, 0 < epsilon < 1
-    planck_mass : mass unit normalization (1.0 = Planck units)
     """
 
     hubble_rate: float = 1.0
     epsilon: float = 0.01
-    planck_mass: float = 1.0
 
     def __post_init__(self):
         if not self.hubble_rate > 0:
             raise ValueError(f"hubble_rate must be > 0, got {self.hubble_rate}")
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if not self.planck_mass > 0:
-            raise ValueError(f"planck_mass must be > 0, got {self.planck_mass}")
 
 
 @dataclass(frozen=True)
@@ -66,12 +63,10 @@ class CouplingCoefficients:
     mu2      : k / M_P (dimensionless)
     coupling : M_P sqrt|1 - mu1^2| = |z'/z| (inverse time); mu1 never appears
                alone, only through this combination
-    mu2_rate : conformal-time derivative of mu2 (0 for a fixed comoving k)
     """
 
     mu2: float
     coupling: float
-    mu2_rate: float = 0.0
 
     def __post_init__(self):
         if self.mu2 < 0:
@@ -108,33 +103,27 @@ def scale_factor(eta: float, params: BackgroundParams) -> float:
     return -1.0 / (params.hubble_rate * eta)
 
 
-def z_rate(eta: float, params: BackgroundParams) -> float:
+def z_rate(eta: float) -> float:
     """z'/z = -1/eta (constant-eps de Sitter; positive for eta < 0)."""
     if eta >= 0:
         raise ValueError(f"conformal time must be < 0 (inflation), got eta={eta}")
     return -1.0 / eta
 
 
-def couplings(eta: float, k: float, params: BackgroundParams) -> CouplingCoefficients:
+def couplings(eta: float, k: float) -> CouplingCoefficients:
     """Coupling coefficients at conformal time eta for comoving wavenumber k.
 
-    At horizon crossing (eta = -1/k) coupling * |eta| = 1 and
-    coupling = mu2 * planck_mass exactly.
+    At horizon crossing (eta = -1/k) coupling * |eta| = 1 and coupling = mu2
+    exactly.
     """
     if eta >= 0:
         raise ValueError(f"conformal time must be < 0 (inflation), got eta={eta}")
     if k <= 0:
         raise ValueError(f"wavenumber must be > 0, got k={k}")
-    return CouplingCoefficients(
-        mu2=k / params.planck_mass,
-        coupling=abs(z_rate(eta, params)),
-        mu2_rate=0.0,
-    )
+    return CouplingCoefficients(mu2=k, coupling=abs(z_rate(eta)))
 
 
-def lanczos_chain(
-    n_max: int, eta: float, k: float, params: BackgroundParams
-) -> LanczosChain:
+def lanczos_chain(n_max: int, eta: float, k: float) -> LanczosChain:
     """Ladder coefficients b_n = n |z'/z| and c_n magnitudes (2n+1) k, n = 0..n_max.
 
     b_n grows without bound in n (linearly), the signature of an infinite
@@ -144,6 +133,6 @@ def lanczos_chain(
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if k <= 0:
         raise ValueError(f"wavenumber must be > 0, got k={k}")
-    rate = abs(z_rate(eta, params))
+    rate = abs(z_rate(eta))
     n = np.arange(n_max + 1, dtype=float)
     return LanczosChain(b=n * rate, c_mag=(2.0 * n + 1.0) * k)

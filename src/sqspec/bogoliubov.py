@@ -41,7 +41,6 @@ from .squeeze_dynamics import SqueezeState
 
 __all__ = [
     "BogoliubovPair",
-    "ModeSample",
     "bd_mode",
     "coefficients",
     "mode_function",
@@ -58,16 +57,6 @@ class BogoliubovPair:
     alpha: complex
     beta: complex
     wronskian_residual: float
-
-
-@dataclass(frozen=True)
-class ModeSample:
-    """One mode-function evaluation; source is 'BD' or 'OTMSS'."""
-
-    eta: float
-    k: float
-    value: complex
-    source: str
 
 
 def bd_mode(eta: float, k: float) -> complex:

@@ -18,7 +18,7 @@ import sys
 import time
 
 from .config import _ENUMS, ConfigError, load_config
-from .pipeline import run_sweep, verify, write_outputs
+from .pipeline import fit_skipped, run_sweep, verify, write_outputs
 
 # config key -> (flag, add_argument options) of the per-run overrides
 _OVERRIDE_FLAGS = {
@@ -107,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
         s = report.summary
         print(f"swept {s.n_records} modes in {dt:.2f} s ({s.n_failures} failures)")
         print(f"max |gamma - 1| = {s.max_abs_gamma_minus_one:.3e}")
-        print(f"fitted tilt = {s.tilt_fit:.6f}")
+        print(f"fitted tilt = {fit_skipped(s) or format(s.tilt_fit, '.6f')}")
         for path in files:
             print(f"wrote {path}")
         return 0 if s.n_failures == 0 else 2

@@ -21,7 +21,8 @@ The dissipative two-mode squeezed vacuum has the geometric amplitude series
     psi_n = sech(r)/(1 + mu2 tanh r) * [ sqrt|1-mu1^2| *
             (-e^{2 i phi} tanh r) / (1 + mu2 tanh r) ]^n
 
-over |n, n>, which reduces at mu2 -> 0, |1-mu1^2| -> 1 to the pure two-mode
+over |n, n>, in Planck units (M_P = 1, so mu2 = k and sqrt|1-mu1^2| =
+|z'/z|).  It reduces at mu2 -> 0, |1-mu1^2| -> 1 to the pure two-mode
 squeezed state psi_n = (-1)^n e^{2 i n phi} tanh^n(r) / cosh(r).  The series
 is returned unnormalized by default: for mu2 != 0 its norm is not 1, and that
 deficit is itself a dissipation diagnostic, so it is exposed rather than
@@ -194,19 +195,18 @@ def otmss_amplitudes(
     couplings: CouplingCoefficients,
     n_max: int | None = None,
     normalize: bool = False,
-    planck_mass: float = 1.0,
     tail_tol: float = 1e-13,
 ) -> OtmssAmplitudes:
     """Amplitude series of the dissipative squeezed vacuum at (r, phi).
 
-    sqrt|1 - mu1^2| is reconstructed as coupling / planck_mass.  With
+    sqrt|1 - mu1^2| is couplings.coupling (M_P sqrt|1 - mu1^2|, M_P = 1).  With
     n_max=None the truncation is chosen so the geometric tail of |psi_n|^2
     falls below tail_tol.  Raises AmplitudeDivergenceError when the geometric
     ratio reaches 1 (the series no longer converges).
     """
     if r < 0:
         raise ValueError(f"squeeze amplitude must be >= 0, got r={r}")
-    root = couplings.coupling / planck_mass  # sqrt|1 - mu1^2|
+    root = couplings.coupling  # sqrt|1 - mu1^2|
     t = math.tanh(r)
     denom = 1.0 + couplings.mu2 * t
     rho = root * t / denom

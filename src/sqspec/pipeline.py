@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .background import BackgroundParams, CouplingCoefficients, LanczosChain, lanczos_chain
+from .background import CouplingCoefficients, LanczosChain, lanczos_chain
 from .bogoliubov import coefficients, occupation
 from .config import ConfigError, SweepConfig, parse_config, serialize
 from .krylov import characteristic_poly_residual, meixner_poly, otmss_amplitudes, tmss_amplitudes
@@ -42,6 +42,8 @@ CSV_COLUMNS = (
     "k", "r", "phi", "occupation", "gamma",
     "power_bd", "power_otmss", "wronskian_residual",
 )
+# fewest records the power-law tilt fit is run on
+_FIT_MIN_RECORDS = 3
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ def run_sweep(config: SweepConfig) -> RunReport:
             )
         )
 
-    if len(records) >= 3:
+    if len(records) >= _FIT_MIN_RECORDS:
         amplitude_fit, tilt_fit = fit_tilt(records, pivot=config.k_pivot)
     else:
         amplitude_fit, tilt_fit = float("nan"), float("nan")
@@ -156,6 +158,13 @@ def run_sweep(config: SweepConfig) -> RunReport:
         summary=summary,
         provenance=provenance,
     )
+
+
+def fit_skipped(summary: SummaryStats) -> str | None:
+    """Why the tilt fit was not run (its values are then NaN), or None."""
+    if summary.n_records >= _FIT_MIN_RECORDS:
+        return None
+    return f"not fitted (needs {_FIT_MIN_RECORDS} records, got {summary.n_records})"
 
 
 def _fmt(value: float) -> str:
@@ -227,8 +236,8 @@ def write_outputs(report: RunReport, out_dir: str | Path) -> list[Path]:
         f"max |gamma - 1|: {s.max_abs_gamma_minus_one:.6e}",
         f"max wronskian residual: {s.max_wronskian_residual:.6e}",
         f"max occupation |beta|^2: {s.max_occupation:.6e}",
-        f"fitted amplitude at pivot: {s.amplitude_fit:.6e}",
-        f"fitted tilt: {s.tilt_fit:.10f}",
+        f"fitted amplitude at pivot: {fit_skipped(s) or format(s.amplitude_fit, '.6e')}",
+        f"fitted tilt: {fit_skipped(s) or format(s.tilt_fit, '.10f')}",
     ]
     if report.failures:
         summary_lines.append("failed k values:")
@@ -251,9 +260,8 @@ def write_outputs(report: RunReport, out_dir: str | Path) -> list[Path]:
 
 
 def _check_meixner_determinant(rng: np.random.RandomState) -> tuple[bool, str]:
-    params = BackgroundParams()
     chains = {
-        "de-sitter": lanczos_chain(10, eta=-1.0, k=1.0, params=params),
+        "de-sitter": lanczos_chain(10, eta=-1.0, k=1.0),
         "random-positive": LanczosChain(
             b=np.concatenate([[0.0], rng.uniform(0.2, 3.0, size=10)]),
             c_mag=rng.uniform(0.1, 5.0, size=11),

@@ -16,7 +16,7 @@ with Planck normalization A_s = 2.196e-9, n_s = 0.9649 at k_* = 0.05 Mpc^-1.
 curvature_power supports two constructions: "anchored" multiplies that
 power law by gamma_z (what the desk-scale figures show), "first-principles"
 builds (k^3 / 2 pi^2) |v_BD|^2 gamma_z / (2 eps a^2 M_P^2) from the
-background directly.
+background directly, in Planck units (M_P = 1).
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ def curvature_power(
     """Curvature power of the squeezed vacuum at wavenumber k.
 
     mode="anchored": bd_reference_power(k) * gamma_z with k in Mpc^-1 labels.
-    mode="first-principles": mode_power / (2 eps a^2 M_P^2) with k internal
-    and the background evaluated at eta (< 0).
+    mode="first-principles": mode_power / (2 eps a^2) (M_P = 1) with k
+    internal and the background evaluated at eta (< 0).
     """
     if mode == "anchored":
         if anchors is None:
@@ -130,9 +130,7 @@ def curvature_power(
         if params is None or eta is None:
             raise ValueError("first-principles mode needs params and eta")
         a = scale_factor(eta, params)
-        return mode_power(eta, k, state) / (
-            2.0 * params.epsilon * a**2 * params.planck_mass**2
-        )
+        return mode_power(eta, k, state) / (2.0 * params.epsilon * a**2)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -10,9 +10,11 @@ The flow in conformal time eta (prime = d/deta, all in Planck units) is
     phi' = -M_P mu2 + (1/2) sin(2 phi) [ A tanh(r)/(1 + mu2 tanh r)
                                          + M_P (coth r + mu2) ]
 
-where A is the closed-coupling factor.  Two conventions are supported, since
-the coupling enters the parent Hamiltonian as M_P sqrt|1 - mu1^2| = |z'/z|
-but the flow above squares it:
+where A is the closed-coupling factor.  The code sets M_P = 1, so mu2 = k,
+and each mode has one fixed comoving k, so mu2' = 0 here and its terms drop
+out.  Two conventions are supported for A, since the coupling enters the
+parent Hamiltonian as M_P sqrt|1 - mu1^2| = |z'/z| but the flow above
+squares it:
 
     coupling_power="literal"                A = M_P |1 - mu1^2| = (z'/z)^2 / M_P
     coupling_power="hamiltonian-consistent" A = |z'/z|
@@ -20,7 +22,7 @@ but the flow above squares it:
 The two r' forms are algebraically identical (sinh 2r / (sinh 2r +
 2 mu2 cosh^2 r) == tanh r / (tanh r + mu2)); they are kept as separate code
 paths so they can cross-check each other.  A third right-hand side,
-rhs_closed_reference, is the analytic mu2 = mu2' = 0 limit (the pure
+rhs_closed_reference, is the analytic mu2 = 0 limit (the pure
 two-mode-squeezed flow) used as a weak-dissipation oracle.
 
 Integration runs in the dimensionless variable x = -k eta (d/dx =
@@ -44,7 +46,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from . import _integrators as _eng
-from .background import BackgroundParams, CouplingCoefficients, couplings as _bg_couplings
+from .background import CouplingCoefficients, couplings as _bg_couplings
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import SweepConfig
@@ -169,53 +171,46 @@ class ModeResult:
     stats: IntegratorStats | None = None
 
 
-def _resolve_rhs_inputs(state, k, params, cc, coupling_power):
-    if params is None:
-        params = BackgroundParams()
+def _resolve_rhs_inputs(state, k, cc, coupling_power):
     if cc is None:
-        eta = -state.x / k
-        cc = _bg_couplings(eta, k, params)
+        cc = _bg_couplings(-state.x / k, k)
     if coupling_power not in _eng.COUPLING_POWERS:
         raise ValueError(f"unknown coupling_power {coupling_power!r}")
-    mp = params.planck_mass
-    return _eng._closed_coupling(cc.coupling, mp, coupling_power), cc.mu2, cc.mu2_rate, mp
+    return _eng._closed_coupling(cc.coupling, coupling_power), cc.mu2
 
 
 def rhs_conformal(
     state: SqueezeState,
     k: float,
-    params: BackgroundParams | None = None,
     couplings: CouplingCoefficients | None = None,
     coupling_power: str = "literal",
 ) -> tuple[float, float]:
     """(dr/deta, dphi/deta) of the conformal-form flow at the given state."""
-    a_cc, mu2, mu2_rate, mp = _resolve_rhs_inputs(state, k, params, couplings, coupling_power)
-    return _eng._rhs_eta(state.r, state.phi, a_cc, mu2, mu2_rate, mp, "conformal")
+    a_cc, mu2 = _resolve_rhs_inputs(state, k, couplings, coupling_power)
+    return _eng._rhs_eta(state.r, state.phi, a_cc, mu2, "conformal")
 
 
 def rhs_transformed(
     state: SqueezeState,
     k: float,
-    params: BackgroundParams | None = None,
     couplings: CouplingCoefficients | None = None,
     coupling_power: str = "literal",
 ) -> tuple[float, float]:
     """(dr/dtau, dphi/dtau) of the transformed-form flow; tau is identified
     with conformal time, so the two forms can be compared directly."""
-    a_cc, mu2, mu2_rate, mp = _resolve_rhs_inputs(state, k, params, couplings, coupling_power)
-    return _eng._rhs_eta(state.r, state.phi, a_cc, mu2, mu2_rate, mp, "transformed")
+    a_cc, mu2 = _resolve_rhs_inputs(state, k, couplings, coupling_power)
+    return _eng._rhs_eta(state.r, state.phi, a_cc, mu2, "transformed")
 
 
 def rhs_closed_reference(
     state: SqueezeState,
     k: float,
-    params: BackgroundParams | None = None,
     couplings: CouplingCoefficients | None = None,
     coupling_power: str = "literal",
 ) -> tuple[float, float]:
     """(dr/deta, dphi/deta) of the analytic dissipation-free limit."""
-    a_cc, _, _, mp = _resolve_rhs_inputs(state, k, params, couplings, coupling_power)
-    return _eng._rhs_eta(state.r, state.phi, a_cc, 0.0, 0.0, mp, "closed-reference")
+    a_cc, _ = _resolve_rhs_inputs(state, k, couplings, coupling_power)
+    return _eng._rhs_eta(state.r, state.phi, a_cc, 0.0, "closed-reference")
 
 
 def _sample_grid(
@@ -249,7 +244,6 @@ def integrate(
     init: tuple[float, float] | None = None,
     form: str = "conformal",
     *,
-    params: BackgroundParams | None = None,
     coupling_power: str = "literal",
     rtol: float = 1e-10,
     atol: float = 1e-10,
@@ -272,7 +266,7 @@ def integrate(
     a window shorter than 8000 relaxation lengths, is stepped through with
     the full system.  method="fixed" is the classical RK4 cross-validator
     with step h_fixed subdivided exactly into each checkpoint segment.
-    mu2 = k/M_P is constant along the trajectory, so mu2' = 0.  The coupling
+    mu2 = k is constant along the trajectory, so mu2' = 0.  The coupling
     always follows the background (a sweep's zero_coupling debug run is
     answered by evolve_grid without integrating), and r is never clamped: an
     adaptive step that would take r below 0 or past ~354.9, where cosh 2r
@@ -318,17 +312,15 @@ def integrate(
     if not 0 <= r0 <= _eng._R_MAX:
         raise ValueError(f"init r must lie in [0, {_eng._R_MAX:.4f}], got {r0}")
 
-    if params is None:
-        params = BackgroundParams()
     xs = _sample_grid(x_start, x_end, samples)
-    k, mp, rtol, atol = float(k), float(params.planck_mass), float(rtol), float(atol)
+    k, rtol, atol = float(k), float(rtol), float(atol)
 
     if method == "adaptive":
         (
             out_r, out_phi, status, n_steps, n_rej, max_err, n_slaved, capped,
             x_stop, r_stop, phi_stop,
         ) = _eng._drive_adaptive(
-            xs, r0, phi0, k, mp, coupling_power, form, rtol, atol, r_cap, max_steps,
+            xs, r0, phi0, k, coupling_power, form, rtol, atol, r_cap, max_steps,
         )
         stats = IntegratorStats(
             method="adaptive",
@@ -346,7 +338,7 @@ def integrate(
             raise ValueError(f"h_fixed must be > 0, got {h_fixed}")
         n_sub = [max(1, math.ceil((a - b) / h_fixed)) for a, b in zip(xs, xs[1:])]
         out_r, out_phi, ok, n_steps, capped, x_bad, r_bad = _eng._drive_rk4(
-            xs, n_sub, r0, phi0, k, mp, coupling_power, form, r_cap,
+            xs, n_sub, r0, phi0, k, coupling_power, form, r_cap,
         )
         if not ok:
             raise ValueError(
@@ -393,12 +385,9 @@ def integrate(
 def evolve_grid(
     k_grid: Iterable[float],
     config: "SweepConfig",
-    eval_point: str | None = None,
 ) -> list[ModeResult]:
-    """Evaluate each mode of the grid at the configured evaluation point.
-
-    eval_point overrides config.eval_point when given ("super-horizon" ->
-    state at x_end, "horizon-crossing" -> state at x = 1).  Each mode is
+    """Evaluate each mode of the grid at config.eval_point ("super-horizon"
+    -> state at x_end, "horizon-crossing" -> state at x = 1).  Each mode is
     integrated from x_start to its evaluation point and no further, so the
     stats (steps, cap hits) cover exactly the evaluated stretch.  Integrator
     failures (StepSizeUnderflowError, StepBudgetError) are recorded in the
@@ -412,12 +401,8 @@ def evolve_grid(
     if any(b < a for a, b in zip(ks, ks[1:])):
         raise ValueError("k grid must be ascending")
 
-    where = eval_point if eval_point is not None else config.eval_point
-    if where not in ("super-horizon", "horizon-crossing"):
-        raise ValueError(f"unknown eval_point {where!r}")
-    eval_x = config.x_end if where == "super-horizon" else 1.0
+    eval_x = config.x_end if config.eval_point == "super-horizon" else 1.0
 
-    params = BackgroundParams()
     results: list[ModeResult] = []
     for k_label in ks:
         k_int = k_label * config.unit_scale
@@ -441,7 +426,6 @@ def evolve_grid(
                     eval_x,
                     init=(config.init_r, config.init_phi),
                     form=config.form,
-                    params=params,
                     coupling_power=config.coupling_power,
                     rtol=config.rtol,
                     atol=config.atol,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from perfbench import oracle
-from sqspec.background import BackgroundParams, CouplingCoefficients, LanczosChain, lanczos_chain
+from sqspec.background import CouplingCoefficients, LanczosChain, lanczos_chain
 from sqspec.bogoliubov import coefficients
 from sqspec.config import SweepConfig
 from sqspec.krylov import (
@@ -86,7 +86,7 @@ def test_criterion_03_meixner_lanczos_equivalence():
     rng = np.random.RandomState(303)
     t0 = time.perf_counter()
     chains = [
-        lanczos_chain(10, eta=-1.0, k=1.0, params=BackgroundParams()),
+        lanczos_chain(10, eta=-1.0, k=1.0),
         LanczosChain(
             b=np.concatenate([[0.0], rng.uniform(0.2, 3.0, size=10)]),
             c_mag=rng.uniform(0.1, 5.0, size=11),

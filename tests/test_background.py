@@ -45,77 +45,71 @@ class TestZRate:
         "eta,expected", [(-1.0, 1.0), (-2.0, 0.5), (-0.1, 10.0)]
     )
     def test_values(self, eta, expected):
-        assert z_rate(eta, BackgroundParams()) == pytest.approx(expected, rel=1e-15)
+        assert z_rate(eta) == pytest.approx(expected, rel=1e-15)
 
     def test_rejects_nonnegative_eta(self):
         with pytest.raises(ValueError):
-            z_rate(0.0, BackgroundParams())
+            z_rate(0.0)
 
 
 class TestCouplings:
     def test_horizon_crossing_equality(self):
         # at eta = -1/k the coupling equals mu2 * M_P exactly
         for k in (1e-4, 0.05, 1.0, 3.0):
-            cc = couplings(-1.0 / k, k, BackgroundParams())
+            cc = couplings(-1.0 / k, k)
             assert cc.coupling == cc.mu2 * 1.0
 
-    def test_horizon_crossing_with_units(self):
-        p = BackgroundParams(planck_mass=2.0)
-        cc = couplings(-1.0 / 0.4, 0.4, p)
-        assert cc.coupling == pytest.approx(cc.mu2 * p.planck_mass, rel=1e-15)
-
     def test_sub_horizon(self):
-        cc = couplings(-100.0, 1.0, BackgroundParams())
+        cc = couplings(-100.0, 1.0)
         assert cc.mu2 == 1.0
         assert cc.coupling == pytest.approx(0.01, rel=1e-15)
-        assert cc.mu2_rate == 0.0
 
     def test_super_horizon(self):
-        cc = couplings(-0.01, 1.0, BackgroundParams())
+        cc = couplings(-0.01, 1.0)
         assert cc.coupling == pytest.approx(100.0, rel=1e-15)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            couplings(0.5, 1.0, BackgroundParams())
+            couplings(0.5, 1.0)
         with pytest.raises(ValueError):
-            couplings(-1.0, -2.0, BackgroundParams())
+            couplings(-1.0, -2.0)
 
 
 class TestLanczosChain:
     def test_first_rung_de_sitter(self):
-        ch = lanczos_chain(1, eta=-1.0, k=1.0, params=BackgroundParams())
+        ch = lanczos_chain(1, eta=-1.0, k=1.0)
         assert ch.b[1] == 1.0
         assert ch.c_mag[1] == 3.0
 
     def test_zeroth_rung(self):
-        ch = lanczos_chain(0, eta=-3.3, k=0.7, params=BackgroundParams())
+        ch = lanczos_chain(0, eta=-3.3, k=0.7)
         assert len(ch) == 1
         assert ch.b[0] == 0.0
         assert ch.c_mag[0] == 0.7
 
     def test_fifth_rung(self):
         # b_5 = 5 * (1/2), c_5 = 11 * 0.5, hand-substituted
-        ch = lanczos_chain(5, eta=-2.0, k=0.5, params=BackgroundParams())
+        ch = lanczos_chain(5, eta=-2.0, k=0.5)
         assert ch.b[5] == pytest.approx(2.5, rel=1e-15)
         assert ch.c_mag[5] == pytest.approx(5.5, rel=1e-15)
 
     def test_linearity_in_n(self):
-        ch = lanczos_chain(40, eta=-3.0, k=0.9, params=BackgroundParams())
+        ch = lanczos_chain(40, eta=-3.0, k=0.9)
         n = np.arange(1, 41)
         np.testing.assert_allclose(ch.b[1:] / ch.b[1], n, rtol=1e-15)
 
     def test_c_increment_is_2k(self):
         k = 0.37
-        ch = lanczos_chain(30, eta=-1.0, k=k, params=BackgroundParams())
+        ch = lanczos_chain(30, eta=-1.0, k=k)
         np.testing.assert_allclose(np.diff(ch.c_mag), 2.0 * k, rtol=1e-14)
 
     def test_offdiagonal_positive(self):
-        ch = lanczos_chain(12, eta=-0.2, k=0.3, params=BackgroundParams())
+        ch = lanczos_chain(12, eta=-0.2, k=0.3)
         assert np.all(ch.b[1:] > 0)
 
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
-            lanczos_chain(-1, eta=-1.0, k=1.0, params=BackgroundParams())
+            lanczos_chain(-1, eta=-1.0, k=1.0)
 
 
 class TestParamsValidation:
@@ -128,5 +122,3 @@ class TestParamsValidation:
     def test_positive_rates(self):
         with pytest.raises(ValueError, match="hubble_rate"):
             BackgroundParams(hubble_rate=-1.0)
-        with pytest.raises(ValueError, match="planck_mass"):
-            BackgroundParams(planck_mass=0.0)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sqspec.bogoliubov import (
-    ModeSample,
     bd_mode,
     coefficients,
     mode_function,
@@ -46,10 +45,9 @@ class TestBdMode:
             bd_mode(0.0, 1.0)
 
     def test_mode_sample_asymptotic_invariant(self):
-        # deep sub-horizon BD samples carry |value|^2 -> 1/(2k)
+        # deep sub-horizon the BD mode carries |v_BD|^2 -> 1/(2k)
         k = 0.7
-        sample = ModeSample(eta=-1e7 / k, k=k, value=bd_mode(-1e7 / k, k), source="BD")
-        assert abs(sample.value) ** 2 == pytest.approx(1.0 / (2 * k), rel=1e-10)
+        assert abs(bd_mode(-1e7 / k, k)) ** 2 == pytest.approx(1.0 / (2 * k), rel=1e-10)
 
 
 class TestCoefficients:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sqspec.background import BackgroundParams, CouplingCoefficients, LanczosChain, lanczos_chain
+from sqspec.background import CouplingCoefficients, LanczosChain, lanczos_chain
 from sqspec.krylov import (
     AmplitudeDivergenceError,
     build_liouvillian,
@@ -15,7 +15,7 @@ from sqspec.krylov import (
 
 
 def de_sitter_chain(n_max=12, eta=-1.0, k=1.0):
-    return lanczos_chain(n_max, eta=eta, k=k, params=BackgroundParams())
+    return lanczos_chain(n_max, eta=eta, k=k)
 
 
 def random_positive_chain(rng, n_max=12):

@@ -181,6 +181,16 @@ class TestCli:
         assert (tmp_path / "out" / "records.csv").exists()
         assert "swept 12 modes" in capsys.readouterr().out
 
+    def test_two_modes_report_the_fit_as_not_run(self, tmp_path, capsys):
+        # k_points = 2 is valid, but the tilt fit needs 3 records
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--k-points", "2", "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        summary = (out / "summary.txt").read_text()
+        for text in (stdout, summary):
+            assert "not fitted (needs 3 records, got 2)" in text
+            assert "nan" not in text.lower()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("k_min = 2.0\nk_max = 1.0\n")

@@ -7,7 +7,7 @@ import pytest
 
 from sqspec import _integrators as eng
 from sqspec import squeeze_dynamics
-from sqspec.background import BackgroundParams, CouplingCoefficients
+from sqspec.background import CouplingCoefficients
 from sqspec.config import SweepConfig
 from sqspec.pipeline import make_k_grid
 from sqspec.squeeze_dynamics import (
@@ -75,7 +75,6 @@ class TestRhsPointwise:
             cc = CouplingCoefficients(
                 mu2=rng.uniform(0.0, 2.0),
                 coupling=rng.uniform(0.01, 3.0),
-                mu2_rate=rng.uniform(-0.5, 0.5),
             )
             a = rhs_conformal(state, 1.0, couplings=cc)
             b = rhs_transformed(state, 1.0, couplings=cc)
@@ -301,7 +300,7 @@ class TestIntegrate:
         flags = []
 
         def spy(*args):
-            flags.append(len(args) > 7 and args[7])
+            flags.append(len(args) > 6 and args[6])
             return rhs_x(*args)
 
         rhs_x = eng._rhs_x
@@ -323,7 +322,7 @@ class TestSlavedBranch:
          (0.02, 4.0, 1.0)],
     )
     def test_matches_rhs_at_attractor(self, form, power, x, r, k):
-        args = (k, 1.0, power, form)
+        args = (k, power, form)
         s = eng._branch(x, r, *args)[3]
         assert 0.0 <= s < 0.99
         phi_star = eng._attractor_phi(s, math.pi / 2)
@@ -336,7 +335,7 @@ class TestSlavedBranch:
         # the driver's one stage sequence runs the slaved regime through
         # _rhs_x(..., slaved=True): dr/dx from the branch whatever angle is
         # passed, dphi/dx exactly 0
-        args = (0.05, 1.0, "literal", form)
+        args = (0.05, "literal", form)
         for x, r in ((100.0, 1e-6), (10.0, 3.0)):
             dr, dphi = eng._rhs_x(x, r, math.pi / 2, *args, slaved=True)
             assert dphi == 0.0 and math.isfinite(dr)
@@ -356,14 +355,14 @@ class TestSlavedBranch:
     def test_slaved_stage_off_the_branch_is_nan(self, form):
         # at x = 10, r = 3, k = 10 the bracket is ~11.1, so sin(2 phi*) =
         # 2 mu2 / B ~ 1.8: no fixed point, and the stage is rejected
-        args = (10.0, 1.0, "literal", form)
+        args = (10.0, "literal", form)
         assert eng._branch(10.0, 3.0, *args)[3] > 1.0
         dr, dphi = eng._rhs_x(10.0, 3.0, 0.4, *args, slaved=True)
         assert math.isnan(dr) and dphi == 0.0
 
     def test_non_finite_angle_gives_nan(self):
         # a stage angle driven to inf through coth(0) must be rejected, not raise
-        derivs = eng._rhs_eta(1e-6, math.inf, 1.0, 0.1, 0.0, 1.0, "conformal")
+        derivs = eng._rhs_eta(1e-6, math.inf, 1.0, 0.1, "conformal")
         assert all(math.isnan(v) for v in derivs)
 
 
@@ -431,7 +430,7 @@ class TestSeededLayer:
         # sample L relaxation lengths past the seed, where the stepped layer
         # has decayed to the branch: a tight plain run must agree there (its
         # window is shorter than 8000 relaxation lengths, so it is not seeded)
-        rate = eng._branch(100.0, 1e-6, k, 1.0, "literal", "conformal")[2]
+        rate = eng._branch(100.0, 1e-6, k, "literal", "conformal")[2]
         x_s = 100.0 - lengths / rate
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CappedGrowthWarning)
@@ -457,7 +456,7 @@ class TestSeededLayer:
         flags = []
 
         def spy(*args):
-            flags.append(len(args) > 7 and args[7])
+            flags.append(len(args) > 6 and args[6])
             return rhs_x(*args)
 
         rhs_x = eng._rhs_x
@@ -498,8 +497,8 @@ class TestEvolveGrid:
         assert res[0].state == traj.state_at(1.0)
 
     def test_single_k_matches_integrate_super_horizon(self):
-        cfg = SweepConfig()
-        res = evolve_grid([0.5], cfg, eval_point="super-horizon")
+        cfg = SweepConfig(eval_point="super-horizon")
+        res = evolve_grid([0.5], cfg)
         assert len(res) == 1 and res[0].error is None
         traj = integrate(
             0.5, cfg.x_start, cfg.x_end,
@@ -514,8 +513,8 @@ class TestEvolveGrid:
         assert res[0].state == res[1].state
 
     def test_super_horizon_eval(self):
-        cfg = SweepConfig()
-        res = evolve_grid([0.01], cfg, eval_point="super-horizon")
+        cfg = SweepConfig(eval_point="super-horizon")
+        res = evolve_grid([0.01], cfg)
         assert res[0].state.x == cfg.x_end
 
     def test_failures_flagged_not_raised(self):

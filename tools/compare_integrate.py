@@ -18,7 +18,7 @@ samples (of the partial trajectory for a typed integrator failure), the
 integrator stats and the warning types.  The script prints how many results
 are identical and how many differ, a table of outcome pairs, and the cause of
 each difference: a fixed-step input, an input where either tree evaluated a
-slaved stage off the angle's branch (sin 2phi* outside [0, 0.99)), or other.
+slaved stage off the angle's branch (one whose dr/dx is NaN), or other.
 For each differing input that has samples on both sides it prints the error
 of both sides against a tight run (rtol 1e-13, atol 1e-16) of OLD_SRC: the
 largest relative error of r and absolute error of phi over the checkpoints
@@ -82,16 +82,13 @@ def run_worker():
     off_branch = [0]
     rhs_x = eng._rhs_x
 
-    def spy(x, r, phi, k, mp, power, form, slaved=False):
-        if slaved and form != "closed-reference":
-            try:
-                a_cc, mu2 = eng._couplings_x(x, k, mp, power)
-                s = 2.0 * mp * mu2 / eng._phase_bracket(r, a_cc, mu2, mp, form)
-            except (OverflowError, ZeroDivisionError):
-                s = math.nan
-            if not 0.0 <= s < 0.99:
-                off_branch[0] += 1
-        return rhs_x(x, r, phi, k, mp, power, form, slaved)
+    def spy(*args):
+        # the drivers pass slaved=True last and positionally; a slaved stage
+        # off the branch returns a NaN dr/dx
+        derivs = rhs_x(*args)
+        if args[-1] is True and math.isnan(derivs[0]):
+            off_branch[0] += 1
+        return derivs
 
     eng._rhs_x = spy
     results = []
