@@ -7,11 +7,27 @@ Two engines, both explicit:
   * a classical fixed-step fourth-order Runge-Kutta scheme used for
     cross-validation.
 
-The flow is integrated in the dimensionless variable x = -k eta, which
-decreases from deep sub-horizon (x >> 1) through horizon crossing (x = 1)
-to the super-horizon evaluation point, so steps are negative in x.  Each
-trajectory has one fixed comoving k, so in Planck units (M_P = 1) mu2 = k
-is constant and mu2' = 0.
+Both follow the dimensionless variable x = -k eta, which decreases from deep
+sub-horizon (x >> 1) through horizon crossing (x = 1) to the super-horizon
+evaluation point.  Each trajectory has one fixed comoving k, so in Planck
+units (M_P = 1) mu2 = k is constant and mu2' = 0.  The RK4 driver steps
+(r, phi) against x.  The adaptive driver steps (u, phi) = (ln r, phi)
+against tau = -1/x, where 1/x = a/a_k is the scale factor in units of its
+value at horizon crossing; tau decreases with x, so steps are negative in
+both.  On the attractor d ln r/dtau = -k/(r + k) (the Lambert-W form in
+perfbench/oracle.py), so ln r is linear in tau while r << k and the steps
+are long.  The error norm of u is rtol alone, which is relative in r at any
+size of r, and atol guards the angle only (atol + rtol |phi|).  The default
+200-mode sweep at x = 1 takes 1,280 step attempts and 0.054 s (2-core Xeon,
+Python 3.11), and its r lands within 6.7e-12 of the closed form.
+
+_flow holds the printed flow in conformal time, each formula once: the
+closed-coupling factor, the coth r Laurent series, the bracket B of the angle
+equation, s = sin(2 phi*) = 2 mu2 / B of its attractor and dr/deta of each
+form.  _stage, the adaptive driver's stage, turns it into (du/dtau,
+dphi/dtau) in one call, so a stage is two Python calls; the RK4 driver's
+_rhs_x and the public rhs_* functions in squeeze_dynamics read the same
+copy.
 
 Stiffness handling.  The rotation-angle equation carries a coth(r) relaxation
 rate: for r ~ 1e-6 the angle is attracted to its quasi-static fixed point
@@ -24,47 +40,49 @@ attraction is so strong that the angle deviates from the fixed-point branch
     cos(2 phi*) = -sqrt(1 - sin^2(2 phi*))        (the attracting branch)
 
 by less than one part in 1e12 once locked.  The adaptive driver therefore
-has an adiabatic (slaved) regime: the angle is held on the branch (dphi/dx =
-0) and r alone is advanced.  Both regimes run the same Dormand-Prince stage
+has an adiabatic (slaved) regime: the angle is held on the branch (dphi/dtau
+= 0) and u alone is advanced.  Both regimes run the same Dormand-Prince stage
 sequence, first-same-as-last (FSAL) in both: the derivative at the end of an
 accepted step seeds the next one, and it is re-seeded only when the slaved
-regime is left.  _branch is the one place that forms the couplings, the
-bracket B, the rate B/k and s = sin(2 phi*).  In the slaved regime each stage
-takes dr/dx from s; a stage off the branch (s outside [0, 0.99)) is NaN and
-is rejected.  The error norm covers r only, and the angle is formed at the
-seed and after an accepted step.
+regime is left.  In the slaved regime each stage takes dr/deta from s; a
+stage off the branch (s outside [0, 0.99)) is NaN and is rejected.  The error
+norm covers u only, and the angle is formed at the seed and after an
+accepted step, from the B and s that stage 7 returned there.
 
 The slaved regime is a prefix of the trajectory: it is entered at the seed
-x = xs[0] or never, when the relaxation rate is finite, the branch exists and
-the rate times the span to the last checkpoint, the slack, exceeds twice
-_STIFF_BUDGET (4000 relaxation lengths).  The angle then starts on its
-attractor, so the initial relaxation layer from the seed angle (~2e-5 wide in
-x at r ~ 1e-6) is taken in closed form: the reduced (Tikhonov) limit of a
-singularly perturbed system (Hairer & Wanner, Solving ODEs II, Ch. VI).
-r = 0 has an infinite rate and is not seeded, nor is a window shorter than
-8000 relaxation lengths; those are stepped through with the full system.
-The first sample keeps the caller's seed angle.
+x = xs[0] or never, when the branch exists and the relaxation rate B/k (per
+unit x) times the span to the last checkpoint, the slack, exceeds twice
+_STIFF_BUDGET (4000 relaxation lengths).  rate * dx is invariant under the
+change of variable, so these rules are evaluated in x.  The angle then
+starts on its attractor, so the initial relaxation layer from the seed angle
+(~2e-5 wide in x at r ~ 1e-6) is taken in closed form: the reduced
+(Tikhonov) limit of a singularly perturbed system (Hairer & Wanner, Solving
+ODEs II, Ch. VI).  A window shorter than 8000 relaxation lengths is stepped
+through with the full system.  The first sample keeps the caller's seed
+angle.
 
 The slaved regime is left once, on accuracy, not on cost.  The true angle
 lags phi* by (d ln rate/dx)/rate^2, so holding it on the branch shifts dr/dx
 by a relative s^2 |d ln rate/dx| / rate (= 4 |d ln rate/dx| / rate^3, as
 s = 2/rate for mu2 = k; zero for the closed form).  After each accepted
-slaved step, _branch is evaluated once where stage 7 ran, for phi* and this
-test, with d ln rate/dx a difference between consecutive accepted points.
-The regime is left once the slack is within _STIFF_BUDGET and that error
-exceeds rtol, or in any case _SLAVE_HANDBACK = 200 relaxation lengths before
-the last checkpoint, so the full system re-forms the lag before the angle is
-read.  Exit re-seeds the full system from the branch, which is continuous.
+slaved step this test is made with stage 7's rate, and d ln rate/dx is a
+difference between consecutive accepted points.  The regime is left once the
+slack is within _STIFF_BUDGET and that error exceeds rtol, or in any case
+_SLAVE_HANDBACK = 200 relaxation lengths before the last checkpoint, so the
+full system re-forms the lag before the angle is read.  Exit re-seeds the
+full system from the branch, which is continuous.
 
-r is never clamped.  An attempt whose new r leaves [0, _R_MAX], or whose
-stages overflow or divide by zero, is rejected like a non-finite stage.
-Below 0 lies the coordinate singularity r = 0, which the closed form's finite
-dr/deta would step through; past _R_MAX = ln(DBL_MAX)/2 ~ 354.9, cosh 2r
-overflows.  A mode that runs into either edge ends in a step-size underflow
-there, and a seed past _R_MAX is refused before the first evaluation.  The
-fixed-step RK4 driver has no step to shrink: it stops at the first step the
-adaptive driver would reject, and integrate() raises a ValueError naming
-h_fixed.
+r is never clamped, and r = exp(u) > 0 holds by construction.  The
+coordinate singularity r = 0 has no logarithm: a seed there ends at once in
+a step-size underflow, before any evaluation.  An attempt whose new u passes
+ln _R_MAX, where cosh 2r overflows (_R_MAX = ln(DBL_MAX)/2 ~ 354.9), or whose
+stages overflow or divide by zero, is rejected like a non-finite stage, so a
+mode that runs into that edge ends in a step-size underflow there: a
+rejected step shorter than 16 ulps of tau.  A seed past _R_MAX is refused
+before the first evaluation.  The fixed-step RK4 driver has no step to
+shrink: it stops at the first step that a non-finite stage, an overflow or a
+pole spoils or that takes r outside [0, _R_MAX], and integrate() raises a
+ValueError naming h_fixed.
 
 The engine runs on Python floats, fills lists and imports nothing, numpy
 included: each stage is a chain of scalar operations, and numpy scalar
@@ -87,90 +105,85 @@ COUPLING_POWERS = ("literal", "hamiltonian-consistent")
 # fast path above twice this, and below it the path may be left on its lag error
 _STIFF_BUDGET = 4000.0
 _R_MAX = 0.5 * math.log(sys.float_info.max)  # largest r with a finite cosh(2r)
+_LN_R_MAX = math.log(_R_MAX)
 # relaxation lengths left to the last checkpoint when the fast path always
 # hands back, so the full system re-forms the angle's lag before it is read
 _SLAVE_HANDBACK = 200.0
 
 
-def _coth(r):
+def _flow(r, phi, lam, mu2, power, form, slaved=False):
+    """(dr/deta, dphi/deta, B, s) of the printed flow at (r, phi) for
+    |z'/z| = lam: B is the bracket multiplying sin(2 phi)/2 in dphi/deta (the
+    relaxation scale) and s = sin(2 phi*) = 2 mu2 / B of the attractor (0 for
+    the closed form, whose bracket carries no mu2).
+
+    slaved=True holds the angle on the attracting branch: dr/deta takes
+    cos(2 phi*) = -sqrt(1 - s^2), phi is not read and dphi/deta is 0.  The
+    attractor exists where 0 <= s < 0.99 (nearer s = 1 it is too marginal to
+    hold the angle); a slaved stage off it, or a non-finite angle (a stage
+    driven through the r = 0 singularity), gives NaN, which the step
+    controller rejects.
+    """
+    a_cc = lam * lam if power == "literal" else lam  # the closed-coupling factor
+    tr = math.tanh(r)
     # Laurent form keeps coth(r)*sin(2 phi) accurate for tiny |r| (odd in r,
-    # so it also serves transient negative stage values).  r = 0 is the
-    # genuine coordinate singularity of the angle equation: return inf and
-    # let the step controller reject the step.
+    # so it also serves the RK4 driver's transient negative stage values).
+    # r = 0 is the genuine coordinate singularity of the angle equation.
     if r == 0.0:
-        return math.inf
-    if abs(r) < 1e-4:
-        return 1.0 / r + r / 3.0 + r * r * r / 45.0
-    return math.cosh(r) / math.sinh(r)
-
-
-def _drdeta(r, c2p, a_cc, mu2, form):
-    """dr/deta of the selected form, given cos(2 phi)."""
-    if form == "closed-reference":
-        # analytic mu2 = 0 limit; finite at r = 0
-        return -a_cc * c2p
+        coth = math.inf
+    elif abs(r) < 1e-4:
+        coth = 1.0 / r + r / 3.0 + r * r * r / 45.0
+    else:
+        coth = 1.0 / tr
+    closed = form == "closed-reference"
+    if closed:
+        bracket = a_cc * tr + coth
+        s = 0.0
+    else:
+        # coth r + mu2 is summed first, as in the printed M_P (coth r + mu2)
+        bracket = a_cc * tr / (1.0 + mu2 * tr) + (coth + mu2)
+        s = 2.0 * mu2 / bracket
+    if slaved:
+        if not 0.0 <= s < 0.99:
+            return math.nan, 0.0, bracket, s
+        c2p = -math.sqrt(1.0 - s * s)
+        dpdeta = 0.0
+    elif math.isfinite(phi):
+        c2p = math.cos(2.0 * phi)
+        dpdeta = 0.5 * math.sin(2.0 * phi) * bracket
+        if not closed:
+            dpdeta -= mu2
+    else:
+        return math.nan, math.nan, bracket, s
     if form == "conformal":
         s2r = math.sinh(2.0 * r)
-        ch2 = math.cosh(r) ** 2
-        den = s2r + 2.0 * mu2 * ch2
-        if den == 0.0:
-            # r = 0 with mu2 = 0: take the 0/0 limit of the printed ratio
-            return -a_cc * c2p
-        return -a_cc * s2r * c2p / den
-    tr = math.tanh(r)
-    den = tr + mu2
-    if den == 0.0:
-        return -a_cc * c2p
-    return -tr * (a_cc * c2p) / den
+        ch = math.cosh(r)
+        den = s2r + 2.0 * mu2 * (ch * ch)
+        if den != 0.0:
+            return -a_cc * s2r * c2p / den, dpdeta, bracket, s
+    elif not closed:
+        den = tr + mu2
+        if den != 0.0:
+            return -tr * (a_cc * c2p) / den, dpdeta, bracket, s
+    # the closed form (the analytic mu2 = 0 limit, finite at r = 0), which is
+    # also the 0/0 limit of the printed ratios at r = 0 with mu2 = 0
+    return -a_cc * c2p, dpdeta, bracket, s
 
 
-def _rhs_eta(r, phi, a_cc, mu2, form):
-    """Conformal-time derivatives (dr/deta, dphi/deta) of the printed flow.
-
-    a_cc is the closed-coupling factor: |1 - mu1^2| in literal mode,
-    |z'/z| in hamiltonian-consistent mode (resolved by the caller).  A
-    non-finite angle (a stage driven through the r = 0 singularity) gives
-    NaN derivatives, which the step controller rejects.
-    """
-    if not math.isfinite(phi):
-        return math.nan, math.nan
-    drdeta = _drdeta(r, math.cos(2.0 * phi), a_cc, mu2, form)
-    dpdeta = 0.5 * math.sin(2.0 * phi) * _phase_bracket(r, a_cc, mu2, form)
-    if form != "closed-reference":
-        dpdeta -= mu2
-    return drdeta, dpdeta
+def _stage(tau, u, phi, k, power, form, slaved=False):
+    """(du/dtau, dphi/dtau, B, s) at tau = -1/x, u = ln r: the adaptive
+    driver's stage.  |z'/z| = 1/|eta| = k/x = -k tau, and d/dtau = x^2 d/dx
+    = -(x^2/k) d/deta with x^2 = 1/tau^2."""
+    r = math.exp(u)
+    drdeta, dpdeta, bracket, s = _flow(r, phi, -k * tau, k, power, form, slaved)
+    scale = -1.0 / (k * tau * tau)
+    return scale * drdeta / r, scale * dpdeta, bracket, s
 
 
-def _closed_coupling(lam, power):
-    """Closed-coupling factor a_cc of the flow for |z'/z| = lam."""
-    if power == "literal":
-        return lam * lam
-    return lam
-
-
-def _couplings_x(x, k, power):
-    """(a_cc, mu2) at x = -k eta on the constant-eps background."""
-    return _closed_coupling(k / x, power), k  # |z'/z| = 1/|eta|
-
-
-def _phase_bracket(r, a_cc, mu2, form):
-    """Bracket B multiplying sin(2 phi)/2 in dphi/deta (the relaxation scale)."""
-    tr = math.tanh(r)
-    if form == "closed-reference":
-        return a_cc * tr + _coth(r)
-    # coth r + mu2 is summed first, as in the printed M_P (coth r + mu2)
-    return a_cc * tr / (1.0 + mu2 * tr) + (_coth(r) + mu2)
-
-
-def _branch(x, r, k, power, form):
-    """(a_cc, mu2, rate, s) at (x, r): the couplings, the angle's relaxation
-    rate B/k and s = sin(2 phi*) = 2 mu2 / B of its attractor (0 for the
-    closed form, whose bracket carries no mu2).  The attractor exists where
-    0 <= s < 0.99; nearer s = 1 it is too marginal to hold the angle."""
-    a_cc, mu2 = _couplings_x(x, k, power)
-    bracket = _phase_bracket(r, a_cc, mu2, form)
-    s = 0.0 if form == "closed-reference" else 2.0 * mu2 / bracket
-    return a_cc, mu2, bracket / k, s
+def _rhs_x(x, r, phi, k, power, form):
+    """(dr/dx, dphi/dx) of the full system, for the RK4 driver."""
+    drdeta, dpdeta, _, _ = _flow(r, phi, k / x, k, power, form)
+    return -drdeta / k, -dpdeta / k
 
 
 def _attractor_phi(s, phi_anchor):
@@ -178,23 +191,6 @@ def _attractor_phi(s, phi_anchor):
     phi_anchor; the attracting branch has cos(2 phi*) = -sqrt(1 - s^2)."""
     base = 0.5 * (math.pi - math.asin(s))
     return base + round((phi_anchor - base) / math.pi) * math.pi
-
-
-def _rhs_x(x, r, phi, k, power, form, slaved=False):
-    """(dr/dx, dphi/dx); x = -k eta so d/dx = -(1/k) d/deta.
-
-    slaved=True holds the angle on the attractor branch: dr/dx takes
-    cos(2 phi*) from _branch, so phi is not read, and dphi/dx is 0.  A slaved
-    stage off the branch gives NaN, which the step controller rejects.
-    """
-    if slaved:
-        a_cc, mu2, _, s = _branch(x, r, k, power, form)
-        if not 0.0 <= s < 0.99:
-            return math.nan, 0.0
-        return -_drdeta(r, -math.sqrt(1.0 - s * s), a_cc, mu2, form) / k, 0.0
-    a_cc, mu2 = _couplings_x(x, k, power)
-    drdeta, dpdeta = _rhs_eta(r, phi, a_cc, mu2, form)
-    return -drdeta / k, -dpdeta / k
 
 
 # Dormand-Prince 5(4) tableau
@@ -234,7 +230,8 @@ _DP_E1, _DP_E3, _DP_E4, _DP_E5, _DP_E6, _DP_E7 = (
 
 
 def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, r_cap, max_steps):
-    """Advance (r, phi) through the decreasing checkpoints xs.
+    """Advance (r, phi) through the decreasing checkpoints xs, stepping
+    (ln r, phi) against tau = -1/x and landing on each checkpoint exactly.
 
     Returns (out_r, out_phi, status, n_steps, n_rejected, max_err, n_slaved,
     capped, x, r, phi): out_r and out_phi hold one value per completed
@@ -245,7 +242,10 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, r_cap, max_steps):
     out_phi = [phi0]
     x = xs[0]
     x_end = xs[-1]
-    r = r0
+    if r0 == 0.0:  # the singularity itself: u = ln r has no seed
+        return out_r, out_phi, "step-underflow", 0, 0, 0.0, 0, False, x, r0, phi0
+    tau = -1.0 / x
+    u = math.log(r0)
     phi = phi0
 
     status = "ok"
@@ -255,79 +255,82 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, r_cap, max_steps):
     max_err = 0.0
     capped = False
 
-    h = -(xs[0] - x_end) * 1e-4  # negative: x decreases
-    if h == 0.0:
-        h = -1e-8
+    h = (-1.0 / x_end - tau) * 1e-4  # negative: tau decreases with x
 
     # the seed is the only way onto the slaved branch (module docstring)
-    _, _, rate, s = _branch(x, r, k, power, form)
+    _, _, bracket, s = _flow(r0, phi, k / x, k, power, form)
+    rate = bracket / k
     slaved = math.isfinite(rate) and rate * (x - x_end) > 2.0 * _STIFF_BUDGET and 0.0 <= s < 0.99
     if slaved:
         phi = _attractor_phi(s, phi)
         x_prev = x
         ln_rate_prev = math.log(rate)
         dlnrate = 0.0
-    fr, fp = _rhs_x(x, r, phi, k, power, form, slaved)
+    fu, fp, _, _ = _stage(tau, u, phi, k, power, form, slaved)
 
     for x_target in xs[1:]:
-        while x > x_target:
+        tau_target = -1.0 / x_target
+        while tau > tau_target:
             if n_steps + n_rejected > max_steps:
                 status = "max-steps"
                 break
 
             land = False
-            if h <= x_target - x:
-                h = x_target - x
+            if h <= tau_target - tau:
+                h = tau_target - tau
                 land = True
 
-            k1r, k1p = fr, fp
+            k1u, k1p = fu, fp
             try:
-                r2 = r + h * _DP_A21 * k1r
+                u2 = u + h * _DP_A21 * k1u
                 q2 = phi + h * _DP_A21 * k1p
-                k2r, k2p = _rhs_x(x + _DP_C2 * h, r2, q2, k, power, form, slaved)
-                r3 = r + h * (_DP_A31 * k1r + _DP_A32 * k2r)
+                k2u, k2p, _, _ = _stage(tau + _DP_C2 * h, u2, q2, k, power, form, slaved)
+                u3 = u + h * (_DP_A31 * k1u + _DP_A32 * k2u)
                 q3 = phi + h * (_DP_A31 * k1p + _DP_A32 * k2p)
-                k3r, k3p = _rhs_x(x + _DP_C3 * h, r3, q3, k, power, form, slaved)
-                r4 = r + h * (_DP_A41 * k1r + _DP_A42 * k2r + _DP_A43 * k3r)
+                k3u, k3p, _, _ = _stage(tau + _DP_C3 * h, u3, q3, k, power, form, slaved)
+                u4 = u + h * (_DP_A41 * k1u + _DP_A42 * k2u + _DP_A43 * k3u)
                 q4 = phi + h * (_DP_A41 * k1p + _DP_A42 * k2p + _DP_A43 * k3p)
-                k4r, k4p = _rhs_x(x + _DP_C4 * h, r4, q4, k, power, form, slaved)
-                r5 = r + h * (_DP_A51 * k1r + _DP_A52 * k2r + _DP_A53 * k3r + _DP_A54 * k4r)
+                k4u, k4p, _, _ = _stage(tau + _DP_C4 * h, u4, q4, k, power, form, slaved)
+                u5 = u + h * (_DP_A51 * k1u + _DP_A52 * k2u + _DP_A53 * k3u + _DP_A54 * k4u)
                 q5 = phi + h * (_DP_A51 * k1p + _DP_A52 * k2p + _DP_A53 * k3p + _DP_A54 * k4p)
-                k5r, k5p = _rhs_x(x + _DP_C5 * h, r5, q5, k, power, form, slaved)
-                r6 = r + h * (_DP_A61 * k1r + _DP_A62 * k2r + _DP_A63 * k3r + _DP_A64 * k4r + _DP_A65 * k5r)
+                k5u, k5p, _, _ = _stage(tau + _DP_C5 * h, u5, q5, k, power, form, slaved)
+                u6 = u + h * (_DP_A61 * k1u + _DP_A62 * k2u + _DP_A63 * k3u + _DP_A64 * k4u + _DP_A65 * k5u)
                 q6 = phi + h * (_DP_A61 * k1p + _DP_A62 * k2p + _DP_A63 * k3p + _DP_A64 * k4p + _DP_A65 * k5p)
-                k6r, k6p = _rhs_x(x + h, r6, q6, k, power, form, slaved)
-                r_new = r + h * (_DP_B1 * k1r + _DP_B3 * k3r + _DP_B4 * k4r + _DP_B5 * k5r + _DP_B6 * k6r)
+                k6u, k6p, _, _ = _stage(tau + h, u6, q6, k, power, form, slaved)
+                u_new = u + h * (_DP_B1 * k1u + _DP_B3 * k3u + _DP_B4 * k4u + _DP_B5 * k5u + _DP_B6 * k6u)
                 p_new = phi + h * (_DP_B1 * k1p + _DP_B3 * k3p + _DP_B4 * k4p + _DP_B5 * k5p + _DP_B6 * k6p)
-                k7r, k7p = _rhs_x(x + h, r_new, p_new, k, power, form, slaved)
-                err_r = h * (_DP_E1 * k1r + _DP_E3 * k3r + _DP_E4 * k4r + _DP_E5 * k5r + _DP_E6 * k6r + _DP_E7 * k7r)
-                sr = atol + rtol * max(abs(r), abs(r_new))
-                if slaved:  # the angle is held, so r alone carries the error
-                    err = abs(err_r) / sr
+                k7u, k7p, bracket, s = _stage(tau + h, u_new, p_new, k, power, form, slaved)
+                # rtol on u = ln r is relative in r; atol guards the angle only
+                err_u = h * (_DP_E1 * k1u + _DP_E3 * k3u + _DP_E4 * k4u + _DP_E5 * k5u + _DP_E6 * k6u + _DP_E7 * k7u) / rtol
+                if slaved:  # the angle is held, so u alone carries the error
+                    err = abs(err_u)
                 else:
                     err_p = h * (_DP_E1 * k1p + _DP_E3 * k3p + _DP_E4 * k4p + _DP_E5 * k5p + _DP_E6 * k6p + _DP_E7 * k7p)
                     sp = atol + rtol * max(abs(phi), abs(p_new))
-                    err = math.sqrt(0.5 * ((err_r / sr) ** 2 + (err_p / sp) ** 2))
-                if not 0.0 <= r_new <= _R_MAX:  # outside the flow's domain
+                    err = math.sqrt(0.5 * (err_u * err_u + (err_p / sp) ** 2))
+                if not u_new <= _LN_R_MAX:  # cosh 2r would overflow
                     err = math.nan
             except (OverflowError, ZeroDivisionError):  # beyond the double range, or a pole
                 err = math.nan
             accepted = err <= 1.0
             if accepted:
-                x_step = x + h
-                x = x_target if land else x_step
-                r = r_new
+                tau_step = tau + h
+                if land:  # checkpoints are landed exactly in x
+                    tau, x = tau_target, x_target
+                else:
+                    tau, x = tau_step, -1.0 / tau_step
+                u = u_new
                 phi = p_new
-                fr, fp = k7r, k7p  # FSAL
+                fu, fp = k7u, k7p  # FSAL
                 n_steps += 1
                 if err > max_err:
                     max_err = err
-                if r > r_cap:
+                if math.exp(u) > r_cap:
                     capped = True
                 if slaved:
                     n_slaved += 1
-                    # stage 7 ran here, so the step was accepted on the branch
-                    _, _, rate, s = _branch(x_step, r, k, power, form)
+                    # stage 7 ran on the branch here, so its B and s hold there
+                    rate = bracket / k
                     phi = _attractor_phi(s, phi)
                     # leave for good on the lag error or near the last checkpoint
                     slack = rate * (x - x_end)
@@ -339,29 +342,29 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, r_cap, max_steps):
                     lagging = slack <= _STIFF_BUDGET and s * s * abs(dlnrate) > rtol * rate
                     if lagging or slack <= _SLAVE_HANDBACK:
                         slaved = False
-                        fr, fp = _rhs_x(x, r, phi, k, power, form)
+                        fu, fp, _, _ = _stage(tau, u, phi, k, power, form, False)
             else:
                 n_rejected += 1
 
             # proportional controller on the scalar error
             if err == 0.0:
                 factor = 10.0
-            elif math.isnan(err):  # a bad stage or r out of range: shrink as hard as allowed
+            elif math.isnan(err):  # a bad stage or u out of range: shrink as hard as allowed
                 factor = 0.2
             else:
                 factor = min(10.0, max(0.2, 0.9 * err ** -0.2))
             h = h * factor
-            # a rejected step that still demands a sub-ulp stride means the
-            # integrator cannot advance (angle singularity or equivalent)
-            if (not accepted) and -h < 16.0 * 2.220446049250313e-16 * max(1.0, abs(x)):
+            # a rejected step that still demands fewer than 16 ulps of tau
+            # means the integrator cannot advance
+            if (not accepted) and -h < 16.0 * math.ulp(tau):
                 status = "step-underflow"
                 break
         if status != "ok":
             break
-        out_r.append(r)
+        out_r.append(math.exp(u))
         out_phi.append(phi)
 
-    return out_r, out_phi, status, n_steps, n_rejected, max_err, n_slaved, capped, x, r, phi
+    return out_r, out_phi, status, n_steps, n_rejected, max_err, n_slaved, capped, x, math.exp(u), phi
 
 
 def _drive_rk4(xs, n_sub, r0, phi0, k, power, form, r_cap):

@@ -18,7 +18,7 @@ import sys
 import time
 
 from .config import _ENUMS, ConfigError, load_config
-from .pipeline import fit_skipped, run_sweep, verify, write_outputs
+from .pipeline import fit_skipped, no_records, run_sweep, verify, write_outputs
 
 # config key -> (flag, add_argument options) of the per-run overrides
 _OVERRIDE_FLAGS = {
@@ -106,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
         dt = time.perf_counter() - t0
         s = report.summary
         print(f"swept {s.n_records} modes in {dt:.2f} s ({s.n_failures} failures)")
-        print(f"max |gamma - 1| = {s.max_abs_gamma_minus_one:.3e}")
+        print(f"max |gamma - 1| = {no_records(s) or format(s.max_abs_gamma_minus_one, '.3e')}")
         print(f"fitted tilt = {fit_skipped(s) or format(s.tilt_fit, '.6f')}")
         for path in files:
             print(f"wrote {path}")

@@ -167,6 +167,11 @@ def fit_skipped(summary: SummaryStats) -> str | None:
     return f"not fitted (needs {_FIT_MIN_RECORDS} records, got {summary.n_records})"
 
 
+def no_records(summary: SummaryStats) -> str | None:
+    """'no records' when no mode was evaluated (the maxima are then NaN), or None."""
+    return None if summary.n_records else "no records"
+
+
 def _fmt(value: float) -> str:
     # scientific notation, 17 significant digits (exact double round trip)
     return f"{value:.16e}"
@@ -233,9 +238,9 @@ def write_outputs(report: RunReport, out_dir: str | Path) -> list[Path]:
         f"capped modes: {s.n_capped}",
         f"integrator steps: {s.n_steps} accepted ({s.n_slaved_steps} slaved), "
         f"{s.n_rejected} rejected",
-        f"max |gamma - 1|: {s.max_abs_gamma_minus_one:.6e}",
-        f"max wronskian residual: {s.max_wronskian_residual:.6e}",
-        f"max occupation |beta|^2: {s.max_occupation:.6e}",
+        f"max |gamma - 1|: {no_records(s) or format(s.max_abs_gamma_minus_one, '.6e')}",
+        f"max wronskian residual: {no_records(s) or format(s.max_wronskian_residual, '.6e')}",
+        f"max occupation |beta|^2: {no_records(s) or format(s.max_occupation, '.6e')}",
         f"fitted amplitude at pivot: {fit_skipped(s) or format(s.amplitude_fit, '.6e')}",
         f"fitted tilt: {fit_skipped(s) or format(s.tilt_fit, '.10f')}",
     ]

@@ -25,9 +25,9 @@ paths so they can cross-check each other.  A third right-hand side,
 rhs_closed_reference, is the analytic mu2 = 0 limit (the pure
 two-mode-squeezed flow) used as a weak-dissipation oracle.
 
-Integration runs in the dimensionless variable x = -k eta (d/dx =
+Trajectories are sampled in the dimensionless variable x = -k eta (d/dx =
 -(1/k) d/deta), from deep sub-horizon x_start >> 1 down through horizon
-crossing x = 1 to x_end.  r = 0 is a coordinate singularity of the angle
+crossing x = 1 to x_end; the adaptive driver steps ln r against -1/x.  r = 0 is a coordinate singularity of the angle
 equation (coth r), so trajectories are seeded with a tiny positive r.  The
 default initial angle pi/4 is the fixed point of the r equation (cos 2phi =
 0), not of the angle equation: where its fast path applies, the adaptive
@@ -171,12 +171,12 @@ class ModeResult:
     stats: IntegratorStats | None = None
 
 
-def _resolve_rhs_inputs(state, k, cc, coupling_power):
+def _rhs(state, k, cc, coupling_power, form):
     if cc is None:
         cc = _bg_couplings(-state.x / k, k)
     if coupling_power not in _eng.COUPLING_POWERS:
         raise ValueError(f"unknown coupling_power {coupling_power!r}")
-    return _eng._closed_coupling(cc.coupling, coupling_power), cc.mu2
+    return _eng._flow(state.r, state.phi, cc.coupling, cc.mu2, coupling_power, form)[:2]
 
 
 def rhs_conformal(
@@ -186,8 +186,7 @@ def rhs_conformal(
     coupling_power: str = "literal",
 ) -> tuple[float, float]:
     """(dr/deta, dphi/deta) of the conformal-form flow at the given state."""
-    a_cc, mu2 = _resolve_rhs_inputs(state, k, couplings, coupling_power)
-    return _eng._rhs_eta(state.r, state.phi, a_cc, mu2, "conformal")
+    return _rhs(state, k, couplings, coupling_power, "conformal")
 
 
 def rhs_transformed(
@@ -198,8 +197,7 @@ def rhs_transformed(
 ) -> tuple[float, float]:
     """(dr/dtau, dphi/dtau) of the transformed-form flow; tau is identified
     with conformal time, so the two forms can be compared directly."""
-    a_cc, mu2 = _resolve_rhs_inputs(state, k, couplings, coupling_power)
-    return _eng._rhs_eta(state.r, state.phi, a_cc, mu2, "transformed")
+    return _rhs(state, k, couplings, coupling_power, "transformed")
 
 
 def rhs_closed_reference(
@@ -209,8 +207,7 @@ def rhs_closed_reference(
     coupling_power: str = "literal",
 ) -> tuple[float, float]:
     """(dr/deta, dphi/deta) of the analytic dissipation-free limit."""
-    a_cc, _ = _resolve_rhs_inputs(state, k, couplings, coupling_power)
-    return _eng._rhs_eta(state.r, state.phi, a_cc, 0.0, "closed-reference")
+    return _rhs(state, k, couplings, coupling_power, "closed-reference")
 
 
 def _sample_grid(
@@ -258,20 +255,22 @@ def integrate(
     init is the (r, phi) seed at x_start (default: r = 1e-6, phi = pi/4);
     the first sample is always init as passed.  method="adaptive" is the
     embedded 5(4) pair with tolerance control and the stiff-window fast path,
-    whose entry and exit rules are fixed in _integrators.  The fast path is
-    entered at x_start or not at all, and once left it is not re-entered.
-    Where it is entered, the angle starts on its attractor: the initial
-    relaxation layer from init phi is taken in closed form, and init phi only
-    picks the copy of the branch (mod pi) nearest to it.  A seed at r = 0, or
-    a window shorter than 8000 relaxation lengths, is stepped through with
-    the full system.  method="fixed" is the classical RK4 cross-validator
-    with step h_fixed subdivided exactly into each checkpoint segment.
-    mu2 = k is constant along the trajectory, so mu2' = 0.  The coupling
-    always follows the background (a sweep's zero_coupling debug run is
-    answered by evolve_grid without integrating), and r is never clamped: an
-    adaptive step that would take r below 0 or past ~354.9, where cosh 2r
-    overflows, is rejected, so a mode that runs into either edge ends in a
-    step-size underflow that names it.
+    whose entry and exit rules are fixed in _integrators.  It steps ln r
+    against -1/x, so rtol is relative in r at any size of r, and atol guards
+    the angle only (atol + rtol |phi|).  The fast path is entered at x_start
+    or not at all, and once left it is not re-entered.  Where it is entered,
+    the angle starts on its attractor: the initial relaxation layer from init
+    phi is taken in closed form, and init phi only picks the copy of the
+    branch (mod pi) nearest to it.  A window shorter than 8000 relaxation
+    lengths is stepped through with the full system.  method="fixed" is the
+    classical RK4 cross-validator in (r, phi) against x, with step h_fixed
+    subdivided exactly into each checkpoint segment.  mu2 = k is constant
+    along the trajectory, so mu2' = 0.  The coupling always follows the
+    background (a sweep's zero_coupling debug run is answered by evolve_grid
+    without integrating), and r is never clamped: an adaptive step that would
+    take r past ~354.9, where cosh 2r overflows, is rejected, so a mode that
+    runs into that edge ends in a step-size underflow that names it, and so
+    does a seed at r = 0, the angle equation's singularity, at once.
 
     The numbers are validated, then converted once to Python floats (the
     checkpoints too), on which the engine runs.  Raises ValueError naming
@@ -357,13 +356,20 @@ def integrate(
 
     if stats.status == "step-underflow":
         last = states[-1]
-        if last.r > 0.5 * _eng._R_MAX:
+        if r0 == 0.0:
+            cause = "the seed r = 0 is the angle singularity"
+        elif last.r > 0.5 * _eng._R_MAX:
             cause = (
                 "r at the edge of the double range "
                 f"(cosh 2r overflows past r = {_eng._R_MAX:.4f})"
             )
+        elif last.r < 0.5 * r0:
+            cause = f"likely the r = 0 angle singularity (r fell from {r0:.6g})"
         else:
-            cause = "likely the r = 0 angle singularity"
+            cause = (
+                "a stiff window too short for the fast path: "
+                "the angle relaxes within the smallest step"
+            )
         raise StepSizeUnderflowError(
             f"step size underflow at x={last.x:.6g} (r={last.r:.6g}); {cause}", traj
         )

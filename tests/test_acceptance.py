@@ -297,5 +297,5 @@ def test_supplementary_crossing_closed_form(default_report):
         worst = max(worst, abs(rec.r - closed) / closed)
     _criterion(
         0, "crossing-closed-form",
-        worst <= 2e-5, f"max |r - r_closed| / r_closed = {worst:.3e} (bound 2e-5)",
+        worst <= 1e-9, f"max |r - r_closed| / r_closed = {worst:.3e} (bound 1e-9)",
     )

@@ -252,6 +252,19 @@ class TestCli:
         assert code == 2
         assert "3 failures" in capsys.readouterr().out
 
+    def test_sweep_without_records_says_so(self, tmp_path, capsys):
+        # every mode fails at the r = 0 seed, so there is no maximum to report
+        cfg = tmp_path / "singular.cfg"
+        cfg.write_text("init_r = 0.0\nk_points = 3\n")
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "max |gamma - 1| = no records" in capsys.readouterr().out
+        summary = (out / "summary.txt").read_text()
+        for name in ("max |gamma - 1|", "max wronskian residual", "max occupation |beta|^2"):
+            assert f"{name}: no records" in summary
+        assert "nan" not in summary
+        assert summary.count("the seed r = 0 is the angle singularity") == 3
+
     def test_negative_r_fails_per_mode(self, tmp_path, capsys):
         # the closed form's dr/deta is finite at r = 0, so an explicit step
         # would walk through the singularity to r < 0; such steps are

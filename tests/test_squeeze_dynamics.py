@@ -171,6 +171,29 @@ class TestIntegrate:
         assert abs(s1.phi - phi1) < 1e-9
         assert traj.state_at(0.01).r == pytest.approx(rend, rel=1e-5)
 
+    @pytest.mark.parametrize(
+        "power,x_end,k,r_ref,bound",
+        [
+            # scipy Radau IIA on the full system from phi = pi/4, no fast
+            # path, rtol 1e-13 (its rtol 1e-12 and 1e-13 runs agree to 1.4e-14)
+            ("literal", 1.0, 1e-4, 2.6472658212263777e-06, 1e-9),
+            ("literal", 1.0, 1.0, 2.6912299206507257e-06, 1e-9),
+            ("literal", 0.01, 0.025826187606826773, 2.1870171253247825, 1e-9),
+            ("literal", 0.01, 1.0, 43.43111832109367, 1e-9),
+            # the consistent fast path holds ~1e-8 (its lag test and seeded layer)
+            ("hamiltonian-consistent", 1.0, 0.0196, 4.26199662362104, 1e-8),
+            ("hamiltonian-consistent", 1.0, 0.05, 3.74867579070614, 1e-8),
+            ("hamiltonian-consistent", 1.0, 1.0, 9.999009962085652e-05, 1e-8),
+        ],
+    )
+    def test_default_tolerance_against_radau(self, power, x_end, k, r_ref, bound):
+        # rtol is relative in r: the default run lands on an independent
+        # stiff reference at its evaluation point
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CappedGrowthWarning)
+            traj = integrate(k, 100.0, x_end, coupling_power=power, samples=[100.0, x_end])
+        assert abs(traj.samples[-1].r - r_ref) <= bound * r_ref
+
     def test_singularity_seed_never_non_finite(self):
         traj = integrate(0.1, 20.0, 0.5, init=(1e-8, PI4))
         assert np.all(np.isfinite(traj.r))
@@ -207,6 +230,18 @@ class TestIntegrate:
         traj = excinfo.value.trajectory
         assert len(traj.samples) >= 1
         assert traj.integrator_stats.status == "step-underflow"
+
+    def test_underflow_names_its_cause(self):
+        # ln r meets r = 0 only at a seed there, which fails before any
+        # attempt; a stiff window too short for the fast path underflows
+        # with r untouched and is not blamed on r = 0
+        with pytest.raises(StepSizeUnderflowError, match="seed r = 0") as excinfo:
+            integrate(0.5, 10.0, 1.0, init=(0.0, 0.3))
+        stats = excinfo.value.trajectory.integrator_stats
+        assert stats.n_steps + stats.n_rejected == 0
+        with pytest.raises(StepSizeUnderflowError, match="stiff window") as excinfo:
+            integrate(1e-6, 10.0, 10.0 - 1e-12, init=(1e-9, PI4))
+        assert "r = 0" not in str(excinfo.value)
 
     def test_step_budget_keeps_partial_trajectory(self):
         with pytest.raises(StepBudgetError) as excinfo:
@@ -301,17 +336,23 @@ class TestIntegrate:
 
         def spy(*args):
             flags.append(len(args) > 6 and args[6])
-            return rhs_x(*args)
+            return stage(*args)
 
-        rhs_x = eng._rhs_x
-        monkeypatch.setattr(eng, "_rhs_x", spy)
+        stage = eng._stage
+        monkeypatch.setattr(eng, "_stage", spy)
         traj = integrate(0.8, 5.0, 0.5, init=(0.05, PI4))
         assert traj.integrator_stats.n_slaved_steps == 0
         assert flags and not any(flags)
 
 
+def _stage_at(x, r, phi, *args):
+    """The adaptive driver's stage at (x, r): (du/dtau, dphi/dtau, B, s) at
+    tau = -1/x, u = ln r."""
+    return eng._stage(-1.0 / x, math.log(r), phi, *args)
+
+
 class TestSlavedBranch:
-    """The slaved stages take dr/dx straight from s = sin(2 phi*) of _branch;
+    """The slaved stages take dr/deta straight from s = sin(2 phi*) of _flow;
     it must agree with the full right-hand side at the attractor angle."""
 
     @pytest.mark.parametrize("form", eng.FORMS)
@@ -323,23 +364,23 @@ class TestSlavedBranch:
     )
     def test_matches_rhs_at_attractor(self, form, power, x, r, k):
         args = (k, power, form)
-        s = eng._branch(x, r, *args)[3]
+        s = _stage_at(x, r, PI4, *args)[3]
         assert 0.0 <= s < 0.99
         phi_star = eng._attractor_phi(s, math.pi / 2)
-        fast, _ = eng._rhs_x(x, r, phi_star, *args, slaved=True)
-        full, _ = eng._rhs_x(x, r, phi_star, *args)
+        fast = _stage_at(x, r, phi_star, *args, True)[0]
+        full = _stage_at(x, r, phi_star, *args, False)[0]
         assert fast == pytest.approx(full, rel=1e-13)
 
     @pytest.mark.parametrize("form", eng.FORMS)
     def test_slaved_rhs_holds_the_angle(self, form):
         # the driver's one stage sequence runs the slaved regime through
-        # _rhs_x(..., slaved=True): dr/dx from the branch whatever angle is
-        # passed, dphi/dx exactly 0
-        args = (0.05, "literal", form)
+        # _stage(..., slaved=True): du/dtau from the branch whatever angle is
+        # passed, dphi/dtau exactly 0
+        args = (0.05, "literal", form, True)
         for x, r in ((100.0, 1e-6), (10.0, 3.0)):
-            dr, dphi = eng._rhs_x(x, r, math.pi / 2, *args, slaved=True)
-            assert dphi == 0.0 and math.isfinite(dr)
-            assert dr == eng._rhs_x(x, r, 0.4, *args, slaved=True)[0]
+            du, dphi = _stage_at(x, r, math.pi / 2, *args)[:2]
+            assert dphi == 0.0 and math.isfinite(du)
+            assert du == _stage_at(x, r, 0.4, *args)[0]
 
     def test_attractor_angle_nearest_the_anchor(self):
         # sin(2 phi*) = s on the attracting branch (cos(2 phi*) < 0), on the
@@ -355,14 +396,13 @@ class TestSlavedBranch:
     def test_slaved_stage_off_the_branch_is_nan(self, form):
         # at x = 10, r = 3, k = 10 the bracket is ~11.1, so sin(2 phi*) =
         # 2 mu2 / B ~ 1.8: no fixed point, and the stage is rejected
-        args = (10.0, "literal", form)
-        assert eng._branch(10.0, 3.0, *args)[3] > 1.0
-        dr, dphi = eng._rhs_x(10.0, 3.0, 0.4, *args, slaved=True)
-        assert math.isnan(dr) and dphi == 0.0
+        du, dphi, _, s = _stage_at(10.0, 3.0, 0.4, 10.0, "literal", form, True)
+        assert s > 1.0
+        assert math.isnan(du) and dphi == 0.0
 
     def test_non_finite_angle_gives_nan(self):
         # a stage angle driven to inf through coth(0) must be rejected, not raise
-        derivs = eng._rhs_eta(1e-6, math.inf, 1.0, 0.1, "conformal")
+        derivs = eng._flow(1e-6, math.inf, 1.0, 0.1, "literal", "conformal")[:2]
         assert all(math.isnan(v) for v in derivs)
 
 
@@ -430,7 +470,7 @@ class TestSeededLayer:
         # sample L relaxation lengths past the seed, where the stepped layer
         # has decayed to the branch: a tight plain run must agree there (its
         # window is shorter than 8000 relaxation lengths, so it is not seeded)
-        rate = eng._branch(100.0, 1e-6, k, "literal", "conformal")[2]
+        rate = _stage_at(100.0, 1e-6, PI4, k, "literal", "conformal")[2] / k
         x_s = 100.0 - lengths / rate
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CappedGrowthWarning)
@@ -457,10 +497,10 @@ class TestSeededLayer:
 
         def spy(*args):
             flags.append(len(args) > 6 and args[6])
-            return rhs_x(*args)
+            return stage(*args)
 
-        rhs_x = eng._rhs_x
-        monkeypatch.setattr(eng, "_rhs_x", spy)
+        stage = eng._stage
+        monkeypatch.setattr(eng, "_stage", spy)
         traj = integrate(1e-3, 100.0, 0.01, samples=[100.0, 0.01])
         stats = traj.integrator_stats
         assert 0 < stats.n_slaved_steps < stats.n_steps
@@ -538,12 +578,12 @@ class TestEvolveGrid:
         # must still see Python floats, on which it runs about twice as fast
         seen = []
 
-        def spy(x, r, phi, k, *args):
-            seen.append((type(x), type(r), type(phi), type(k)))
-            return rhs_x(x, r, phi, k, *args)
+        def spy(tau, u, phi, k, *args):
+            seen.append((type(tau), type(u), type(phi), type(k)))
+            return stage(tau, u, phi, k, *args)
 
-        rhs_x = eng._rhs_x
-        monkeypatch.setattr(eng, "_rhs_x", spy)
+        stage = eng._stage
+        monkeypatch.setattr(eng, "_stage", spy)
         cfg = SweepConfig(k_points=3)
         res = evolve_grid(make_k_grid(cfg), cfg)
         assert all(m.error is None for m in res)

@@ -18,7 +18,10 @@ samples (of the partial trajectory for a typed integrator failure), the
 integrator stats and the warning types.  The script prints how many results
 are identical and how many differ, a table of outcome pairs, and the cause of
 each difference: a fixed-step input, an input where either tree evaluated a
-slaved stage off the angle's branch (one whose dr/dx is NaN), or other.
+slaved stage off the angle's branch (one whose first derivative is NaN), or
+other; it also counts the off-branch slaved stages at r < 0.  The spy sits on
+the adaptive driver's stage, _stage in trees that step ln r against -1/x and
+_rhs_x in older ones.
 For each differing input that has samples on both sides it prints the error
 of both sides against a tight run (rtol 1e-13, atol 1e-16) of OLD_SRC: the
 largest relative error of r and absolute error of phi over the checkpoints
@@ -79,21 +82,24 @@ def run_worker():
     from sqspec import _integrators as eng
     from sqspec.squeeze_dynamics import StepBudgetError, StepSizeUnderflowError, integrate
 
-    off_branch = [0]
-    rhs_x = eng._rhs_x
+    # the adaptive driver's stage: _stage, on (-1/x, ln r, phi), or in older
+    # trees _rhs_x, on (x, r, phi); both take slaved last and positionally
+    name = "_stage" if hasattr(eng, "_stage") else "_rhs_x"
+    stage = getattr(eng, name)
+    off_branch = [0, 0]
 
     def spy(*args):
-        # the drivers pass slaved=True last and positionally; a slaved stage
-        # off the branch returns a NaN dr/dx
-        derivs = rhs_x(*args)
+        # a slaved stage off the branch returns a NaN first derivative
+        derivs = stage(*args)
         if args[-1] is True and math.isnan(derivs[0]):
             off_branch[0] += 1
+            off_branch[1] += name == "_rhs_x" and args[1] < 0.0
         return derivs
 
-    eng._rhs_x = spy
+    setattr(eng, name, spy)
     results = []
     for kwargs in json.load(sys.stdin):
-        off_branch[0] = 0
+        off_branch[:] = [0, 0]
         traj = None
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -112,6 +118,7 @@ def run_worker():
                 stats=list(vars(traj.integrator_stats).values()) if traj else [],
                 warnings=[w.category.__name__ for w in caught],
                 off_branch=off_branch[0],
+                off_branch_below_0=off_branch[1],
             )
         )
     json.dump(results, sys.stdout)
@@ -159,6 +166,8 @@ def main():
     print(f"{len(inputs)} inputs: {len(inputs) - len(differ)} identical, {len(differ)} differ")
     off = sum(1 for a in old if a["off_branch"]), sum(1 for b in new if b["off_branch"])
     print(f"inputs with a slaved stage off the branch: old {off[0]}, new {off[1]}")
+    below = [sum(res["off_branch_below_0"] for res in side) for side in (old, new)]
+    print(f"off-branch slaved stages at r < 0: old {below[0]}, new {below[1]}")
 
     def kind(result):
         return result["outcome"].split(":")[0]
