@@ -1,11 +1,8 @@
 """Low-level ODE drivers for the squeeze-parameter flow.
 
-Two engines, both explicit:
-
-  * an embedded Dormand-Prince 5(4) pair with proportional step control
-    (the adaptive integrator), and
-  * a classical fixed-step fourth-order Runge-Kutta scheme used for
-    cross-validation.
+Two engines, both explicit: an embedded Dormand-Prince 5(4) pair with
+proportional step control (the adaptive integrator), and a classical
+fixed-step fourth-order Runge-Kutta scheme used for cross-validation.
 
 Both follow the dimensionless variable x = -k eta, which decreases from deep
 sub-horizon (x >> 1) through horizon crossing (x = 1) to the super-horizon
@@ -17,72 +14,76 @@ value at horizon crossing; tau decreases with x, so steps are negative in
 both.  On the attractor d ln r/dtau = -k/(r + k) (the Lambert-W form in
 perfbench/oracle.py), so ln r is linear in tau while r << k and the steps
 are long.  The error norm of u is rtol alone, which is relative in r at any
-size of r, and atol guards the angle only (atol + rtol |phi|).  The default
-200-mode sweep at x = 1 takes 1,280 step attempts and 0.054 s (2-core Xeon,
-Python 3.11), and its r lands within 6.7e-12 of the closed form.
+size of r, and atol guards the angle only (atol + rtol |phi|).
 
 _flow holds the printed flow in conformal time, each formula once: the
-closed-coupling factor, the coth r Laurent series, the bracket B of the angle
-equation, s = sin(2 phi*) = 2 mu2 / B of its attractor and dr/deta of each
-form.  _stage, the adaptive driver's stage, turns it into (du/dtau,
-dphi/dtau) in one call, so a stage is two Python calls; the RK4 driver's
-_rhs_x and the public rhs_* functions in squeeze_dynamics read the same
-copy.
+closed-coupling factor A, the coth r Laurent series, the bracket B of the
+angle equation and dr/deta of each form.  _stage turns it into (du/dtau,
+dphi/dtau) of the full system; the RK4 driver's _rhs_x and the public rhs_*
+functions in squeeze_dynamics read the same copy.  _slaved_stage inlines it
+for the slaved regime below, so a slaved stage is one Python call.
 
-Stiffness handling.  The rotation-angle equation carries a coth(r) relaxation
-rate: for r ~ 1e-6 the angle is attracted to its quasi-static fixed point
-about 1e6/k times faster than any other scale in the problem.  Resolving that
-with an explicit method costs ~coth(r)/k steps per unit x, which is
-astronomically many exactly in the regime the pipeline must sweep.  The
-attraction is so strong that the angle deviates from the fixed-point branch
+Stiffness handling.  The angle equation carries a coth(r) relaxation rate:
+for r ~ 1e-6 the angle is attracted to its quasi-static branch
 
-    sin(2 phi*) = 2 mu2 / [A tanh(r)/(1 + mu2 tanh r) + coth r + mu2]
-    cos(2 phi*) = -sqrt(1 - sin^2(2 phi*))        (the attracting branch)
+    sin(2 phi*) = s = 2 mu2 / B,   cos(2 phi*) = -c = -sqrt(1 - s^2)
 
-by less than one part in 1e12 once locked.  The adaptive driver therefore
-has an adiabatic (slaved) regime: the angle is held on the branch (dphi/dtau
-= 0) and u alone is advanced.  Both regimes run the same Dormand-Prince stage
-sequence, first-same-as-last (FSAL) in both: the derivative at the end of an
-accepted step seeds the next one, and it is re-seeded only when the slaved
-regime is left.  In the slaved regime each stage takes dr/deta from s; a
-stage off the branch (s outside [0, 0.99)) is NaN and is rejected.  The error
-norm covers u only, and the angle is formed at the seed and after an
-accepted step, from the B and s that stage 7 returned there.
+about 1e6/k times faster than any other scale, which an explicit method
+resolves only with ~coth(r)/k steps per unit x.  The adaptive driver
+therefore has a slaved regime: the angle is held on the slow manifold
+phi~ = phi* + delta1 + delta2 and u alone is stepped, with the same tableau
+and an error norm on u only (Kokotovic, Khalil & O'Reilly, Singular
+Perturbation Methods in Control, 1999, ch. 1-2).  With the relaxation rate
+nu = B c / k per unit x, delta1 = (dphi*/dx) / nu, where dphi*/dx =
+s (dB/dx) / (2 B c) and _slaved_stage forms dB/dx in closed form (A ~ x^-p
+at fixed r, p = 2 literal and 1 consistent, plus dB/dr times the
+zeroth-order dr/dx), and delta2 = (d delta1/dx) / nu, where d delta1/dx is
+the difference of delta1 between consecutive accepted slaved points, held
+through the next step.  The stage reads dr/deta at cos(2 phi~) =
+-c cos(2 delta) - s sin(2 delta) and returns sin(2 phi~), from which
+_attractor_phi forms the accepted angle.  The closed form has s = 0, so
+delta = 0.  A slaved stage off the branch (s outside [0, 0.99)) is NaN and is
+rejected.  Both regimes are first-same-as-last (FSAL); the derivative is
+re-seeded only when the slaved regime is left.
 
 The slaved regime is a prefix of the trajectory: it is entered at the seed
-x = xs[0] or never, when the branch exists and the relaxation rate B/k (per
-unit x) times the span to the last checkpoint, the slack, exceeds twice
+x = xs[0] or never, when the branch exists and the rate B/k (per unit x)
+times the span to the last checkpoint, the slack, exceeds twice
 _STIFF_BUDGET (4000 relaxation lengths).  rate * dx is invariant under the
 change of variable, so these rules are evaluated in x.  The angle then
-starts on its attractor, so the initial relaxation layer from the seed angle
-(~2e-5 wide in x at r ~ 1e-6) is taken in closed form: the reduced
-(Tikhonov) limit of a singularly perturbed system (Hairer & Wanner, Solving
-ODEs II, Ch. VI).  A window shorter than 8000 relaxation lengths is stepped
-through with the full system.  The first sample keeps the caller's seed
-angle.
+starts on phi~, and the initial layer from the seed angle (~2e-5 wide in x
+at r ~ 1e-6) is taken in closed form, the reduced (Tikhonov) limit (Hairer &
+Wanner, Solving ODEs II, Ch. VI): with its coefficients held fixed across
+the layer and dr/deta = -A' cos(2 phi), it adds Delta ln r = -(2 A' /
+(r0 B)) ln|cos(2 phi*) / cos(phi0 + phi*)| to u.  The term is first order
+in Delta ln r; where it exceeds 1 in size, and on the repelling branch
+cos(phi0 + phi*) = 0 (the closed form from phi0 = 0), where it has no finite
+value, the seed takes no layer term.
+A window shorter than 8000 relaxation lengths is stepped with the full
+system.  The first sample keeps the caller's seed angle.
 
-The slaved regime is left once, on accuracy, not on cost.  The true angle
-lags phi* by (d ln rate/dx)/rate^2, so holding it on the branch shifts dr/dx
-by a relative s^2 |d ln rate/dx| / rate (= 4 |d ln rate/dx| / rate^3, as
-s = 2/rate for mu2 = k; zero for the closed form).  After each accepted
-slaved step this test is made with stage 7's rate, and d ln rate/dx is a
-difference between consecutive accepted points.  The regime is left once the
-slack is within _STIFF_BUDGET and that error exceeds rtol, or in any case
-_SLAVE_HANDBACK = 200 relaxation lengths before the last checkpoint, so the
-full system re-forms the lag before the angle is read.  Exit re-seeds the
-full system from the branch, which is continuous.
+The slaved regime is left once, on accuracy, not on cost.  phi~ omits the
+next term of the series, ~(d^2 delta1/dx^2) / nu^2, which shifts dr/dx by a
+relative 2 s |d^2 delta1/dx^2| / (rate^2 c^3); it is tested after each
+accepted slaved step, with the difference of the held d delta1/dx.  The
+regime is left once the slack is within _STIFF_BUDGET and that term exceeds
+rtol, or in any case _SLAVE_HANDBACK = 200 relaxation lengths before the
+last checkpoint, so the full system re-forms the lag before the angle is
+read.  Exit re-seeds the full system from phi~.
 
 r is never clamped, and r = exp(u) > 0 holds by construction.  The
 coordinate singularity r = 0 has no logarithm: a seed there ends at once in
 a step-size underflow, before any evaluation.  An attempt whose new u passes
 ln _R_MAX, where cosh 2r overflows (_R_MAX = ln(DBL_MAX)/2 ~ 354.9), or whose
-stages overflow or divide by zero, is rejected like a non-finite stage, so a
-mode that runs into that edge ends in a step-size underflow there: a
-rejected step shorter than 16 ulps of tau.  A seed past _R_MAX is refused
-before the first evaluation.  The fixed-step RK4 driver has no step to
-shrink: it stops at the first step that a non-finite stage, an overflow or a
-pole spoils or that takes r outside [0, _R_MAX], and integrate() raises a
-ValueError naming h_fixed.
+stages overflow, divide by zero or leave a math domain, is rejected like a
+non-finite stage.  The run ends in a step-size underflow when it cannot
+advance: a rejected step shorter than 16 ulps of tau, a rejected attempt
+from r within rtol of _R_MAX, or an r that falls into r = 0 (the closed
+form's dr/deta is finite there) within 16 ulps of tau at its current rate.
+A seed past _R_MAX is refused before the first evaluation.  The fixed-step
+RK4 driver has no step to shrink: it stops at the first step that a
+non-finite stage, an overflow or a pole spoils or that takes r outside
+[0, _R_MAX], and integrate() raises a ValueError naming h_fixed.
 
 The engine runs on Python floats, fills lists and imports nothing, numpy
 included: each stage is a chain of scalar operations, and numpy scalar
@@ -111,19 +112,10 @@ _LN_R_MAX = math.log(_R_MAX)
 _SLAVE_HANDBACK = 200.0
 
 
-def _flow(r, phi, lam, mu2, power, form, slaved=False):
-    """(dr/deta, dphi/deta, B, s) of the printed flow at (r, phi) for
-    |z'/z| = lam: B is the bracket multiplying sin(2 phi)/2 in dphi/deta (the
-    relaxation scale) and s = sin(2 phi*) = 2 mu2 / B of the attractor (0 for
-    the closed form, whose bracket carries no mu2).
-
-    slaved=True holds the angle on the attracting branch: dr/deta takes
-    cos(2 phi*) = -sqrt(1 - s^2), phi is not read and dphi/deta is 0.  The
-    attractor exists where 0 <= s < 0.99 (nearer s = 1 it is too marginal to
-    hold the angle); a slaved stage off it, or a non-finite angle (a stage
-    driven through the r = 0 singularity), gives NaN, which the step
-    controller rejects.
-    """
+def _flow(r, phi, lam, mu2, power, form):
+    """(dr/deta, dphi/deta) of the printed flow at (r, phi) for |z'/z| = lam.
+    A non-finite angle (a stage driven through the r = 0 singularity) gives
+    NaN, which the step controller rejects."""
     a_cc = lam * lam if power == "literal" else lam  # the closed-coupling factor
     tr = math.tanh(r)
     # Laurent form keeps coth(r)*sin(2 phi) accurate for tiny |r| (odd in r,
@@ -135,54 +127,87 @@ def _flow(r, phi, lam, mu2, power, form, slaved=False):
         coth = 1.0 / r + r / 3.0 + r * r * r / 45.0
     else:
         coth = 1.0 / tr
+    if not math.isfinite(phi):
+        return math.nan, math.nan
+    c2p = math.cos(2.0 * phi)
     closed = form == "closed-reference"
     if closed:
-        bracket = a_cc * tr + coth
-        s = 0.0
+        dpdeta = 0.5 * math.sin(2.0 * phi) * (a_cc * tr + coth)
     else:
-        # coth r + mu2 is summed first, as in the printed M_P (coth r + mu2)
+        # the bracket B of the angle equation; coth r + mu2 is summed first,
+        # as in the printed M_P (coth r + mu2)
         bracket = a_cc * tr / (1.0 + mu2 * tr) + (coth + mu2)
-        s = 2.0 * mu2 / bracket
-    if slaved:
-        if not 0.0 <= s < 0.99:
-            return math.nan, 0.0, bracket, s
-        c2p = -math.sqrt(1.0 - s * s)
-        dpdeta = 0.0
-    elif math.isfinite(phi):
-        c2p = math.cos(2.0 * phi)
-        dpdeta = 0.5 * math.sin(2.0 * phi) * bracket
-        if not closed:
-            dpdeta -= mu2
-    else:
-        return math.nan, math.nan, bracket, s
+        dpdeta = 0.5 * math.sin(2.0 * phi) * bracket - mu2
     if form == "conformal":
         s2r = math.sinh(2.0 * r)
         ch = math.cosh(r)
         den = s2r + 2.0 * mu2 * (ch * ch)
         if den != 0.0:
-            return -a_cc * s2r * c2p / den, dpdeta, bracket, s
+            return -a_cc * s2r * c2p / den, dpdeta
     elif not closed:
         den = tr + mu2
         if den != 0.0:
-            return -tr * (a_cc * c2p) / den, dpdeta, bracket, s
+            return -tr * (a_cc * c2p) / den, dpdeta
     # the closed form (the analytic mu2 = 0 limit, finite at r = 0), which is
     # also the 0/0 limit of the printed ratios at r = 0 with mu2 = 0
-    return -a_cc * c2p, dpdeta, bracket, s
+    return -a_cc * c2p, dpdeta
 
 
-def _stage(tau, u, phi, k, power, form, slaved=False):
-    """(du/dtau, dphi/dtau, B, s) at tau = -1/x, u = ln r: the adaptive
-    driver's stage.  |z'/z| = 1/|eta| = k/x = -k tau, and d/dtau = x^2 d/dx
-    = -(x^2/k) d/deta with x^2 = 1/tau^2."""
+def _stage(tau, u, phi, k, power, form):
+    """(du/dtau, dphi/dtau) of the full system at tau = -1/x, u = ln r.
+    |z'/z| = 1/|eta| = k/x = -k tau, and d/dtau = x^2 d/dx = -(x^2/k) d/deta
+    with x^2 = 1/tau^2."""
     r = math.exp(u)
-    drdeta, dpdeta, bracket, s = _flow(r, phi, -k * tau, k, power, form, slaved)
+    drdeta, dpdeta = _flow(r, phi, -k * tau, k, power, form)
     scale = -1.0 / (k * tau * tau)
-    return scale * drdeta / r, scale * dpdeta, bracket, s
+    return scale * drdeta / r, scale * dpdeta
+
+
+def _slaved_stage(tau, u, k, power, form, dlag):
+    """(du/dtau, sin 2phi~, delta1, B, s) with the angle on the slow manifold
+    phi~ (module docstring), for the held d delta1/dx = dlag; s = 0 for the
+    closed form.  Off the branch (s outside [0, 0.99), too marginal to hold
+    the angle) du/dtau is NaN, which the controller rejects."""
+    r = math.exp(u)
+    lam = -k * tau  # |z'/z| = k/x
+    literal = power == "literal"
+    a_cc = lam * lam if literal else lam
+    tr = math.tanh(r)
+    coth = 1.0 / r + r / 3.0 + r * r * r / 45.0 if r < 1e-4 else 1.0 / tr  # as in _flow
+    scale = -1.0 / (k * tau * tau)
+    if form == "closed-reference":  # s = 0, so delta = 0 and cos(2 phi~) = -1
+        return scale * a_cc / r, 0.0, 0.0, a_cc * tr + coth, 0.0
+    den1 = 1.0 + k * tr
+    bracket = a_cc * tr / den1 + (coth + k)
+    s = 2.0 * k / bracket
+    if not 0.0 <= s < 0.99:
+        return math.nan, s, 0.0, bracket, s
+    c = math.sqrt(1.0 - s * s)  # -cos(2 phi*)
+    if form == "conformal":
+        s2r = math.sinh(2.0 * r)
+        ch = math.cosh(r)
+        g = a_cc * s2r / (s2r + 2.0 * k * (ch * ch))  # dr/deta = -g cos(2 phi)
+    else:
+        g = a_cc * tr / (tr + k)
+    # dB/dx / B^2, so that csch^2 r ~ 1/r^2 cannot overflow: a_cc ~ x^-p at
+    # fixed r, plus dB/dr times the zeroth-order dr/dx = -g c / k
+    ib = 1.0 / bracket
+    q = coth * ib
+    dbdx = (
+        (-2.0 if literal else -1.0) * a_cc * tr * -tau / den1 * ib * ib
+        - (a_cc * (1.0 - tr * tr) / (den1 * den1) * ib * ib - (q * q - ib * ib)) * g * c / k
+    )
+    # delta1 = (dphi*/dx) / nu and delta2 = dlag / nu with nu = B c / k
+    d1 = 0.5 * s * k * dbdx / (c * c)
+    delta = d1 + dlag * k * ib / c
+    c2d = math.cos(2.0 * delta)
+    s2d = math.sin(2.0 * delta)
+    return scale * g * (c * c2d + s * s2d) / r, s * c2d - c * s2d, d1, bracket, s
 
 
 def _rhs_x(x, r, phi, k, power, form):
     """(dr/dx, dphi/dx) of the full system, for the RK4 driver."""
-    drdeta, dpdeta, _, _ = _flow(r, phi, k / x, k, power, form)
+    drdeta, dpdeta = _flow(r, phi, k / x, k, power, form)
     return -drdeta / k, -dpdeta / k
 
 
@@ -258,15 +283,23 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, r_cap, max_steps):
     h = (-1.0 / x_end - tau) * 1e-4  # negative: tau decreases with x
 
     # the seed is the only way onto the slaved branch (module docstring)
-    _, _, bracket, s = _flow(r0, phi, k / x, k, power, form)
+    dlag = d2 = 0.0  # d delta1/dx and its derivative, held between accepted points
+    fu, s2p, d1, bracket, s = _slaved_stage(tau, u, k, power, form, dlag)
     rate = bracket / k
     slaved = math.isfinite(rate) and rate * (x - x_end) > 2.0 * _STIFF_BUDGET and 0.0 <= s < 0.99
     if slaved:
-        phi = _attractor_phi(s, phi)
-        x_prev = x
-        ln_rate_prev = math.log(rate)
-        dlnrate = 0.0
-    fu, fp, _, _ = _stage(tau, u, phi, k, power, form, slaved)
+        # the layer term with A' c / r0 = du/deta = -k tau^2 du/dtau, and
+        # cos(phi0 + phi*) from half angles, exactly 0 on the repelling branch
+        c = math.sqrt(1.0 - s * s)
+        cos_sum = math.cos(phi0) * math.sqrt(0.5 * (1.0 - c)) - math.sin(phi0) * math.sqrt(0.5 * (1.0 + c))
+        layer = 2.0 * fu * k * tau * tau * math.log(c / abs(cos_sum)) / (c * bracket) if cos_sum else math.inf
+        phi = _attractor_phi(s2p, phi)
+        fp, x_prev, d1_prev = 0.0, x, d1
+        if abs(layer) <= 1.0:  # a first-order term: beyond |Delta ln r| = 1, none
+            u += layer
+            fu = _slaved_stage(tau, u, k, power, form, dlag)[0]
+    else:
+        fu, fp = _stage(tau, u, phi, k, power, form)
 
     for x_target in xs[1:]:
         tau_target = -1.0 / x_target
@@ -282,24 +315,38 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, r_cap, max_steps):
 
             k1u, k1p = fu, fp
             try:
-                u2 = u + h * _DP_A21 * k1u
-                q2 = phi + h * _DP_A21 * k1p
-                k2u, k2p, _, _ = _stage(tau + _DP_C2 * h, u2, q2, k, power, form, slaved)
-                u3 = u + h * (_DP_A31 * k1u + _DP_A32 * k2u)
-                q3 = phi + h * (_DP_A31 * k1p + _DP_A32 * k2p)
-                k3u, k3p, _, _ = _stage(tau + _DP_C3 * h, u3, q3, k, power, form, slaved)
-                u4 = u + h * (_DP_A41 * k1u + _DP_A42 * k2u + _DP_A43 * k3u)
-                q4 = phi + h * (_DP_A41 * k1p + _DP_A42 * k2p + _DP_A43 * k3p)
-                k4u, k4p, _, _ = _stage(tau + _DP_C4 * h, u4, q4, k, power, form, slaved)
-                u5 = u + h * (_DP_A51 * k1u + _DP_A52 * k2u + _DP_A53 * k3u + _DP_A54 * k4u)
-                q5 = phi + h * (_DP_A51 * k1p + _DP_A52 * k2p + _DP_A53 * k3p + _DP_A54 * k4p)
-                k5u, k5p, _, _ = _stage(tau + _DP_C5 * h, u5, q5, k, power, form, slaved)
-                u6 = u + h * (_DP_A61 * k1u + _DP_A62 * k2u + _DP_A63 * k3u + _DP_A64 * k4u + _DP_A65 * k5u)
-                q6 = phi + h * (_DP_A61 * k1p + _DP_A62 * k2p + _DP_A63 * k3p + _DP_A64 * k4p + _DP_A65 * k5p)
-                k6u, k6p, _, _ = _stage(tau + h, u6, q6, k, power, form, slaved)
-                u_new = u + h * (_DP_B1 * k1u + _DP_B3 * k3u + _DP_B4 * k4u + _DP_B5 * k5u + _DP_B6 * k6u)
-                p_new = phi + h * (_DP_B1 * k1p + _DP_B3 * k3p + _DP_B4 * k4p + _DP_B5 * k5p + _DP_B6 * k6p)
-                k7u, k7p, bracket, s = _stage(tau + h, u_new, p_new, k, power, form, slaved)
+                if slaved:  # the angle is held on phi~, so u alone is stepped
+                    k2u = _slaved_stage(tau + _DP_C2 * h, u + h * _DP_A21 * k1u, k, power, form, dlag)[0]
+                    u3 = u + h * (_DP_A31 * k1u + _DP_A32 * k2u)
+                    k3u = _slaved_stage(tau + _DP_C3 * h, u3, k, power, form, dlag)[0]
+                    u4 = u + h * (_DP_A41 * k1u + _DP_A42 * k2u + _DP_A43 * k3u)
+                    k4u = _slaved_stage(tau + _DP_C4 * h, u4, k, power, form, dlag)[0]
+                    u5 = u + h * (_DP_A51 * k1u + _DP_A52 * k2u + _DP_A53 * k3u + _DP_A54 * k4u)
+                    k5u = _slaved_stage(tau + _DP_C5 * h, u5, k, power, form, dlag)[0]
+                    u6 = u + h * (_DP_A61 * k1u + _DP_A62 * k2u + _DP_A63 * k3u + _DP_A64 * k4u + _DP_A65 * k5u)
+                    k6u = _slaved_stage(tau + h, u6, k, power, form, dlag)[0]
+                    u_new = u + h * (_DP_B1 * k1u + _DP_B3 * k3u + _DP_B4 * k4u + _DP_B5 * k5u + _DP_B6 * k6u)
+                    k7u, s2p, d1, bracket, s = _slaved_stage(tau + h, u_new, k, power, form, dlag)
+                    p_new, k7p = phi, 0.0
+                else:
+                    u2 = u + h * _DP_A21 * k1u
+                    q2 = phi + h * _DP_A21 * k1p
+                    k2u, k2p = _stage(tau + _DP_C2 * h, u2, q2, k, power, form)
+                    u3 = u + h * (_DP_A31 * k1u + _DP_A32 * k2u)
+                    q3 = phi + h * (_DP_A31 * k1p + _DP_A32 * k2p)
+                    k3u, k3p = _stage(tau + _DP_C3 * h, u3, q3, k, power, form)
+                    u4 = u + h * (_DP_A41 * k1u + _DP_A42 * k2u + _DP_A43 * k3u)
+                    q4 = phi + h * (_DP_A41 * k1p + _DP_A42 * k2p + _DP_A43 * k3p)
+                    k4u, k4p = _stage(tau + _DP_C4 * h, u4, q4, k, power, form)
+                    u5 = u + h * (_DP_A51 * k1u + _DP_A52 * k2u + _DP_A53 * k3u + _DP_A54 * k4u)
+                    q5 = phi + h * (_DP_A51 * k1p + _DP_A52 * k2p + _DP_A53 * k3p + _DP_A54 * k4p)
+                    k5u, k5p = _stage(tau + _DP_C5 * h, u5, q5, k, power, form)
+                    u6 = u + h * (_DP_A61 * k1u + _DP_A62 * k2u + _DP_A63 * k3u + _DP_A64 * k4u + _DP_A65 * k5u)
+                    q6 = phi + h * (_DP_A61 * k1p + _DP_A62 * k2p + _DP_A63 * k3p + _DP_A64 * k4p + _DP_A65 * k5p)
+                    k6u, k6p = _stage(tau + h, u6, q6, k, power, form)
+                    u_new = u + h * (_DP_B1 * k1u + _DP_B3 * k3u + _DP_B4 * k4u + _DP_B5 * k5u + _DP_B6 * k6u)
+                    p_new = phi + h * (_DP_B1 * k1p + _DP_B3 * k3p + _DP_B4 * k4p + _DP_B5 * k5p + _DP_B6 * k6p)
+                    k7u, k7p = _stage(tau + h, u_new, p_new, k, power, form)
                 # rtol on u = ln r is relative in r; atol guards the angle only
                 err_u = h * (_DP_E1 * k1u + _DP_E3 * k3u + _DP_E4 * k4u + _DP_E5 * k5u + _DP_E6 * k6u + _DP_E7 * k7u) / rtol
                 if slaved:  # the angle is held, so u alone carries the error
@@ -310,7 +357,7 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, r_cap, max_steps):
                     err = math.sqrt(0.5 * (err_u * err_u + (err_p / sp) ** 2))
                 if not u_new <= _LN_R_MAX:  # cosh 2r would overflow
                     err = math.nan
-            except (OverflowError, ZeroDivisionError):  # beyond the double range, or a pole
+            except (OverflowError, ZeroDivisionError, ValueError):  # beyond the double range, or a pole
                 err = math.nan
             accepted = err <= 1.0
             if accepted:
@@ -329,20 +376,19 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, r_cap, max_steps):
                     capped = True
                 if slaved:
                     n_slaved += 1
-                    # stage 7 ran on the branch here, so its B and s hold there
+                    # stage 7 ran on phi~ here, so its B, s and delta1 hold there
                     rate = bracket / k
-                    phi = _attractor_phi(s, phi)
-                    # leave for good on the lag error or near the last checkpoint
-                    slack = rate * (x - x_end)
-                    ln_rate = math.log(rate)
+                    phi = _attractor_phi(s2p, phi)
                     if x != x_prev:  # a sub-ulp step can leave x unchanged
-                        dlnrate = (ln_rate - ln_rate_prev) / (x - x_prev)
-                        x_prev = x
-                        ln_rate_prev = ln_rate
-                    lagging = slack <= _STIFF_BUDGET and s * s * abs(dlnrate) > rtol * rate
+                        slope = (d1 - d1_prev) / (x - x_prev)
+                        d2 = (slope - dlag) / (x - x_prev)
+                        dlag, x_prev, d1_prev = slope, x, d1
+                    # leave for good on the next-order term or near the end
+                    slack = rate * (x - x_end)
+                    lagging = slack <= _STIFF_BUDGET and 2.0 * s * abs(d2) > rtol * rate * rate * (1.0 - s * s) ** 1.5
                     if lagging or slack <= _SLAVE_HANDBACK:
                         slaved = False
-                        fu, fp, _, _ = _stage(tau, u, phi, k, power, form, False)
+                        fu, fp = _stage(tau, u, phi, k, power, form)
             else:
                 n_rejected += 1
 
@@ -354,9 +400,10 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, r_cap, max_steps):
             else:
                 factor = min(10.0, max(0.2, 0.9 * err ** -0.2))
             h = h * factor
-            # a rejected step that still demands fewer than 16 ulps of tau
-            # means the integrator cannot advance
-            if (not accepted) and -h < 16.0 * math.ulp(tau):
+            # the integrator cannot advance: r falls into 0 within 16 ulps of tau at its
+            # rate, or a rejected step is shorter than that or starts within rtol of _R_MAX
+            floor = 16.0 * math.ulp(tau)
+            if (fu * floor > 1.0) if accepted else (-h < floor or u >= _LN_R_MAX - rtol):
                 status = "step-underflow"
                 break
         if status != "ok":

@@ -283,6 +283,26 @@ class TestCli:
         assert summary.count("likely the r = 0 angle singularity") == 2
         assert len(list(out.iterdir())) == 7
 
+    def test_failed_modes_keep_their_work(self, tmp_path):
+        # the two modes that walk into r = 0 still report the attempts they
+        # made, and the summary's step totals count them
+        cfg = SweepConfig(
+            k_min=100.0, k_max=1000.0, k_points=3, x_start=2.5, init_phi=0.0,
+            form="closed-reference", coupling_power="hamiltonian-consistent",
+        )
+        modes = evolve_grid(make_k_grid(cfg), cfg)
+        assert [m.state is None for m in modes] == [False, True, True]
+        failed = [m.stats for m in modes if m.state is None]
+        assert all(st.status == "step-underflow" and st.n_steps > 0 for st in failed)
+        write_outputs(run_sweep(cfg), tmp_path)
+        steps = sum(m.stats.n_steps for m in modes)
+        rejected = sum(m.stats.n_rejected for m in modes)
+        slaved = sum(m.stats.n_slaved_steps for m in modes)
+        assert (
+            f"integrator steps: {steps} accepted ({slaved} slaved), {rejected} rejected"
+            in (tmp_path / "summary.txt").read_text()
+        )
+
     @pytest.mark.parametrize("form", ["transformed", "conformal"])
     def test_double_range_overflow_fails_per_mode(self, tmp_path, capsys, form):
         # at k = 1 r grows past 354.9, where cosh 2r overflows: that mode

@@ -25,6 +25,22 @@ from sqspec.squeeze_dynamics import (
 
 PI4 = math.pi / 4.0
 
+# (k, r, phi) at x = 1 of the hamiltonian-consistent default seed (x = 100,
+# r = 1e-6, phi = pi/4, conformal form): scipy Radau IIA on the full system,
+# no fast path, rtol 1e-13 (its rtol 1e-12 and 1e-13 runs agree to 1.4e-14);
+# phi is None where it was not recorded
+RADAU_CONSISTENT = [
+    (1e-4, 4.603398547768569, 1.5706963668511917),
+    (0.010234114021054527, 4.424884144010295, 1.5607676620798865),
+    (0.0196, 4.26199662362104, None),
+    (0.03107866187782014, 4.065309642640683, 1.541487384591495),
+    (0.05, 3.74867579070614, 1.52514453771141),
+    (0.16446761779946645, 2.059151178919628, 1.4456167029421445),
+    (0.41504047578504766, 0.05732451866052365, 1.5486042393400998),
+    (0.8309941949353395, 0.00025504856442165906, 1.5705844818049413),
+    (1.0, 9.999009962085652e-05, 1.5706963566839889),
+]
+
 
 class TestRhsPointwise:
     def test_quarter_pi_is_fixed_point_of_r(self):
@@ -172,27 +188,36 @@ class TestIntegrate:
         assert traj.state_at(0.01).r == pytest.approx(rend, rel=1e-5)
 
     @pytest.mark.parametrize(
-        "power,x_end,k,r_ref,bound",
+        "power,x_end,k,r_ref,phi_ref,bound",
         [
-            # scipy Radau IIA on the full system from phi = pi/4, no fast
-            # path, rtol 1e-13 (its rtol 1e-12 and 1e-13 runs agree to 1.4e-14)
-            ("literal", 1.0, 1e-4, 2.6472658212263777e-06, 1e-9),
-            ("literal", 1.0, 1.0, 2.6912299206507257e-06, 1e-9),
-            ("literal", 0.01, 0.025826187606826773, 2.1870171253247825, 1e-9),
-            ("literal", 0.01, 1.0, 43.43111832109367, 1e-9),
-            # the consistent fast path holds ~1e-8 (its lag test and seeded layer)
-            ("hamiltonian-consistent", 1.0, 0.0196, 4.26199662362104, 1e-8),
-            ("hamiltonian-consistent", 1.0, 0.05, 3.74867579070614, 1e-8),
-            ("hamiltonian-consistent", 1.0, 1.0, 9.999009962085652e-05, 1e-8),
+            ("literal", 1.0, 1e-4, 2.6472658212263777e-06, None, 1e-9),
+            ("literal", 1.0, 1.0, 2.6912299206507257e-06, None, 1e-9),
+            ("literal", 0.01, 0.025826187606826773, 2.1870171253247825, None, 1e-9),
+            ("literal", 0.01, 1.0, 43.43111832109367, None, 1e-9),
+            *(("hamiltonian-consistent", 1.0, *point, 1e-9) for point in RADAU_CONSISTENT),
         ],
     )
-    def test_default_tolerance_against_radau(self, power, x_end, k, r_ref, bound):
+    def test_default_tolerance_against_radau(self, power, x_end, k, r_ref, phi_ref, bound):
         # rtol is relative in r: the default run lands on an independent
         # stiff reference at its evaluation point
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CappedGrowthWarning)
             traj = integrate(k, 100.0, x_end, coupling_power=power, samples=[100.0, x_end])
         assert abs(traj.samples[-1].r - r_ref) <= bound * r_ref
+        if phi_ref is not None:
+            assert abs(traj.samples[-1].phi - phi_ref) <= 1e-9
+
+    def test_tight_tolerance_against_radau(self):
+        # at rtol = atol = 1e-13 the consistent fast path, its layer and its
+        # hand-back carry no bias above 1e-11 against the reference
+        for k, r_ref, phi_ref in RADAU_CONSISTENT:
+            end = integrate(
+                k, 100.0, 1.0, coupling_power="hamiltonian-consistent",
+                samples=[100.0, 1.0], rtol=1e-13, atol=1e-13,
+            ).samples[-1]
+            assert abs(end.r - r_ref) <= 1e-11 * r_ref
+            if phi_ref is not None:
+                assert abs(end.phi - phi_ref) <= 1e-11
 
     def test_singularity_seed_never_non_finite(self):
         traj = integrate(0.1, 20.0, 0.5, init=(1e-8, PI4))
@@ -304,9 +329,25 @@ class TestIntegrate:
             integrate(*args, form="closed-reference", method="fixed", **kwargs)
 
     def test_init_r_at_double_range_edge(self):
-        # the largest valid seed evaluates without overflow; r then stalls there
-        with pytest.raises(StepBudgetError):
-            integrate(0.5, 10.0, 1.0, init=(eng._R_MAX, PI4), max_steps=200)
+        # the largest valid seed evaluates without overflow; r grows from
+        # there, so the run ends at once as an underflow that names the edge
+        with pytest.raises(StepSizeUnderflowError, match="double range") as excinfo:
+            integrate(0.5, 10.0, 1.0, init=(eng._R_MAX, PI4))
+        stats = excinfo.value.trajectory.integrator_stats
+        assert stats.n_steps + stats.n_rejected <= 200
+
+    @pytest.mark.parametrize("k", [316.0, 1000.0])
+    def test_walk_into_r_zero_fails_fast(self, k):
+        # the closed form's dr/deta is finite at r = 0 and the angle sits on
+        # the repelling branch, so ln r falls to -inf in finite tau; the run
+        # ends where r = 0 is within 16 ulps of tau at its current rate
+        with pytest.raises(StepSizeUnderflowError, match="r = 0") as excinfo:
+            integrate(
+                k, 2.5, 1.0, init=(1e-6, 0.0), form="closed-reference",
+                coupling_power="hamiltonian-consistent",
+            )
+        stats = excinfo.value.trajectory.integrator_stats
+        assert stats.n_steps + stats.n_rejected <= 500
 
     def test_closed_reference_oracle_convergence(self):
         # the dissipation-free form approximates the open flow to first
@@ -331,56 +372,82 @@ class TestIntegrate:
 
     def test_stiff_bypass_matches_plain_where_affordable(self, monkeypatch):
         # non-stiff window (slack ~ 300 relaxation lengths): the fast path is
-        # not engaged, so every stage is a plain full-system evaluation
-        flags = []
-
-        def spy(*args):
-            flags.append(len(args) > 6 and args[6])
-            return stage(*args)
-
-        stage = eng._stage
-        monkeypatch.setattr(eng, "_stage", spy)
+        # not engaged, so every stage after the seed's entry probe is a plain
+        # full-system evaluation
+        flags = _spy_stages(monkeypatch)
         traj = integrate(0.8, 5.0, 0.5, init=(0.05, PI4))
         assert traj.integrator_stats.n_slaved_steps == 0
-        assert flags and not any(flags)
+        assert flags[0] and len(flags) > 1 and not any(flags[1:])
 
 
 def _stage_at(x, r, phi, *args):
-    """The adaptive driver's stage at (x, r): (du/dtau, dphi/dtau, B, s) at
-    tau = -1/x, u = ln r."""
+    """The adaptive driver's full-system stage at (x, r): (du/dtau,
+    dphi/dtau) at tau = -1/x, u = ln r."""
     return eng._stage(-1.0 / x, math.log(r), phi, *args)
 
 
+def _slaved_at(x, r, k, power, form, dlag=0.0):
+    """The adaptive driver's slaved stage at (x, r): (du/dtau, sin 2phi~,
+    delta1, B, s) at tau = -1/x, u = ln r."""
+    return eng._slaved_stage(-1.0 / x, math.log(r), k, power, form, dlag)
+
+
+def _spy_stages(monkeypatch):
+    """Record, per stage evaluation of the adaptive driver, whether it was
+    the slaved stage (True) or the full system (False)."""
+    flags = []
+
+    def spy(name, slaved):
+        stage = getattr(eng, name)
+
+        def wrapper(*args):
+            flags.append(slaved)
+            return stage(*args)
+
+        monkeypatch.setattr(eng, name, wrapper)
+
+    spy("_stage", False)
+    spy("_slaved_stage", True)
+    return flags
+
+
 class TestSlavedBranch:
-    """The slaved stages take dr/deta straight from s = sin(2 phi*) of _flow;
-    it must agree with the full right-hand side at the attractor angle."""
+    """The slaved stage holds the angle on the slow manifold phi~ and takes
+    dr/deta from it; it must agree with the full right-hand side at the
+    angle it reports."""
 
     @pytest.mark.parametrize("form", eng.FORMS)
     @pytest.mark.parametrize("power", eng.COUPLING_POWERS)
     @pytest.mark.parametrize(
-        "x,r,k",
-        [(100.0, 1e-6, 0.05), (1.0, 2.7e-6, 1e-4), (3.0, 5e-5, 0.7), (0.5, 0.3, 0.2),
-         (0.02, 4.0, 1.0)],
+        "x,r,k,dlag",
+        [(100.0, 1e-6, 0.05, 0.0), (1.0, 2.7e-6, 1e-4, 0.0), (3.0, 5e-5, 0.7, 1e-3),
+         (0.5, 0.3, 0.2, -0.05), (0.02, 4.0, 1.0, 2.0)],
     )
-    def test_matches_rhs_at_attractor(self, form, power, x, r, k):
+    def test_matches_rhs_at_attractor(self, form, power, x, r, k, dlag):
         args = (k, power, form)
-        s = _stage_at(x, r, PI4, *args)[3]
+        fast, s2p, _, _, s = _slaved_at(x, r, *args, dlag)
         assert 0.0 <= s < 0.99
-        phi_star = eng._attractor_phi(s, math.pi / 2)
-        fast = _stage_at(x, r, phi_star, *args, True)[0]
-        full = _stage_at(x, r, phi_star, *args, False)[0]
+        phi = eng._attractor_phi(s2p, math.pi / 2)
+        full = _stage_at(x, r, phi, *args)[0]
         assert fast == pytest.approx(full, rel=1e-13)
 
     @pytest.mark.parametrize("form", eng.FORMS)
-    def test_slaved_rhs_holds_the_angle(self, form):
-        # the driver's one stage sequence runs the slaved regime through
-        # _stage(..., slaved=True): du/dtau from the branch whatever angle is
-        # passed, dphi/dtau exactly 0
-        args = (0.05, "literal", form, True)
-        for x, r in ((100.0, 1e-6), (10.0, 3.0)):
-            du, dphi = _stage_at(x, r, math.pi / 2, *args)[:2]
-            assert dphi == 0.0 and math.isfinite(du)
-            assert du == _stage_at(x, r, 0.4, *args)[0]
+    def test_first_order_term_matches_a_difference(self, form):
+        # delta1 = (dphi*/dx) / nu, nu = B c / k, is formed from dB/dx in closed form; a
+        # central difference of phi* along the zeroth-order flow must agree
+        k, x, r, power = 0.05, 3.0, 0.02, "hamiltonian-consistent"
+        du, _, d1, bracket, s = _slaved_at(x, r, k, power, form)
+        c = math.sqrt(1.0 - s * s)
+        drdx = du * r / (x * x)  # d ln r/dtau = x^2 d ln r/dx
+        eps = 1e-5
+
+        def phi_star(xx):
+            s_at = _slaved_at(xx, r + (xx - x) * drdx, k, power, form)[4]
+            return 0.5 * (math.pi - math.asin(s_at))
+
+        dphi = (phi_star(x + eps) - phi_star(x - eps)) / (2.0 * eps)
+        assert d1 == pytest.approx(dphi / (bracket * c / k), rel=1e-6, abs=1e-300)
+        assert (d1 == 0.0) == (form == "closed-reference")
 
     def test_attractor_angle_nearest_the_anchor(self):
         # sin(2 phi*) = s on the attracting branch (cos(2 phi*) < 0), on the
@@ -396,9 +463,9 @@ class TestSlavedBranch:
     def test_slaved_stage_off_the_branch_is_nan(self, form):
         # at x = 10, r = 3, k = 10 the bracket is ~11.1, so sin(2 phi*) =
         # 2 mu2 / B ~ 1.8: no fixed point, and the stage is rejected
-        du, dphi, _, s = _stage_at(10.0, 3.0, 0.4, 10.0, "literal", form, True)
+        du, _, _, _, s = _slaved_at(10.0, 3.0, 10.0, "literal", form)
         assert s > 1.0
-        assert math.isnan(du) and dphi == 0.0
+        assert math.isnan(du)
 
     def test_non_finite_angle_gives_nan(self):
         # a stage angle driven to inf through coth(0) must be rejected, not raise
@@ -470,7 +537,7 @@ class TestSeededLayer:
         # sample L relaxation lengths past the seed, where the stepped layer
         # has decayed to the branch: a tight plain run must agree there (its
         # window is shorter than 8000 relaxation lengths, so it is not seeded)
-        rate = _stage_at(100.0, 1e-6, PI4, k, "literal", "conformal")[2] / k
+        rate = _slaved_at(100.0, 1e-6, k, "literal", "conformal")[3] / k
         x_s = 100.0 - lengths / rate
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CappedGrowthWarning)
@@ -493,14 +560,7 @@ class TestSeededLayer:
     def test_slaved_stages_are_a_prefix(self, monkeypatch):
         # entered at the seed or never, left at most once: every slaved
         # evaluation comes before every full-system one
-        flags = []
-
-        def spy(*args):
-            flags.append(len(args) > 6 and args[6])
-            return stage(*args)
-
-        stage = eng._stage
-        monkeypatch.setattr(eng, "_stage", spy)
+        flags = _spy_stages(monkeypatch)
         traj = integrate(1e-3, 100.0, 0.01, samples=[100.0, 0.01])
         stats = traj.integrator_stats
         assert 0 < stats.n_slaved_steps < stats.n_steps
@@ -578,16 +638,21 @@ class TestEvolveGrid:
         # must still see Python floats, on which it runs about twice as fast
         seen = []
 
-        def spy(tau, u, phi, k, *args):
-            seen.append((type(tau), type(u), type(phi), type(k)))
-            return stage(tau, u, phi, k, *args)
+        def spy(name):
+            stage = getattr(eng, name)
 
-        stage = eng._stage
-        monkeypatch.setattr(eng, "_stage", spy)
+            def wrapper(*args):
+                seen.append(tuple(type(a) for a in args if not isinstance(a, str)))
+                return stage(*args)
+
+            monkeypatch.setattr(eng, name, wrapper)
+
+        spy("_stage")
+        spy("_slaved_stage")
         cfg = SweepConfig(k_points=3)
         res = evolve_grid(make_k_grid(cfg), cfg)
         assert all(m.error is None for m in res)
-        assert seen and set(seen) == {(float, float, float, float)}
+        assert seen and {tp for t in seen for tp in t} == {float}
 
     def test_rejects_descending_grid(self):
         with pytest.raises(ValueError, match="ascending"):

@@ -13,19 +13,23 @@ same seeded random valid inputs, each in its own interpreter:
     log-uniform in [1e-12, 1e-4]; max_steps 20,000; 10% method="fixed" with
     h_fixed = span/16 to span/256; 40% with 1 to 4 explicit sample points.
 
-A result is the outcome (status, or the exception type and message), the
-samples (of the partial trajectory for a typed integrator failure), the
-integrator stats and the warning types.  The script prints how many results
-are identical and how many differ, a table of outcome pairs, and the cause of
-each difference: a fixed-step input, an input where either tree evaluated a
-slaved stage off the angle's branch (one whose first derivative is NaN), or
-other; it also counts the off-branch slaved stages at r < 0.  The spy sits on
-the adaptive driver's stage, _stage in trees that step ln r against -1/x and
-_rhs_x in older ones.
+A result is the outcome (status, or the exception type and message; any
+exception other than a typed integrator failure, ValueError or OverflowError
+is an "untyped" outcome), the samples (of the partial trajectory for a typed
+integrator failure), the integrator stats and the warning types.  The script
+prints how many results are identical and how many differ, a table of outcome
+pairs, and the cause of each difference: a fixed-step input, an input where
+either tree evaluated a slaved stage off the angle's branch (one whose first
+derivative is NaN), or other; it also counts the off-branch slaved stages at
+r < 0.  The spy sits on the adaptive driver's slaved stage: _slaved_stage,
+or in older trees _stage (on -1/x, ln r) or _rhs_x (on x, r) called with
+slaved=True.
 For each differing input that has samples on both sides it prints the error
-of both sides against a tight run (rtol 1e-13, atol 1e-16) of OLD_SRC: the
+of both sides against a tight run (rtol 1e-13, atol 1e-16) of each tree: the
 largest relative error of r and absolute error of phi over the checkpoints
-both reached, and it sums up how many got better or worse.
+both reached.  An input counts as better or worse only when both references
+agree on it, and as unsettled otherwise.  The exit status is 1 when NEW_SRC
+has an untyped outcome.
 """
 
 from __future__ import annotations
@@ -82,16 +86,20 @@ def run_worker():
     from sqspec import _integrators as eng
     from sqspec.squeeze_dynamics import StepBudgetError, StepSizeUnderflowError, integrate
 
-    # the adaptive driver's stage: _stage, on (-1/x, ln r, phi), or in older
-    # trees _rhs_x, on (x, r, phi); both take slaved last and positionally
-    name = "_stage" if hasattr(eng, "_stage") else "_rhs_x"
+    # the adaptive driver's slaved stage: _slaved_stage, or in older trees
+    # _stage, on (-1/x, ln r, phi), or _rhs_x, on (x, r, phi), both taking
+    # slaved last and positionally
+    name = next(n for n in ("_slaved_stage", "_stage", "_rhs_x") if hasattr(eng, n))
     stage = getattr(eng, name)
     off_branch = [0, 0]
+    probe = [False]  # the first _slaved_stage call of a run only tests the seed
 
     def spy(*args):
         # a slaved stage off the branch returns a NaN first derivative
         derivs = stage(*args)
-        if args[-1] is True and math.isnan(derivs[0]):
+        if name == "_slaved_stage" and probe[0]:
+            probe[0] = False
+        elif (name == "_slaved_stage" or args[-1] is True) and math.isnan(derivs[0]):
             off_branch[0] += 1
             off_branch[1] += name == "_rhs_x" and args[1] < 0.0
         return derivs
@@ -100,6 +108,7 @@ def run_worker():
     results = []
     for kwargs in json.load(sys.stdin):
         off_branch[:] = [0, 0]
+        probe[0] = True
         traj = None
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -111,6 +120,8 @@ def run_worker():
                 outcome = f"{type(exc).__name__}: {exc}"
             except (ValueError, OverflowError) as exc:
                 outcome = f"{type(exc).__name__}: {exc}"
+            except Exception as exc:  # a program error: recorded, not fatal
+                outcome = f"untyped {type(exc).__name__}: {exc}"
         results.append(
             dict(
                 outcome=outcome,
@@ -188,27 +199,41 @@ def main():
     print("differing inputs by cause:", dict(sorted(causes.items())))
 
     compared = [i for i in differ if old[i]["samples"] and new[i]["samples"]]
-    tight = run_tree(
-        args.old_src,
-        [dict(inputs[i], rtol=1e-13, atol=1e-16, method="adaptive") for i in compared],
-    )
-    ratios = []
-    for i, ref in zip(compared, tight):
+    tight_inputs = [dict(inputs[i], rtol=1e-13, atol=1e-16, method="adaptive") for i in compared]
+    refs = run_tree(args.old_src, tight_inputs), run_tree(args.new_src, tight_inputs)
+    verdicts = []
+    for n, i in enumerate(compared):
         a, b = old[i], new[i]
-        ea, eb = error_against(a["samples"], ref["samples"]), error_against(b["samples"], ref["samples"])
-        ratios.append([y / x if x > 0 else (1.0 if y == x else math.inf) for x, y in zip(ea, eb)])
+        # (old error, new error) of r and of phi against each tree's tight run
+        errs = [
+            list(zip(error_against(a["samples"], ref[n]["samples"]),
+                     error_against(b["samples"], ref[n]["samples"])))
+            for ref in refs
+        ]
+        verdicts.append([
+            "better" if all(e[j][1] < e[j][0] for e in errs)
+            else "worse" if all(e[j][1] > e[j][0] for e in errs)
+            else "equal" if all(e[j][1] == e[j][0] for e in errs)
+            else "unsettled"
+            for j in range(2)
+        ])
         print(
             f"input {i} ({cause(i)}, off-branch stages {a['off_branch']} -> {b['off_branch']}): "
-            f"{kind(a)} -> {kind(b)}; r rel err {ea[0]:.3e} -> {eb[0]:.3e}, "
-            f"phi abs err {ea[1]:.3e} -> {eb[1]:.3e}"
+            f"{kind(a)} -> {kind(b)}; against old/new tight runs: r rel err "
+            f"{errs[0][0][0]:.3e} -> {errs[0][0][1]:.3e} / {errs[1][0][0]:.3e} -> {errs[1][0][1]:.3e}, "
+            f"phi abs err {errs[0][1][0]:.3e} -> {errs[0][1][1]:.3e} / "
+            f"{errs[1][1][0]:.3e} -> {errs[1][1][1]:.3e}"
         )
     for j, name in enumerate(("r rel err", "phi abs err")):
-        got = [q[j] for q in ratios]
+        got = collections.Counter(v[j] for v in verdicts)
         print(
-            f"{name} on {len(got)} differing inputs with samples: "
-            f"{sum(q < 1 for q in got)} better, {sum(q == 1 for q in got)} equal, "
-            f"{sum(q > 1 for q in got)} worse ({sum(q > 2 for q in got)} by more than 2x)"
+            f"{name} on {len(verdicts)} differing inputs with samples: "
+            + ", ".join(f"{got[v]} {v}" for v in ("better", "equal", "worse", "unsettled"))
         )
+    untyped = sum(kind(b).startswith("untyped") for b in new)
+    if untyped:
+        print(f"NEW_SRC has {untyped} untyped outcomes")
+        sys.exit(1)
 
 
 if __name__ == "__main__":
