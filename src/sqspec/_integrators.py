@@ -258,17 +258,19 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, r_cap, max_steps):
     """Advance (r, phi) through the decreasing checkpoints xs, stepping
     (ln r, phi) against tau = -1/x and landing on each checkpoint exactly.
 
-    Returns (out_r, out_phi, status, n_steps, n_rejected, max_err, n_slaved,
-    capped, x, r, phi): out_r and out_phi hold one value per completed
-    checkpoint, status is "ok", "step-underflow" or "max-steps", and (x, r,
-    phi) is the true state where integration stopped.
+    Returns (out_x, out_r, out_phi, n_steps, n_rejected, max_err, n_slaved,
+    capped, status): out_x, out_r and out_phi hold each checkpoint reached
+    and, when integration stopped between two, the state where it stopped;
+    the rest are the fields of squeeze_dynamics.IntegratorStats after
+    method, in order, and status is "ok", "step-underflow" or "max-steps".
     """
+    x = xs[0]
+    out_x = [x]
     out_r = [r0]
     out_phi = [phi0]
-    x = xs[0]
     x_end = xs[-1]
     if r0 == 0.0:  # the singularity itself: u = ln r has no seed
-        return out_r, out_phi, "step-underflow", 0, 0, 0.0, 0, False, x, r0, phi0
+        return out_x, out_r, out_phi, 0, 0, 0.0, 0, False, "step-underflow"
     tau = -1.0 / x
     u = math.log(r0)
     phi = phi0
@@ -406,12 +408,14 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, r_cap, max_steps):
             if (fu * floor > 1.0) if accepted else (-h < floor or u >= _LN_R_MAX - rtol):
                 status = "step-underflow"
                 break
+        if status == "ok" or x < out_x[-1]:  # or a failed run stopped between two
+            out_x.append(x)
+            out_r.append(math.exp(u))
+            out_phi.append(phi)
         if status != "ok":
             break
-        out_r.append(math.exp(u))
-        out_phi.append(phi)
 
-    return out_r, out_phi, status, n_steps, n_rejected, max_err, n_slaved, capped, x, math.exp(u), phi
+    return out_x, out_r, out_phi, n_steps, n_rejected, max_err, n_slaved, capped, status
 
 
 def _drive_rk4(xs, n_sub, r0, phi0, k, power, form, r_cap):

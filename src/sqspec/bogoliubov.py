@@ -91,14 +91,18 @@ def _construction_residual(r: float, phi: float) -> float:
     return float(abs(ch * ch - phase2 * sh * sh - np.longdouble(1.0)))
 
 
+def _alpha_beta(state: SqueezeState) -> tuple[complex, complex]:
+    """(alpha, beta) = (cosh r, -e^{-i phi} sinh r), without the residual."""
+    return complex(math.cosh(state.r), 0.0), -cmath.exp(-1j * state.phi) * math.sinh(state.r)
+
+
 def coefficients(state: SqueezeState) -> BogoliubovPair:
     """alpha = cosh r, beta = -e^{-i phi} sinh r for the given squeeze state.
 
     The attached residual certifies the construction identity (see module
     docstring); use wronskian_residual() to interrogate a stored pair.
     """
-    alpha = complex(math.cosh(state.r), 0.0)
-    beta = -cmath.exp(-1j * state.phi) * math.sinh(state.r)
+    alpha, beta = _alpha_beta(state)
     return BogoliubovPair(
         alpha=alpha,
         beta=beta,
@@ -108,9 +112,9 @@ def coefficients(state: SqueezeState) -> BogoliubovPair:
 
 def mode_function(state: SqueezeState, eta: float, k: float) -> complex:
     """Squeezed-vacuum mode v_z = alpha v_BD + beta v_BD* at (eta, k)."""
-    pair = coefficients(state)
+    alpha, beta = _alpha_beta(state)
     v = bd_mode(eta, k)
-    return pair.alpha * v + pair.beta * v.conjugate()
+    return alpha * v + beta * v.conjugate()
 
 
 def occupation(state: SqueezeState) -> float:

@@ -109,6 +109,15 @@ class SweepConfig:
                 )
         if self.unit_scale <= 0:
             raise ConfigError(f"unit_scale must be > 0, got {self.unit_scale}")
+        # the engine scales each stage by up to x_start^2 / (k_min * unit_scale);
+        # that product can underflow, and divided by the larger factor first,
+        # a partial quotient overflows only where the whole one does
+        small, large = sorted((self.k_min, self.unit_scale))
+        if not math.isfinite(self.x_start / large / small * self.x_start):
+            raise ConfigError(
+                "x_start^2 / (k_min * unit_scale) must be finite, got "
+                f"x_start={self.x_start}, k_min={self.k_min}, unit_scale={self.unit_scale}"
+            )
         if self.r_cap <= 0:
             raise ConfigError(f"r_cap must be > 0, got {self.r_cap}")
         for key, allowed in _ENUMS.items():

@@ -296,14 +296,11 @@ def _check_dual_integrator(rtol: float, atol: float) -> tuple[bool, str]:
         ref = integrate(k, 5.0, 0.5, **kwargs)
         fix = integrate(k, 5.0, 0.5, method="fixed", h_fixed=2e-3,
                         init=(0.05, math.pi / 4), samples=[5.0, 1.0, 0.5])
-        a, b = ref.samples[-1], fix.samples[-1]
-        worst = max(worst, abs(a.r - b.r), abs(a.phi - b.phi))
+        worst = max(worst, abs(ref.r[-1] - fix.r[-1]), abs(ref.phi[-1] - fix.phi[-1]))
     return worst < bound, f"max endpoint difference {worst:.3e} (bound {bound:.1e})"
 
 
-def _check_wronskian_gamma(
-    rng: np.random.RandomState, beta_sign_flip: bool = False
-) -> tuple[bool, str]:
+def _check_wronskian_gamma(rng: np.random.RandomState) -> tuple[bool, str]:
     worst_w = 0.0
     worst_g = 0.0
     for _ in range(2000):
@@ -311,10 +308,9 @@ def _check_wronskian_gamma(
         phi = rng.uniform(-math.pi, math.pi)
         state = SqueezeState(r=r, phi=phi, x=1.0)
         pair = coefficients(state)
-        beta = -pair.beta if beta_sign_flip else pair.beta
         worst_w = max(worst_w, pair.wronskian_residual)
         closed = math.cosh(2 * r) + math.sinh(2 * r) * math.cos(phi)
-        direct = abs(pair.alpha - beta) ** 2
+        direct = abs(pair.alpha - pair.beta) ** 2
         worst_g = max(worst_g, abs(direct - closed) / math.cosh(2 * r))
     ok = worst_w < 1e-12 and worst_g < 1e-12
     return ok, f"max wronskian residual {worst_w:.3e}, max gamma mismatch {worst_g:.3e} (bounds 1e-12)"
@@ -333,18 +329,16 @@ def _check_tmss_limit() -> tuple[bool, str]:
     return ok, f"halving ratios {ratios[0]:.4f}, {ratios[1]:.4f} (expected ~0.5)"
 
 
-def verify(config: SweepConfig, beta_sign_flip: bool = False) -> tuple[int, list[str]]:
+def verify(config: SweepConfig) -> tuple[int, list[str]]:
     """Run the oracle suite; returns (exit_code, report_lines).
 
-    exit code 0 when every check passes, 3 otherwise.  beta_sign_flip is a
-    mutation hook for testing the suite itself: it corrupts the coefficient
-    sign inside the consistency scan, which must then fail.
+    exit code 0 when every check passes, 3 otherwise.
     """
     rng = np.random.RandomState(20240817)
     checks = [
         ("meixner-determinant", _check_meixner_determinant(rng)),
         ("dual-integrator", _check_dual_integrator(config.rtol, config.atol)),
-        ("wronskian-gamma", _check_wronskian_gamma(rng, beta_sign_flip)),
+        ("wronskian-gamma", _check_wronskian_gamma(rng)),
         ("tmss-limit", _check_tmss_limit()),
     ]
     lines = []

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .background import BackgroundParams, scale_factor
-from .bogoliubov import bd_mode, coefficients
+from .bogoliubov import _alpha_beta, bd_mode
 from .squeeze_dynamics import SqueezeState
 
 __all__ = [
@@ -84,8 +84,8 @@ def gamma_ratio(state: SqueezeState) -> float:
     """
     scale = math.cosh(2.0 * state.r)
     closed = scale + math.sinh(2.0 * state.r) * math.cos(state.phi)
-    pair = coefficients(state)
-    direct = abs(pair.alpha - pair.beta) ** 2
+    alpha, beta = _alpha_beta(state)
+    direct = abs(alpha - beta) ** 2
     if abs(direct - closed) > _GAMMA_IDENTITY_RTOL * scale:
         raise AssertionError(
             f"spectrum-ratio identity broken: closed form {closed!r} vs "

@@ -40,10 +40,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
-
-import numpy as np
 
 from . import _integrators as _eng
 from .background import CouplingCoefficients, couplings as _bg_couplings
@@ -134,31 +132,24 @@ class IntegratorStats:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered samples of one mode's squeeze evolution (x strictly decreasing)."""
+    """One mode's squeeze evolution as the engine walked it: the checkpoints
+    reached and, for a failed run that stopped between two, the stop point.
+    x (strictly decreasing), r and phi are tuples of Python floats."""
 
-    samples: tuple[SqueezeState, ...]
+    x: tuple[float, ...]
+    r: tuple[float, ...]
+    phi: tuple[float, ...]
     k: float
     form: str
     integrator_stats: IntegratorStats
 
-    @property
-    def x(self) -> np.ndarray:
-        return np.array([s.x for s in self.samples])
-
-    @property
-    def r(self) -> np.ndarray:
-        return np.array([s.r for s in self.samples])
-
-    @property
-    def phi(self) -> np.ndarray:
-        return np.array([s.phi for s in self.samples])
-
     def state_at(self, x: float) -> SqueezeState:
-        """Sample recorded exactly at x (raises if x was not a checkpoint)."""
-        for s in self.samples:
-            if s.x == x:
-                return s
-        raise KeyError(f"no sample recorded at x={x}")
+        """State recorded exactly at x (raises KeyError if x was not reached)."""
+        try:
+            i = self.x.index(x)
+        except ValueError:
+            raise KeyError(f"no sample recorded at x={x}") from None
+        return SqueezeState(r=self.r[i], phi=self.phi[i], x=self.x[i])
 
 
 @dataclass(frozen=True)
@@ -215,15 +206,16 @@ def _sample_grid(
     x_end: float,
     samples: int | Sequence[float] | None,
 ) -> list[float]:
-    """Decreasing checkpoint grid: requested points plus x_start, x = 1
-    (when inside the window) and x_end, as Python floats."""
+    """Decreasing checkpoint grid as Python floats: the requested points (a
+    geometric grid of that many points for an int, of 12 per decade for
+    None) plus x_start, x = 1 (when inside the window) and x_end, exactly."""
     if samples is None:
-        n = max(2, int(math.ceil(12 * math.log10(x_start / x_end))) + 1)
-        pts = np.geomspace(x_start, x_end, n).tolist()
-    elif isinstance(samples, int):
-        pts = np.geomspace(x_start, x_end, max(2, samples)).tolist()
+        samples = int(math.ceil(12 * math.log10(x_start / x_end))) + 1
+    if isinstance(samples, int):
+        n = max(2, samples)
+        # x_start (x_end/x_start)^t, as two powers: the ratio can underflow
+        pts = [x_start ** (1.0 - t) * x_end ** t for t in (i / (n - 1) for i in range(1, n - 1))]
     else:
-        # plain floats: numpy costs ~20 us per call, 14% of a crossing mode
         pts = [float(v) for v in samples]
         if not all(map(math.isfinite, pts)):
             raise ValueError(f"samples must be finite, got {samples}")
@@ -276,10 +268,10 @@ def integrate(
 
     The numbers are validated, then converted once to Python floats (the
     checkpoints too), on which the engine runs.  Raises ValueError naming
-    the argument for any non-finite number, and for an init r outside
-    [0, ~354.9], where the seed itself would overflow, and for a fixed
-    step that is not finite or leaves that range of r (naming h_fixed, x
-    and r);
+    the argument for any non-finite number, for an x_start whose x_start^2/k
+    overflows, for an init r outside [0, ~354.9], where the seed itself
+    would overflow, and for a fixed step that is not finite or leaves that
+    range of r (naming h_fixed, x and r);
     raises StepSizeUnderflowError / StepBudgetError with the partial
     trajectory attached; emits CappedGrowthWarning when r exceeds r_cap
     (integration continues, the values stay finite).
@@ -309,29 +301,22 @@ def integrate(
         raise ValueError(f"unknown method {method!r}")
     if k <= 0:
         raise ValueError(f"wavenumber must be > 0, got k={k}")
+    k, x_start, x_end = float(k), float(x_start), float(x_end)
+    rtol, atol = float(rtol), float(atol)
+    # the engine scales each stage by x^2/k, largest at x_start
+    if not math.isfinite(x_start / k * x_start):
+        raise ValueError(f"x_start^2/k must be finite, got x_start={x_start}, k={k}")
 
     if not 0 <= r0 <= _eng._R_MAX:
         raise ValueError(f"init r must lie in [0, {_eng._R_MAX:.4f}], got {r0}")
 
     xs = _sample_grid(x_start, x_end, samples)
-    k, rtol, atol = float(k), float(rtol), float(atol)
 
     if method == "adaptive":
-        (
-            out_r, out_phi, status, n_steps, n_rej, max_err, n_slaved, capped,
-            x_stop, r_stop, phi_stop,
-        ) = _eng._drive_adaptive(
+        out_x, out_r, out_phi, *counts = _eng._drive_adaptive(
             xs, r0, phi0, k, coupling_power, form, rtol, atol, r_cap, max_steps,
         )
-        stats = IntegratorStats(
-            method="adaptive",
-            n_steps=n_steps,
-            n_rejected=n_rej,
-            max_error_estimate=max_err,
-            n_slaved_steps=n_slaved,
-            capped=capped,
-            status=status,
-        )
+        stats = IntegratorStats("adaptive", *counts)
     else:
         if h_fixed is None:
             h_fixed = (x_start - x_end) / 1024.0
@@ -346,26 +331,24 @@ def integrate(
                 f"h_fixed={h_fixed:.6g} is too coarse: the RK4 step from x={x_bad:.6g} "
                 f"(r={r_bad:.6g}) is not finite or leaves 0 <= r <= {_eng._R_MAX:.4f}"
             )
-        x_stop = xs[-1]
+        out_x = xs
         stats = IntegratorStats(method="fixed", n_steps=n_steps, capped=capped)
 
-    states = tuple(
-        SqueezeState(r=r, phi=phi, x=x) for x, r, phi in zip(xs, out_r, out_phi)
+    traj = Trajectory(
+        x=tuple(out_x), r=tuple(out_r), phi=tuple(out_phi),
+        k=k, form=form, integrator_stats=stats,
     )
-    if x_stop < states[-1].x:  # a failed run that stopped between checkpoints
-        states = states + (SqueezeState(r=r_stop, phi=phi_stop, x=x_stop),)
-    traj = Trajectory(samples=states, k=k, form=form, integrator_stats=stats)
 
     if stats.status == "step-underflow":
-        last = states[-1]
+        x_last, r_last = out_x[-1], out_r[-1]
         if r0 == 0.0:
             cause = "the seed r = 0 is the angle singularity"
-        elif last.r > 0.5 * _eng._R_MAX:
+        elif r_last > 0.5 * _eng._R_MAX:
             cause = (
                 "r at the edge of the double range "
                 f"(cosh 2r overflows past r = {_eng._R_MAX:.4f})"
             )
-        elif last.r < 0.5 * r0:
+        elif r_last < 0.5 * r0:
             cause = f"likely the r = 0 angle singularity (r fell from {r0:.6g})"
         else:
             cause = (
@@ -373,11 +356,11 @@ def integrate(
                 "the angle relaxes within the smallest step"
             )
         raise StepSizeUnderflowError(
-            f"step size underflow at x={last.x:.6g} (r={last.r:.6g}); {cause}", traj
+            f"step size underflow at x={x_last:.6g} (r={r_last:.6g}); {cause}", traj
         )
     if stats.status == "max-steps":
         raise StepBudgetError(
-            f"exceeded {max_steps} steps at x={states[-1].x:.6g}; "
+            f"exceeded {max_steps} steps at x={out_x[-1]:.6g}; "
             "raise max_steps or shrink the span",
             traj,
         )
@@ -412,22 +395,22 @@ def evolve_grid(
     eval_x = config.x_end if config.eval_point == "super-horizon" else 1.0
 
     results: list[ModeResult] = []
-    for k_label in ks:
-        k_int = k_label * config.unit_scale
-        if config.zero_coupling:
-            # debug shortcut: zero coupling freezes r' == 0 identically, and
-            # the run pins r = 0 (exact vacuum; the angle is then unphysical
-            # and kept at its seed)
-            results.append(
-                ModeResult(
-                    k=k_label,
-                    state=SqueezeState(r=0.0, phi=config.init_phi, x=eval_x),
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CappedGrowthWarning)
+        for k_label in ks:
+            k_int = k_label * config.unit_scale
+            if config.zero_coupling:
+                # debug shortcut: zero coupling freezes r' == 0 identically, and
+                # the run pins r = 0 (exact vacuum; the angle is then unphysical
+                # and kept at its seed)
+                results.append(
+                    ModeResult(
+                        k=k_label,
+                        state=SqueezeState(r=0.0, phi=config.init_phi, x=eval_x),
+                    )
                 )
-            )
-            continue
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", CappedGrowthWarning)
+                continue
+            try:
                 traj = integrate(
                     k_int,
                     config.x_start,
@@ -440,14 +423,14 @@ def evolve_grid(
                     samples=[config.x_start, eval_x],
                     r_cap=config.r_cap,
                 )
-            results.append(
-                ModeResult(
-                    k=k_label,
-                    state=traj.state_at(eval_x),
-                    stats=traj.integrator_stats,
+                results.append(
+                    ModeResult(
+                        k=k_label,
+                        state=traj.state_at(eval_x),
+                        stats=traj.integrator_stats,
+                    )
                 )
-            )
-        except (StepSizeUnderflowError, StepBudgetError) as exc:
-            stats = exc.trajectory.integrator_stats
-            results.append(ModeResult(k=k_label, state=None, error=str(exc), stats=stats))
+            except (StepSizeUnderflowError, StepBudgetError) as exc:
+                stats = exc.trajectory.integrator_stats
+                results.append(ModeResult(k=k_label, state=None, error=str(exc), stats=stats))
     return results

@@ -150,20 +150,19 @@ def test_criterion_06_integrator_cross_validation():
         kwargs = dict(init=(0.05, math.pi / 4), samples=[5.0, 0.5])
         ref = integrate(float(k), 5.0, 0.5, **kwargs)
         fix = integrate(float(k), 5.0, 0.5, method="fixed", h_fixed=1e-3, **kwargs)
-        a, b = ref.samples[-1], fix.samples[-1]
-        worst = max(worst, abs(a.r - b.r), abs(a.phi - b.phi))
+        worst = max(worst, abs(ref.r[-1] - fix.r[-1]), abs(ref.phi[-1] - fix.phi[-1]))
     agreement_ok = worst <= 1e-6
 
     ref = integrate(
         0.8, 5.0, 0.5, init=(0.05, math.pi / 4), samples=[5.0, 0.5],
         rtol=1e-13, atol=1e-13,
-    ).samples[-1]
+    ).state_at(0.5)
     errs = []
     for h in (0.02, 0.01, 0.005, 0.0025):
         end = integrate(
             0.8, 5.0, 0.5, init=(0.05, math.pi / 4), samples=[5.0, 0.5],
             method="fixed", h_fixed=h,
-        ).samples[-1]
+        ).state_at(0.5)
         errs.append(max(abs(end.r - ref.r), abs(end.phi - ref.phi)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     order_ok = bool(np.all((orders >= 3.5) & (orders <= 4.5)))

@@ -81,6 +81,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match="x_end"):
             SweepConfig(x_end=0.0)
 
+    def test_stage_scale_past_double_range(self):
+        # the engine scales each stage by up to x_start^2 / (k_min * unit_scale)
+        SweepConfig(x_start=1e152)
+        # x_start / k_min alone overflows; the quotient by both does not
+        SweepConfig(x_start=1e150, k_min=1e-100, unit_scale=1e100)
+        for kwargs in (
+            dict(x_start=1.35e152),
+            dict(x_start=1e170),
+            # k_min * unit_scale underflows to 0 as a product
+            dict(k_min=1e-200, unit_scale=1e-200),
+        ):
+            with pytest.raises(ConfigError, match=r"^x_start\^2 / \(k_min \* unit_scale\)"):
+                SweepConfig(**kwargs)
+
     def test_k_points_minimum(self):
         with pytest.raises(ConfigError, match="k_points"):
             SweepConfig(k_points=1)

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from sqspec import pipeline
+from sqspec.bogoliubov import coefficients
 from sqspec.cli import main as cli_main
 from sqspec.config import SweepConfig, parse_config
 from sqspec.pipeline import CSV_COLUMNS, make_k_grid, run_sweep, verify, write_outputs
@@ -154,8 +156,13 @@ class TestVerify:
         code, lines = verify(cfg)
         assert code == 0, "\n".join(lines)
 
-    def test_beta_sign_flip_mutation_detected(self):
-        code, lines = verify(SweepConfig(), beta_sign_flip=True)
+    def test_beta_sign_flip_mutation_detected(self, monkeypatch):
+        def flipped(state):
+            pair = coefficients(state)
+            return dataclasses.replace(pair, beta=-pair.beta)
+
+        monkeypatch.setattr(pipeline, "coefficients", flipped)
+        code, lines = verify(SweepConfig())
         assert code == 3
         assert any(line.startswith("FAIL wronskian-gamma") for line in lines)
 
@@ -223,6 +230,15 @@ class TestCli:
         code = cli_main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "init_r must lie in [0, 354.8914]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_x_start_is_a_config_error(self, tmp_path, capsys):
+        # x_start^2/k overflows the engine's stage scale at every mode
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("x_start = 1e170\nk_points = 3\n")
+        code = cli_main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "config error: x_start^2 / (k_min * unit_scale)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_bd_power_past_double_range_is_a_config_error(self, tmp_path, capsys):

@@ -151,20 +151,20 @@ class TestIntegrate:
             0.8, 5.0, 0.5, init=(0.05, PI4), samples=[5.0, 0.5],
             method="fixed", h_fixed=1e-3,
         )
-        assert abs(ref.samples[-1].r - fix.samples[-1].r) < 1e-8
-        assert abs(ref.samples[-1].phi - fix.samples[-1].phi) < 1e-8
+        assert abs(ref.r[-1] - fix.r[-1]) < 1e-8
+        assert abs(ref.phi[-1] - fix.phi[-1]) < 1e-8
 
     def test_fixed_step_order_four(self):
         ref = integrate(
             0.8, 5.0, 0.5, init=(0.05, PI4), samples=[5.0, 0.5],
             rtol=1e-13, atol=1e-13,
-        ).samples[-1]
+        ).state_at(0.5)
         errs = []
         for h in (0.02, 0.01, 0.005, 0.0025):
             end = integrate(
                 0.8, 5.0, 0.5, init=(0.05, PI4), samples=[5.0, 0.5],
                 method="fixed", h_fixed=h,
-            ).samples[-1]
+            ).state_at(0.5)
             errs.append(max(abs(end.r - ref.r), abs(end.phi - ref.phi)))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 3.5) and np.all(orders < 4.5)
@@ -203,9 +203,9 @@ class TestIntegrate:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CappedGrowthWarning)
             traj = integrate(k, 100.0, x_end, coupling_power=power, samples=[100.0, x_end])
-        assert abs(traj.samples[-1].r - r_ref) <= bound * r_ref
+        assert abs(traj.r[-1] - r_ref) <= bound * r_ref
         if phi_ref is not None:
-            assert abs(traj.samples[-1].phi - phi_ref) <= 1e-9
+            assert abs(traj.phi[-1] - phi_ref) <= 1e-9
 
     def test_tight_tolerance_against_radau(self):
         # at rtol = atol = 1e-13 the consistent fast path, its layer and its
@@ -214,27 +214,31 @@ class TestIntegrate:
             end = integrate(
                 k, 100.0, 1.0, coupling_power="hamiltonian-consistent",
                 samples=[100.0, 1.0], rtol=1e-13, atol=1e-13,
-            ).samples[-1]
+            ).state_at(1.0)
             assert abs(end.r - r_ref) <= 1e-11 * r_ref
             if phi_ref is not None:
                 assert abs(end.phi - phi_ref) <= 1e-11
 
     def test_singularity_seed_never_non_finite(self):
         traj = integrate(0.1, 20.0, 0.5, init=(1e-8, PI4))
-        assert np.all(np.isfinite(traj.r))
-        assert np.all(np.isfinite(traj.phi))
+        assert all(map(math.isfinite, traj.r + traj.phi))
 
     def test_finite_and_subcap_through_crossing(self):
         for k in (1e-4, 0.05, 1.0):
             traj = _quiet_default_traj(k)
-            assert np.all(np.isfinite(traj.r))
-            pre_crossing = traj.r[traj.x >= 1.0]
-            assert np.all(pre_crossing < 30.0)
+            assert all(map(math.isfinite, traj.r))
+            assert all(r < 30.0 for x, r in zip(traj.x, traj.r) if x >= 1.0)
 
     def test_determinism_bitwise(self):
         a = integrate(0.3, 50.0, 0.05)
         b = integrate(0.3, 50.0, 0.05)
-        assert a.samples == b.samples
+        assert (a.x, a.r, a.phi) == (b.x, b.r, b.phi)
+
+    def test_state_at_only_at_checkpoints(self):
+        traj = integrate(0.7, 30.0, 0.2, samples=[30.0, 0.2])
+        assert traj.state_at(1.0).x == 1.0
+        with pytest.raises(KeyError, match="no sample recorded at x=2.0"):
+            traj.state_at(2.0)
 
     def test_sample_structure(self):
         traj = integrate(0.7, 30.0, 0.2, samples=24)
@@ -242,7 +246,13 @@ class TestIntegrate:
         assert x[0] == 30.0 and x[-1] == 0.2
         assert np.all(np.diff(x) < 0)
         assert 1.0 in x  # horizon crossing always recorded
-        assert traj.samples[0].r == 1e-6 and traj.samples[0].phi == PI4
+        assert traj.r[0] == 1e-6 and traj.phi[0] == PI4
+
+    def test_grid_wider_than_the_exponent_range(self):
+        # x_end / x_start = 1e-330 underflows to 0, but no interior point may
+        grid = squeeze_dynamics._sample_grid(1e10, 1e-320, 5)
+        assert len(grid) == 6 and grid[0] == 1e10 and grid[-1] == 1e-320
+        assert all(a > b for a, b in zip(grid, grid[1:]))
 
     def test_cap_warning_and_flag(self):
         with pytest.warns(CappedGrowthWarning):
@@ -253,7 +263,7 @@ class TestIntegrate:
         with pytest.raises(StepSizeUnderflowError) as excinfo:
             integrate(0.5, 10.0, 1.0, init=(0.0, 0.3), max_steps=100000)
         traj = excinfo.value.trajectory
-        assert len(traj.samples) >= 1
+        assert len(traj.x) >= 1
         assert traj.integrator_stats.status == "step-underflow"
 
     def test_underflow_names_its_cause(self):
@@ -273,9 +283,19 @@ class TestIntegrate:
             integrate(0.5, 10.0, 1.0, max_steps=5)
         traj = excinfo.value.trajectory
         assert traj.integrator_stats.status == "max-steps"
-        assert traj.samples[0].x == 10.0
-        assert 1.0 < traj.samples[-1].x < 10.0
-        assert np.all(np.isfinite(traj.r)) and np.all(np.isfinite(traj.phi))
+        assert traj.x[0] == 10.0
+        assert 1.0 < traj.x[-1] < 10.0
+        assert all(map(math.isfinite, traj.r + traj.phi))
+        # with no checkpoint inside the span, the seed and then the point
+        # where the budget ran out
+        with pytest.raises(StepBudgetError) as excinfo:
+            integrate(0.5, 10.0, 1.0, samples=[10.0, 1.0], max_steps=2)
+        traj = excinfo.value.trajectory
+        assert traj.x[0] == 10.0 and len(traj.x) == 2
+        assert 1.0 < traj.x[-1] < 10.0
+        for values in (traj.x, traj.r, traj.phi):
+            assert type(values) is tuple
+            assert all(type(v) is float and math.isfinite(v) for v in values)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="x_start"):
@@ -287,6 +307,14 @@ class TestIntegrate:
         for r0 in (-1e-300, math.nextafter(eng._R_MAX, math.inf)):
             with pytest.raises(ValueError, match="^init r must lie in"):
                 integrate(1.0, 5.0, 0.5, init=(r0, PI4))
+
+    def test_stage_scale_past_double_range(self):
+        # each stage is scaled by x^2/k, which overflows at k = 1 between
+        # x_start = 1.3e154 and 1.35e154
+        assert integrate(1.0, 1.3e154, 1.0).integrator_stats.status == "ok"
+        for x_start in (1.35e154, 1e170):
+            with pytest.raises(ValueError, match=r"^x_start\^2/k must be finite"):
+                integrate(1.0, x_start, 1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize(
@@ -362,8 +390,8 @@ class TestIntegrate:
             )
             devs.append(
                 (
-                    abs(op.samples[-1].r - cl.samples[-1].r),
-                    abs(op.samples[-1].phi - cl.samples[-1].phi),
+                    abs(op.r[-1] - cl.r[-1]),
+                    abs(op.phi[-1] - cl.phi[-1]),
                 )
             )
         for (r1, p1), (r2, p2) in zip(devs, devs[1:]):
@@ -502,8 +530,8 @@ class TestSlavedExit:
         kwargs = dict(coupling_power=power, samples=[100.0, x_end])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CappedGrowthWarning)
-            got = integrate(k, 100.0, x_end, **kwargs).samples[-1]
-            ref = integrate(k, 100.0, x_end, rtol=1e-13, atol=1e-16, **kwargs).samples[-1]
+            got = integrate(k, 100.0, x_end, **kwargs).state_at(x_end)
+            ref = integrate(k, 100.0, x_end, rtol=1e-13, atol=1e-16, **kwargs).state_at(x_end)
         assert abs(got.r - ref.r) <= r_bound * ref.r
         assert abs(got.phi - ref.phi) <= phi_bound
 
@@ -520,7 +548,7 @@ class TestSlavedExit:
                     form="closed-reference", samples=[100.0, 0.01],
                 )
             )
-        assert runs[0].samples == runs[1].samples
+        assert (runs[0].x, runs[0].r, runs[0].phi) == (runs[1].x, runs[1].r, runs[1].phi)
         stats = runs[0].integrator_stats
         assert stats.n_slaved_steps > 0
         assert stats.n_steps - stats.n_slaved_steps <= 100
@@ -546,7 +574,7 @@ class TestSeededLayer:
             k, 100.0, x_s, samples=[100.0, x_s], rtol=1e-13, atol=1e-16,
         )
         assert plain.integrator_stats.n_slaved_steps == 0
-        got, ref = seeded.state_at(x_s), plain.samples[-1]
+        got, ref = seeded.state_at(x_s), plain.state_at(x_s)
         assert abs(got.r - ref.r) <= 1e-9 * ref.r
         assert abs(got.phi - ref.phi) <= 1e-11
 
@@ -555,7 +583,7 @@ class TestSeededLayer:
         traj = integrate(0.05, 100.0, 1.0, init=(2e-6, 0.7))
         stats = traj.integrator_stats
         assert stats.n_steps == stats.n_slaved_steps > 0
-        assert (traj.samples[0].r, traj.samples[0].phi) == (2e-6, 0.7)
+        assert (traj.r[0], traj.phi[0]) == (2e-6, 0.7)
 
     def test_slaved_stages_are_a_prefix(self, monkeypatch):
         # entered at the seed or never, left at most once: every slaved
@@ -653,6 +681,23 @@ class TestEvolveGrid:
         res = evolve_grid(make_k_grid(cfg), cfg)
         assert all(m.error is None for m in res)
         assert seen and {tp for t in seen for tp in t} == {float}
+
+    def test_sweep_trajectories_hold_floats(self, monkeypatch):
+        # the trajectories behind a sweep's numpy grid carry Python floats
+        trajs = []
+
+        def recorder(*args, **kwargs):
+            trajs.append(integrate(*args, **kwargs))
+            return trajs[-1]
+
+        monkeypatch.setattr(squeeze_dynamics, "integrate", recorder)
+        cfg = SweepConfig(k_points=3)
+        evolve_grid(make_k_grid(cfg), cfg)
+        assert len(trajs) == 3
+        for traj in trajs:
+            assert type(traj.k) is float
+            for values in (traj.x, traj.r, traj.phi):
+                assert type(values) is tuple and {type(v) for v in values} == {float}
 
     def test_rejects_descending_grid(self):
         with pytest.raises(ValueError, match="ascending"):

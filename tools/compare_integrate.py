@@ -15,15 +15,13 @@ same seeded random valid inputs, each in its own interpreter:
 
 A result is the outcome (status, or the exception type and message; any
 exception other than a typed integrator failure, ValueError or OverflowError
-is an "untyped" outcome), the samples (of the partial trajectory for a typed
-integrator failure), the integrator stats and the warning types.  The script
-prints how many results are identical and how many differ, a table of outcome
-pairs, and the cause of each difference: a fixed-step input, an input where
-either tree evaluated a slaved stage off the angle's branch (one whose first
-derivative is NaN), or other; it also counts the off-branch slaved stages at
-r < 0.  The spy sits on the adaptive driver's slaved stage: _slaved_stage,
-or in older trees _stage (on -1/x, ln r) or _rhs_x (on x, r) called with
-slaved=True.
+is an "untyped" outcome), the samples (x, r, phi) of the trajectory (the
+partial one for a typed integrator failure), the integrator stats and the
+warning types.  The script prints how many results are identical and how
+many differ, a table of outcome pairs, and the cause of each difference: a
+fixed-step input, an input where either tree evaluated a slaved stage off
+the angle's branch (one whose first derivative is NaN), or other.  The spy
+sits on the adaptive driver's slaved stage, _slaved_stage.
 For each differing input that has samples on both sides it prints the error
 of both sides against a tight run (rtol 1e-13, atol 1e-16) of each tree: the
 largest relative error of r and absolute error of phi over the checkpoints
@@ -86,28 +84,23 @@ def run_worker():
     from sqspec import _integrators as eng
     from sqspec.squeeze_dynamics import StepBudgetError, StepSizeUnderflowError, integrate
 
-    # the adaptive driver's slaved stage: _slaved_stage, or in older trees
-    # _stage, on (-1/x, ln r, phi), or _rhs_x, on (x, r, phi), both taking
-    # slaved last and positionally
-    name = next(n for n in ("_slaved_stage", "_stage", "_rhs_x") if hasattr(eng, n))
-    stage = getattr(eng, name)
-    off_branch = [0, 0]
-    probe = [False]  # the first _slaved_stage call of a run only tests the seed
+    stage = eng._slaved_stage
+    off_branch = [0]
+    probe = [False]  # the first slaved stage of a run only tests the seed
 
     def spy(*args):
         # a slaved stage off the branch returns a NaN first derivative
         derivs = stage(*args)
-        if name == "_slaved_stage" and probe[0]:
+        if probe[0]:
             probe[0] = False
-        elif (name == "_slaved_stage" or args[-1] is True) and math.isnan(derivs[0]):
+        elif math.isnan(derivs[0]):
             off_branch[0] += 1
-            off_branch[1] += name == "_rhs_x" and args[1] < 0.0
         return derivs
 
-    setattr(eng, name, spy)
+    eng._slaved_stage = spy
     results = []
     for kwargs in json.load(sys.stdin):
-        off_branch[:] = [0, 0]
+        off_branch[0] = 0
         probe[0] = True
         traj = None
         with warnings.catch_warnings(record=True) as caught:
@@ -125,11 +118,10 @@ def run_worker():
         results.append(
             dict(
                 outcome=outcome,
-                samples=[[s.x, s.r, s.phi] for s in traj.samples] if traj else [],
+                samples=[list(map(float, s)) for s in zip(traj.x, traj.r, traj.phi)] if traj else [],
                 stats=list(vars(traj.integrator_stats).values()) if traj else [],
                 warnings=[w.category.__name__ for w in caught],
                 off_branch=off_branch[0],
-                off_branch_below_0=off_branch[1],
             )
         )
     json.dump(results, sys.stdout)
@@ -177,8 +169,6 @@ def main():
     print(f"{len(inputs)} inputs: {len(inputs) - len(differ)} identical, {len(differ)} differ")
     off = sum(1 for a in old if a["off_branch"]), sum(1 for b in new if b["off_branch"])
     print(f"inputs with a slaved stage off the branch: old {off[0]}, new {off[1]}")
-    below = [sum(res["off_branch_below_0"] for res in side) for side in (old, new)]
-    print(f"off-branch slaved stages at r < 0: old {below[0]}, new {below[1]}")
 
     def kind(result):
         return result["outcome"].split(":")[0]
