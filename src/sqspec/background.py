@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "BackgroundParams",
     "CouplingCoefficients",
@@ -77,21 +75,21 @@ class CouplingCoefficients:
 
 @dataclass(frozen=True)
 class LanczosChain:
-    """Ladder coefficients b_n, c_n for n = 0..n_max.
+    """Ladder coefficients b_n, c_n for n = 0..n_max, as tuples of floats.
 
     b     : off-diagonal (closed-system) coefficients, b[0] = 0
     c_mag : real magnitudes (2n+1) k of the diagonal (open-system)
             coefficients c_n = i * c_mag[n]
     """
 
-    b: np.ndarray
-    c_mag: np.ndarray
+    b: tuple[float, ...]
+    c_mag: tuple[float, ...]
 
     def __len__(self) -> int:
         return len(self.b)
 
     @property
-    def c_tilde(self) -> np.ndarray:
+    def c_tilde(self) -> tuple[float, ...]:
         """Real-valued c~_n = -i c_n = (2n+1) k used by the polynomial recursion."""
         return self.c_mag
 
@@ -134,5 +132,7 @@ def lanczos_chain(n_max: int, eta: float, k: float) -> LanczosChain:
     if k <= 0:
         raise ValueError(f"wavenumber must be > 0, got k={k}")
     rate = abs(z_rate(eta))
-    n = np.arange(n_max + 1, dtype=float)
-    return LanczosChain(b=n * rate, c_mag=(2.0 * n + 1.0) * k)
+    n = [float(i) for i in range(n_max + 1)]
+    return LanczosChain(
+        b=tuple(i * rate for i in n), c_mag=tuple((2.0 * i + 1.0) * k for i in n)
+    )

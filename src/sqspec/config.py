@@ -109,6 +109,12 @@ class SweepConfig:
                 )
         if self.unit_scale <= 0:
             raise ConfigError(f"unit_scale must be > 0, got {self.unit_scale}")
+        # the largest internal wavenumber of the grid
+        if not math.isfinite(self.k_max * self.unit_scale):
+            raise ConfigError(
+                "k_max * unit_scale must be finite, got "
+                f"k_max={self.k_max}, unit_scale={self.unit_scale}"
+            )
         # the engine scales each stage by up to x_start^2 / (k_min * unit_scale);
         # that product can underflow, and divided by the larger factor first,
         # a partial quotient overflows only where the whole one does

@@ -31,10 +31,9 @@ hidden (``squared_norm``).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .background import CouplingCoefficients, LanczosChain
 
@@ -63,23 +62,24 @@ class TridiagonalLiouvillian:
     """
 
     dimension: int
-    diagonal: np.ndarray
-    offdiagonal: np.ndarray
+    diagonal: tuple[complex, ...]
+    offdiagonal: tuple[float, ...]
 
-    def matrix(self) -> np.ndarray:
-        """Dense N x N complex matrix."""
-        m = np.diag(self.diagonal.astype(complex))
-        if self.dimension > 1:
-            off = self.offdiagonal.astype(complex)
-            m += np.diag(off, 1) + np.diag(off, -1)
-        return m
+    def matrix(self) -> tuple[tuple[complex, ...], ...]:
+        """Dense N x N complex matrix as a tuple of rows."""
+        rows = [[0j] * self.dimension for _ in range(self.dimension)]
+        for i, d in enumerate(self.diagonal):
+            rows[i][i] = d
+        for i, b in enumerate(self.offdiagonal):
+            rows[i][i + 1] = rows[i + 1][i] = complex(b)
+        return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
 class OtmssAmplitudes:
     """Amplitude series psi_n, n = 0..n_max, over the paired basis.
 
-    coefficients          : complex psi_n
+    coefficients          : complex psi_n, as a tuple
     truncation_tail_bound : closed-form sum_{n > n_max} |psi_n|^2 of the
                             coefficients as returned
     normalized            : whether coefficients were rescaled to unit norm
@@ -87,7 +87,7 @@ class OtmssAmplitudes:
                             (unnormalized) coefficients
     """
 
-    coefficients: np.ndarray
+    coefficients: tuple[complex, ...]
     truncation_tail_bound: float
     normalized: bool
     squared_norm: float
@@ -105,8 +105,8 @@ def build_liouvillian(chain: LanczosChain, dimension: int) -> TridiagonalLiouvil
         raise ValueError(
             f"chain supplies {len(chain)} coefficients, need {dimension}"
         )
-    diagonal = chain.c_tilde[:dimension].astype(complex)
-    offdiagonal = np.asarray(chain.b[1:dimension], dtype=float)
+    diagonal = tuple(complex(c) for c in chain.c_tilde[:dimension])
+    offdiagonal = tuple(float(b) for b in chain.b[1:dimension])
     return TridiagonalLiouvillian(
         dimension=dimension, diagonal=diagonal, offdiagonal=offdiagonal
     )
@@ -144,9 +144,9 @@ def characteristic_poly_residual(n: int, x: complex, chain: LanczosChain) -> flo
     liou = build_liouvillian(chain, n)
     m = liou.matrix()
     d_prev = 1.0 + 0.0j
-    d = x - m[0, 0]
+    d = x - m[0][0]
     for j in range(1, n):
-        d, d_prev = (x - m[j, j]) * d - m[j - 1, j] * m[j, j - 1] * d_prev, d
+        d, d_prev = (x - m[j][j]) * d - m[j - 1][j] * m[j][j - 1] * d_prev, d
     return abs(meixner_poly(n, x, chain) - d)
 
 
@@ -171,18 +171,20 @@ def _geometric_series(
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
 
-    coeffs = np.empty(n_max + 1, dtype=complex)
-    coeffs[0] = prefactor
-    if n_max > 0:
-        # cumulative products keep consecutive ratios exact to one rounding
-        coeffs[1:] = prefactor * np.cumprod(np.full(n_max, ratio))
+    # cumulative powers of the ratio keep consecutive ratios exact to one rounding
+    coeffs = [complex(prefactor)]
+    power = 1.0 + 0.0j
+    for _ in range(n_max):
+        power *= ratio
+        coeffs.append(prefactor * power)
     tail = squared_norm * rho2 ** (n_max + 1)
 
     if normalize:
-        coeffs = coeffs / math.sqrt(squared_norm)
+        norm = math.sqrt(squared_norm)
+        coeffs = [c / norm for c in coeffs]
         tail = tail / squared_norm
     return OtmssAmplitudes(
-        coefficients=coeffs,
+        coefficients=tuple(coeffs),
         truncation_tail_bound=tail,
         normalized=normalize,
         squared_norm=squared_norm,
@@ -216,7 +218,7 @@ def otmss_amplitudes(
             f"(r={r}, sqrt|1-mu1^2|={root}, mu2={couplings.mu2})"
         )
     prefactor = (1.0 / math.cosh(r)) / denom
-    ratio = root * (-np.exp(2j * phi) * t) / denom
+    ratio = root * (-cmath.exp(2j * phi) * t) / denom
     return _geometric_series(prefactor, ratio, n_max, normalize, tail_tol)
 
 
@@ -234,5 +236,5 @@ def tmss_amplitudes(
     if r < 0:
         raise ValueError(f"squeeze amplitude must be >= 0, got r={r}")
     prefactor = 1.0 / math.cosh(r)
-    ratio = -np.exp(2j * phi) * math.tanh(r)
+    ratio = -cmath.exp(2j * phi) * math.tanh(r)
     return _geometric_series(prefactor, ratio, n_max, normalize=False, tail_tol=tail_tol)

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .background import CouplingCoefficients, LanczosChain, lanczos_chain
@@ -26,7 +25,7 @@ from .bogoliubov import coefficients, occupation
 from .config import ConfigError, SweepConfig, parse_config, serialize
 from .krylov import characteristic_poly_residual, meixner_poly, otmss_amplitudes, tmss_amplitudes
 from .spectrum import SpectrumRecord, bd_reference_power, fit_tilt, gamma_ratio
-from .squeeze_dynamics import SqueezeState, evolve_grid, integrate
+from .squeeze_dynamics import SqueezeState, _geometric_nodes, evolve_grid, integrate
 
 __all__ = [
     "SummaryStats",
@@ -79,20 +78,20 @@ class RunReport:
     provenance: Provenance
 
 
-def make_k_grid(config: SweepConfig) -> np.ndarray:
-    """Log-spaced wavenumber labels from k_min to k_max.  When the node
-    nearest the pivot is an interior one it is snapped onto the pivot
-    exactly, so pivot-row checks need no interpolation; the endpoints always
-    stay k_min and k_max.  Raises ConfigError when the window is too narrow
-    for k_points distinct doubles."""
-    grid = np.geomspace(config.k_min, config.k_max, config.k_points)
-    if not np.all(grid[1:] > grid[:-1]):
+def make_k_grid(config: SweepConfig) -> list[float]:
+    """Log-spaced wavenumber labels from k_min to k_max, as a list of floats.
+    When the node nearest the pivot is an interior one it is snapped onto the
+    pivot exactly, so pivot-row checks need no interpolation; the endpoints
+    always stay k_min and k_max.  Raises ConfigError when the window is too
+    narrow for k_points distinct doubles."""
+    grid = _geometric_nodes(config.k_min, config.k_max, config.k_points)
+    if not all(a < b for a, b in zip(grid, grid[1:])):
         raise ConfigError(
             f"k_min = {config.k_min!r} to k_max = {config.k_max!r} holds no "
             f"{config.k_points} distinct log-spaced wavenumbers"
         )
     if config.k_min <= config.k_pivot <= config.k_max:
-        i = int(np.argmin(np.abs(np.log(grid / config.k_pivot))))
+        i = min(range(len(grid)), key=lambda j: abs(math.log(grid[j] / config.k_pivot)))
         if 0 < i < len(grid) - 1:
             grid[i] = config.k_pivot
     return grid
@@ -264,18 +263,18 @@ def write_outputs(report: RunReport, out_dir: str | Path) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
-def _check_meixner_determinant(rng: np.random.RandomState) -> tuple[bool, str]:
+def _check_meixner_determinant(rng: random.Random) -> tuple[bool, str]:
     chains = {
         "de-sitter": lanczos_chain(10, eta=-1.0, k=1.0),
         "random-positive": LanczosChain(
-            b=np.concatenate([[0.0], rng.uniform(0.2, 3.0, size=10)]),
-            c_mag=rng.uniform(0.1, 5.0, size=11),
+            b=(0.0, *(rng.uniform(0.2, 3.0) for _ in range(10))),
+            c_mag=tuple(rng.uniform(0.1, 5.0) for _ in range(11)),
         ),
     }
     worst = 0.0
     for chain in chains.values():
-        xs = rng.uniform(-10, 10, size=(100, 2)) @ np.array([1.0, 1.0j])
-        for x in xs:
+        for _ in range(100):
+            x = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
             for n in range(1, 11):
                 p = meixner_poly(n, x, chain)
                 rel = characteristic_poly_residual(n, x, chain) / max(1.0, abs(p))
@@ -300,7 +299,7 @@ def _check_dual_integrator(rtol: float, atol: float) -> tuple[bool, str]:
     return worst < bound, f"max endpoint difference {worst:.3e} (bound {bound:.1e})"
 
 
-def _check_wronskian_gamma(rng: np.random.RandomState) -> tuple[bool, str]:
+def _check_wronskian_gamma(rng: random.Random) -> tuple[bool, str]:
     worst_w = 0.0
     worst_g = 0.0
     for _ in range(2000):
@@ -323,7 +322,7 @@ def _check_tmss_limit() -> tuple[bool, str]:
     for mu2 in (1e-3, 5e-4, 2.5e-4):
         cc = CouplingCoefficients(mu2=mu2, coupling=1.0)
         open_amp = otmss_amplitudes(r, phi, cc, n_max=60).coefficients
-        devs.append(np.max(np.abs(open_amp - ref)))
+        devs.append(max(abs(a - b) for a, b in zip(open_amp, ref)))
     ratios = [devs[1] / devs[0], devs[2] / devs[1]]
     ok = all(0.45 <= q <= 0.55 for q in ratios)
     return ok, f"halving ratios {ratios[0]:.4f}, {ratios[1]:.4f} (expected ~0.5)"
@@ -334,7 +333,7 @@ def verify(config: SweepConfig) -> tuple[int, list[str]]:
 
     exit code 0 when every check passes, 3 otherwise.
     """
-    rng = np.random.RandomState(20240817)
+    rng = random.Random(20240817)
     checks = [
         ("meixner-determinant", _check_meixner_determinant(rng)),
         ("dual-integrator", _check_dual_integrator(config.rtol, config.atol)),

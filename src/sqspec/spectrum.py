@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .background import BackgroundParams, scale_factor
 from .bogoliubov import _alpha_beta, bd_mode
 from .squeeze_dynamics import SqueezeState
@@ -140,13 +138,18 @@ def fit_tilt(
     """Least-squares power-law fit of the squeezed spectrum.
 
     Fits ln(power_otmss) on ln(k/pivot); returns (exp(intercept), 1 + slope),
-    i.e. the recovered amplitude at the pivot and the recovered tilt.
+    i.e. the recovered amplitude at the pivot and the recovered tilt.  The
+    fit is the closed-form straight line through the centred data, with
+    every sum taken exactly rounded by math.fsum.
     """
     if len(records) < 3:
         raise ValueError(f"need at least 3 records to fit, got {len(records)}")
-    k = np.array([rec.k for rec in records])
-    p = np.array([rec.power_otmss for rec in records])
-    if np.unique(k).size < 3:
+    if len({rec.k for rec in records}) < 3:
         raise ValueError("degenerate k grid: need at least 3 distinct wavenumbers")
-    slope, intercept = np.polyfit(np.log(k / pivot), np.log(p), 1)
-    return float(np.exp(intercept)), float(1.0 + slope)
+    xs = [math.log(rec.k / pivot) for rec in records]
+    ys = [math.log(rec.power_otmss) for rec in records]
+    x_mean = math.fsum(xs) / len(xs)
+    y_mean = math.fsum(ys) / len(ys)
+    dx = [x - x_mean for x in xs]
+    slope = math.fsum(d * (y - y_mean) for d, y in zip(dx, ys)) / math.fsum(d * d for d in dx)
+    return math.exp(y_mean - slope * x_mean), 1.0 + slope

@@ -201,6 +201,13 @@ def rhs_closed_reference(
     return _rhs(state, k, couplings, coupling_power, "closed-reference")
 
 
+def _geometric_nodes(start: float, stop: float, n: int) -> list[float]:
+    """n >= 2 geometric nodes from start to stop as Python floats, both ends
+    exact: start^(1-t) stop^t, t = i/(n-1), written as two powers because
+    the ratio stop/start can underflow or overflow."""
+    return [start ** (1.0 - t) * stop ** t for t in (i / (n - 1) for i in range(n))]
+
+
 def _sample_grid(
     x_start: float,
     x_end: float,
@@ -212,9 +219,7 @@ def _sample_grid(
     if samples is None:
         samples = int(math.ceil(12 * math.log10(x_start / x_end))) + 1
     if isinstance(samples, int):
-        n = max(2, samples)
-        # x_start (x_end/x_start)^t, as two powers: the ratio can underflow
-        pts = [x_start ** (1.0 - t) * x_end ** t for t in (i / (n - 1) for i in range(1, n - 1))]
+        pts = _geometric_nodes(x_start, x_end, max(2, samples))
     else:
         pts = [float(v) for v in samples]
         if not all(map(math.isfinite, pts)):

@@ -116,7 +116,9 @@ def test_criterion_04_weak_dissipation_limit():
     devs = []
     for mu2 in (1e-3, 5e-4, 2.5e-4):
         cc = CouplingCoefficients(mu2=mu2, coupling=1.0)
-        devs.append(np.max(np.abs(otmss_amplitudes(r, phi, cc, n_max=60).coefficients - ref)))
+        devs.append(
+            np.max(np.abs(np.asarray(otmss_amplitudes(r, phi, cc, n_max=60).coefficients) - ref))
+        )
     ratios = (devs[1] / devs[0], devs[2] / devs[1])
     elapsed = time.perf_counter() - t0
     ok = all(0.45 <= q <= 0.55 for q in ratios) and elapsed < 1.0

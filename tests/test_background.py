@@ -96,7 +96,7 @@ class TestLanczosChain:
     def test_linearity_in_n(self):
         ch = lanczos_chain(40, eta=-3.0, k=0.9)
         n = np.arange(1, 41)
-        np.testing.assert_allclose(ch.b[1:] / ch.b[1], n, rtol=1e-15)
+        np.testing.assert_allclose(np.asarray(ch.b[1:]) / ch.b[1], n, rtol=1e-15)
 
     def test_c_increment_is_2k(self):
         k = 0.37
@@ -105,7 +105,7 @@ class TestLanczosChain:
 
     def test_offdiagonal_positive(self):
         ch = lanczos_chain(12, eta=-0.2, k=0.3)
-        assert np.all(ch.b[1:] > 0)
+        assert np.all(np.asarray(ch.b[1:]) > 0)
 
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,6 +82,20 @@ class TestCoefficients:
         assert wronskian_residual(a, b) < 1e-11
         # and it must see a genuinely broken pair at full scale
         assert wronskian_residual(a, 1.01 * b) > 1e2
+
+    def test_stored_value_residual_is_exactly_rounded(self):
+        # the stored doubles' |alpha|^2 - |beta|^2 - 1 in exact rationals,
+        # rounded once: the residual must equal it bit for bit
+        rng = np.random.RandomState(29)
+        for _ in range(2000):
+            r, phi = rng.uniform(0.0, 40.0), rng.uniform(-10.0, 10.0)
+            a = complex(math.cosh(r), rng.uniform(-1.0, 1.0) * rng.choice([0.0, 1.0]))
+            b = -cmath.exp(-1j * phi) * math.sinh(r) * (1.0 + rng.uniform(-1e-9, 1e-9))
+            exact = (
+                Fraction(a.real) ** 2 + Fraction(a.imag) ** 2
+                - Fraction(b.real) ** 2 - Fraction(b.imag) ** 2 - 1
+            )
+            assert wronskian_residual(a, b) == float(abs(exact))
 
 
 class TestModeFunction:

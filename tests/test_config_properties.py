@@ -26,7 +26,11 @@ def valid_configs(draw):
     k_min, k_max = sorted(draw(st.lists(wavenumber, min_size=2, max_size=2, unique=True)))
     # x_start^2 / (k_min * unit_scale), the engine's largest stage scale,
     # must stay a double (to within a margin for rounding)
-    unit_scale = draw(st.floats(min_value=1e-250, allow_infinity=False))
+    # k_max * unit_scale, the largest internal wavenumber, must stay a double
+    unit_scale = draw(st.floats(
+        min_value=1e-250,
+        max_value=min(sys.float_info.max, 0.999 * sys.float_info.max / k_max),
+    ))
     root_max = math.sqrt(sys.float_info.max)
     x_max = min(sys.float_info.max, 0.999 * math.sqrt(k_min) * math.sqrt(unit_scale) * root_max)
     return SweepConfig(

@@ -5,6 +5,8 @@ import pytest
 
 from sqspec.background import BackgroundParams
 from sqspec.bogoliubov import coefficients
+from sqspec.config import SweepConfig
+from sqspec.pipeline import run_sweep
 from sqspec.spectrum import (
     PlanckAnchors,
     SpectrumRecord,
@@ -152,6 +154,15 @@ class TestFitTilt:
         rec = power_law_records(n=5)[0]
         with pytest.raises(ValueError, match="degenerate"):
             fit_tilt([rec, rec, rec])
+
+    def test_matches_polyfit_on_default_sweep(self):
+        report = run_sweep(SweepConfig())
+        amp, tilt = fit_tilt(report.records, pivot=0.05)
+        x = np.log(np.array([rec.k for rec in report.records]) / 0.05)
+        y = np.log(np.array([rec.power_otmss for rec in report.records]))
+        slope, intercept = np.polyfit(x, y, 1)
+        assert amp == pytest.approx(np.exp(intercept), rel=1e-12)
+        assert tilt == pytest.approx(1.0 + slope, rel=1e-12)
 
 
 class TestAnchorsValidation:

@@ -662,8 +662,8 @@ class TestEvolveGrid:
             evolve_grid([0.3], SweepConfig())
 
     def test_engine_runs_on_floats(self, monkeypatch):
-        # the sweep's k grid and checkpoints are numpy arrays; every stage
-        # must still see Python floats, on which it runs about twice as fast
+        # every stage must see Python floats, on which it runs about twice
+        # as fast as on numpy scalars
         seen = []
 
         def spy(name):
@@ -683,7 +683,7 @@ class TestEvolveGrid:
         assert seen and {tp for t in seen for tp in t} == {float}
 
     def test_sweep_trajectories_hold_floats(self, monkeypatch):
-        # the trajectories behind a sweep's numpy grid carry Python floats
+        # the trajectories behind a sweep carry Python floats
         trajs = []
 
         def recorder(*args, **kwargs):
