@@ -47,18 +47,18 @@ rejected.  Both regimes are first-same-as-last (FSAL); the derivative is
 re-seeded only when the slaved regime is left.
 
 The slaved regime is a prefix of the trajectory: it is entered at the seed
-x = xs[0] or never, when the branch exists and the rate B/k (per unit x)
-times the span to the last checkpoint, the slack, exceeds twice
-_STIFF_BUDGET (4000 relaxation lengths).  rate * dx is invariant under the
-change of variable, so these rules are evaluated in x.  The angle then
+x = xs[0] or never, when the branch exists, the seed is off the repelling
+branch cos(phi0 + phi*) = 0 (the closed form from phi0 = 0, where sin 2 phi
+= 0 holds the angle for good), and the rate B/k (per unit x) times the span
+to the last checkpoint, the slack, exceeds twice _STIFF_BUDGET (4000
+relaxation lengths).  rate * dx is invariant under the change of variable,
+so these rules are evaluated in x.  The angle then
 starts on phi~, and the initial layer from the seed angle (~2e-5 wide in x
 at r ~ 1e-6) is taken in closed form, the reduced (Tikhonov) limit (Hairer &
 Wanner, Solving ODEs II, Ch. VI): with its coefficients held fixed across
 the layer and dr/deta = -A' cos(2 phi), it adds Delta ln r = -(2 A' /
 (r0 B)) ln|cos(2 phi*) / cos(phi0 + phi*)| to u.  The term is first order
-in Delta ln r; where it exceeds 1 in size, and on the repelling branch
-cos(phi0 + phi*) = 0 (the closed form from phi0 = 0), where it has no finite
-value, the seed takes no layer term.
+in Delta ln r; where it exceeds 1 in size, the seed takes no layer term.
 A window shorter than 8000 relaxation lengths is stepped with the full
 system.  The first sample keeps the caller's seed angle.
 
@@ -290,11 +290,15 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, r_cap, max_steps):
     rate = bracket / k
     slaved = math.isfinite(rate) and rate * (x - x_end) > 2.0 * _STIFF_BUDGET and 0.0 <= s < 0.99
     if slaved:
-        # the layer term with A' c / r0 = du/deta = -k tau^2 du/dtau, and
-        # cos(phi0 + phi*) from half angles, exactly 0 on the repelling branch
+        # cos(phi0 + phi*) from half angles is exactly 0 on the repelling
+        # branch, from which the angle does not relax (the closed form keeps
+        # phi0 = 0 for good): that seed is stepped on the full system
         c = math.sqrt(1.0 - s * s)
         cos_sum = math.cos(phi0) * math.sqrt(0.5 * (1.0 - c)) - math.sin(phi0) * math.sqrt(0.5 * (1.0 + c))
-        layer = 2.0 * fu * k * tau * tau * math.log(c / abs(cos_sum)) / (c * bracket) if cos_sum else math.inf
+        slaved = cos_sum != 0.0
+    if slaved:
+        # the layer term with A' c / r0 = du/deta = -k tau^2 du/dtau
+        layer = 2.0 * fu * k * tau * tau * math.log(c / abs(cos_sum)) / (c * bracket)
         phi = _attractor_phi(s2p, phi)
         fp, x_prev, d1_prev = 0.0, x, d1
         if abs(layer) <= 1.0:  # a first-order term: beyond |Delta ln r| = 1, none

@@ -79,7 +79,7 @@ class LanczosChain:
 
     b     : off-diagonal (closed-system) coefficients, b[0] = 0
     c_mag : real magnitudes (2n+1) k of the diagonal (open-system)
-            coefficients c_n = i * c_mag[n]
+            coefficients c_n = i * c_mag[n], the c~_n of the recursion
     """
 
     b: tuple[float, ...]
@@ -87,11 +87,6 @@ class LanczosChain:
 
     def __len__(self) -> int:
         return len(self.b)
-
-    @property
-    def c_tilde(self) -> tuple[float, ...]:
-        """Real-valued c~_n = -i c_n = (2n+1) k used by the polynomial recursion."""
-        return self.c_mag
 
 
 def scale_factor(eta: float, params: BackgroundParams) -> float:

@@ -18,16 +18,6 @@ squeezed vacuum relative to Bunch-Davies is |beta|^2 = sinh^2 r.
 
 alpha is carried as a complex number even though this parametrization makes
 it real, so a phase convention with complex alpha stays representable.
-
-Two Wronskian diagnostics live here and they answer different questions.
-The residual attached to a pair by coefficients() evaluates the defining
-formulas at (r, phi) in double-double arithmetic, relative to |alpha|^2 =
-cosh^2 r: it certifies that the construction satisfies the normalization
-identity (to ~1e-32 at any r).  wronskian_residual(alpha, beta) instead
-measures the stored double-precision numbers themselves, exactly; at r = 5
-the components have magnitude cosh(5) ~ 74 and |beta|^2 has an ulp near
-1.2e-12, so the stored-value defect of any rounded pair sits at that
-representational floor no matter how it was built.
 """
 
 from __future__ import annotations
@@ -51,8 +41,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BogoliubovPair:
-    """Coefficient pair (alpha, beta) with its Wronskian defect attached,
-    relative to |alpha|^2 (see _construction_residual)."""
+    """Coefficient pair (alpha, beta) with the Wronskian defect of the stored
+    doubles attached, relative to |alpha|^2 (see coefficients)."""
 
     alpha: complex
     beta: complex
@@ -73,26 +63,15 @@ def bd_mode(eta: float, k: float) -> complex:
 _SPLIT = 134217729.0
 
 
-def _dd_add(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
-    """Double-double sum: TwoSum of the high parts, then the low parts."""
-    s = ah + bh
-    v = s - ah
-    e = (ah - (s - v)) + (bh - v) + al + bl
-    hi = s + e
-    return hi, e - (hi - s)
-
-
-def _dd_sq(h: float, l: float) -> tuple[float, float]:
-    """Double-double square of h + l: Dekker's TwoProduct of h with itself
-    (Numer. Math. 18, 1971) plus the cross term.  For l = 0 the pair is
-    h^2 exactly, while h^2 neither overflows nor underflows."""
+def _dd_sq(h: float) -> tuple[float, float]:
+    """h^2 as the double-double p + e: Dekker's TwoProduct of h with itself
+    (Numer. Math. 18, 1971), exact while h^2 neither overflows nor
+    underflows."""
     p = h * h
     t = _SPLIT * h
     hh = t - (t - h)
     hl = h - hh
-    e = ((hh * hh - p) + 2.0 * hh * hl) + hl * hl + 2.0 * h * l
-    hi = p + e
-    return hi, e - (hi - p)
+    return p, ((hh * hh - p) + 2.0 * hh * hl) + hl * hl
 
 
 def wronskian_residual(alpha: complex, beta: complex) -> float:
@@ -106,39 +85,9 @@ def wronskian_residual(alpha: complex, beta: complex) -> float:
     """
     terms = [-1.0]
     for v, sign in ((alpha.real, 1.0), (alpha.imag, 1.0), (beta.real, -1.0), (beta.imag, -1.0)):
-        p, e = _dd_sq(v, 0.0)
+        p, e = _dd_sq(v)
         terms += (sign * p, sign * e)
     return abs(math.fsum(terms))
-
-
-def _unit_defect(h: float, l: float) -> float:
-    """(1 + x)^2 - (1 - x)^2 - 4x for x = h + l in double-double arithmetic:
-    zero in exact arithmetic, so what is left is the rounding."""
-    plus = _dd_sq(*_dd_add(1.0, 0.0, h, l))
-    minus = _dd_sq(*_dd_add(1.0, 0.0, -h, -l))
-    d = _dd_add(*_dd_add(*plus, -minus[0], -minus[1]), -4.0 * h, -4.0 * l)
-    return d[0] + d[1]
-
-
-def _construction_residual(r: float, phi: float) -> float:
-    """Identity defect |cosh^2 r - |e^{-i phi}|^2 sinh^2 r - 1| / cosh^2 r of
-    the coefficient formulas, in double-double arithmetic.
-
-    The formulas are taken from q = e^{-r} and t = tan(phi/2) (or its
-    reciprocal, whichever lies in [-1, 1]): with w = q^2 and u = t^2,
-    2q cosh r = 1 + w, 2q sinh r = 1 - w and |e^{-i phi}|^2 =
-    ((1 - u)^2 + 4u)/(1 + u)^2, so both identities are _unit_defect's.
-    Scaled by 4q^2, every term is at most 4, so no r overflows.
-    """
-    q = math.exp(-r)
-    t = math.tan(0.5 * phi)
-    if abs(t) > 1.0:
-        t = 1.0 / t  # cot(phi/2) gives the same |e^{-i phi}|^2 form
-    w, u = q * q, t * t
-    # 4q^2 (cosh^2 - sinh^2 - 1) and (1 + u)^2 (1 - |e^{-i phi}|^2)
-    hyper = _unit_defect(*_dd_sq(q, 0.0))
-    phase = _unit_defect(*_dd_sq(t, 0.0))
-    return abs(hyper + phase * ((1.0 - w) / (1.0 + u)) ** 2) / (1.0 + w) ** 2
 
 
 def _alpha_beta(state: SqueezeState) -> tuple[complex, complex]:
@@ -149,14 +98,14 @@ def _alpha_beta(state: SqueezeState) -> tuple[complex, complex]:
 def coefficients(state: SqueezeState) -> BogoliubovPair:
     """alpha = cosh r, beta = -e^{-i phi} sinh r for the given squeeze state.
 
-    The attached residual certifies the construction identity (see module
-    docstring); use wronskian_residual() to interrogate a stored pair.
+    The attached residual is wronskian_residual(alpha, beta) / |alpha|^2: the
+    stored pair's defect in units of cosh^2 r, a few ulps at any r.
     """
     alpha, beta = _alpha_beta(state)
     return BogoliubovPair(
         alpha=alpha,
         beta=beta,
-        wronskian_residual=_construction_residual(state.r, state.phi),
+        wronskian_residual=wronskian_residual(alpha, beta) / abs(alpha) ** 2,
     )
 
 

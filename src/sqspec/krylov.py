@@ -105,7 +105,7 @@ def build_liouvillian(chain: LanczosChain, dimension: int) -> TridiagonalLiouvil
         raise ValueError(
             f"chain supplies {len(chain)} coefficients, need {dimension}"
         )
-    diagonal = tuple(complex(c) for c in chain.c_tilde[:dimension])
+    diagonal = tuple(complex(c) for c in chain.c_mag[:dimension])
     offdiagonal = tuple(float(b) for b in chain.b[1:dimension])
     return TridiagonalLiouvillian(
         dimension=dimension, diagonal=diagonal, offdiagonal=offdiagonal
@@ -124,7 +124,7 @@ def meixner_poly(n: int, x: complex, chain: LanczosChain) -> complex:
     p_prev = 1.0 + 0.0j
     if n == 0:
         return p_prev
-    c = chain.c_tilde
+    c = chain.c_mag
     b = chain.b
     p = x - c[0]
     for j in range(1, n):

@@ -39,7 +39,7 @@ class TestLiouvillian:
         chain = de_sitter_chain(3)
         liou = build_liouvillian(chain, 1)
         assert np.asarray(liou.matrix()).shape == (1, 1)
-        assert np.asarray(liou.matrix())[0, 0] == chain.c_tilde[0]
+        assert np.asarray(liou.matrix())[0, 0] == chain.c_mag[0]
 
     def test_de_sitter_offdiagonal(self):
         liou = build_liouvillian(de_sitter_chain(5), 4)
@@ -67,7 +67,7 @@ class TestMeixnerPoly:
     def test_degree_one(self):
         chain = de_sitter_chain(k=0.9)
         x = 0.3 + 0.1j
-        assert meixner_poly(1, x, chain) == x - chain.c_tilde[0]
+        assert meixner_poly(1, x, chain) == x - chain.c_mag[0]
 
     def test_degree_two_hand_expanded(self):
         # P2 = (x - c1)(x - c0) - b1^2 at x = 0 with c = 0, b1 = 2

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sqspec
-from sqspec import pipeline
+from sqspec import bogoliubov, pipeline
 from sqspec.bogoliubov import coefficients
 from sqspec.cli import main as cli_main
 from sqspec.config import SweepConfig, parse_config
@@ -106,12 +106,12 @@ class TestRunSweep:
         assert report.summary.tilt_fit == pytest.approx(0.9649, abs=1e-12)
 
     def test_superhorizon_wronskian_residual_is_relative(self):
-        # relative to cosh^2 r the construction residual stays at the
-        # double-double floor up to r ~ 43: 3.3e-32 measured on this sweep,
-        # 7.9e-32 over 100,000 random states with r <= 354.8
+        # relative to cosh^2 r the stored pair's residual stays at a few
+        # ulps up to r ~ 43: 5.8e-16 measured on this sweep, 7.5e-16 over
+        # 20,000 random states with r <= 354.8
         report = run_sweep(SweepConfig(eval_point="super-horizon"))
         assert max(rec.r for rec in report.records) > 40.0
-        assert report.summary.max_wronskian_residual < 1e-30
+        assert report.summary.max_wronskian_residual < 1e-15
 
     def test_capped_modes_count_up_to_the_evaluated_point(self):
         # r passes r_cap only after horizon crossing, so a crossing sweep
@@ -202,6 +202,22 @@ class TestVerify:
         code, lines = verify(SweepConfig())
         assert code == 3
         assert any(line.startswith("FAIL wronskian-gamma") for line in lines)
+
+    def test_beta_magnitude_mutation_seen_by_wronskian(self, monkeypatch):
+        # a 1% error in |beta| breaks |alpha|^2 - |beta|^2 = 1; the residual
+        # of the stored pair must see it on its own (2.0e-2 measured)
+        alpha_beta = bogoliubov._alpha_beta
+
+        def scaled(state):
+            alpha, beta = alpha_beta(state)
+            return alpha, 1.01 * beta
+
+        monkeypatch.setattr(bogoliubov, "_alpha_beta", scaled)
+        code, lines = verify(SweepConfig())
+        assert code == 3
+        (line,) = [line for line in lines if line.startswith("FAIL wronskian-gamma")]
+        residual = float(line.split("max wronskian residual ")[1].split(",")[0])
+        assert residual > 1e-12
 
 
 class TestCli:
@@ -328,9 +344,9 @@ class TestCli:
         assert summary.count("the seed r = 0 is the angle singularity") == 3
 
     def test_negative_r_fails_per_mode(self, tmp_path, capsys):
-        # the closed form's dr/deta is finite at r = 0, so an explicit step
-        # would walk through the singularity to r < 0; such steps are
-        # rejected and the modes fail at r = 0 without aborting the sweep
+        # the closed form's dr/deta is finite at r = 0 and phi0 = 0 is its
+        # repelling branch, so every mode walks into r = 0 and fails there
+        # without aborting the sweep
         cfg = tmp_path / "negative.cfg"
         cfg.write_text(
             "k_min = 100\nk_max = 1000\nk_points = 3\nx_start = 2.5\n"
@@ -340,20 +356,20 @@ class TestCli:
         out = tmp_path / "out"
         code = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
         assert code == 2
-        assert "(2 failures)" in capsys.readouterr().out
+        assert "(3 failures)" in capsys.readouterr().out
         summary = (out / "summary.txt").read_text()
-        assert summary.count("likely the r = 0 angle singularity") == 2
+        assert summary.count("likely the r = 0 angle singularity") == 3
         assert len(list(out.iterdir())) == 7
 
     def test_failed_modes_keep_their_work(self, tmp_path):
-        # the two modes that walk into r = 0 still report the attempts they
+        # the modes that walk into r = 0 still report the attempts they
         # made, and the summary's step totals count them
         cfg = SweepConfig(
             k_min=100.0, k_max=1000.0, k_points=3, x_start=2.5, init_phi=0.0,
             form="closed-reference", coupling_power="hamiltonian-consistent",
         )
         modes = evolve_grid(make_k_grid(cfg), cfg)
-        assert [m.state is None for m in modes] == [False, True, True]
+        assert [m.state is None for m in modes] == [True, True, True]
         failed = [m.stats for m in modes if m.state is None]
         assert all(st.status == "step-underflow" and st.n_steps > 0 for st in failed)
         write_outputs(run_sweep(cfg), tmp_path)

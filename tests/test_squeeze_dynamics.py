@@ -364,7 +364,7 @@ class TestIntegrate:
         stats = excinfo.value.trajectory.integrator_stats
         assert stats.n_steps + stats.n_rejected <= 200
 
-    @pytest.mark.parametrize("k", [316.0, 1000.0])
+    @pytest.mark.parametrize("k", [100.0, 316.0, 1000.0])
     def test_walk_into_r_zero_fails_fast(self, k):
         # the closed form's dr/deta is finite at r = 0 and the angle sits on
         # the repelling branch, so ln r falls to -inf in finite tau; the run
