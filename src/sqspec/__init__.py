@@ -7,7 +7,7 @@ Library modules:
                      squeezed-vacuum amplitude series
     squeeze_dynamics evolution of the squeeze parameters (r_k, phi_k)
     bogoliubov       (alpha_k, beta_k), mode functions, occupation
-    spectrum         gamma_z ratio, anchored/first-principles power spectra
+    spectrum         gamma_z ratio, anchored power spectrum, tilt fit
     config/pipeline  sweep configuration, orchestration, artifact emission
 
 The `sqspec` CLI exposes the sweep, the oracle suite and config inspection.
@@ -16,12 +16,10 @@ The `sqspec` CLI exposes the sweep, the oracle suite and config inspection.
 __version__ = "0.1.0"
 
 from .background import (
-    BackgroundParams,
     CouplingCoefficients,
     LanczosChain,
     couplings,
     lanczos_chain,
-    scale_factor,
     z_rate,
 )
 from .bogoliubov import (
@@ -30,7 +28,6 @@ from .bogoliubov import (
     coefficients,
     mode_function,
     occupation,
-    vacuum_kernel,
 )
 from .config import ConfigError, SweepConfig, load_config, parse_config, serialize
 from .krylov import (
@@ -48,10 +45,8 @@ from .spectrum import (
     PlanckAnchors,
     SpectrumRecord,
     bd_reference_power,
-    curvature_power,
     fit_tilt,
     gamma_ratio,
-    mode_power,
 )
 from .squeeze_dynamics import (
     CappedGrowthWarning,
@@ -69,8 +64,8 @@ from .squeeze_dynamics import (
 
 __all__ = [
     "__version__",
-    "BackgroundParams", "CouplingCoefficients", "LanczosChain",
-    "couplings", "lanczos_chain", "scale_factor", "z_rate",
+    "CouplingCoefficients", "LanczosChain",
+    "couplings", "lanczos_chain", "z_rate",
     "TridiagonalLiouvillian", "OtmssAmplitudes", "AmplitudeDivergenceError",
     "build_liouvillian", "meixner_poly", "characteristic_poly_residual",
     "otmss_amplitudes", "tmss_amplitudes",
@@ -79,9 +74,9 @@ __all__ = [
     "rhs_conformal", "rhs_transformed", "rhs_closed_reference",
     "integrate", "evolve_grid",
     "BogoliubovPair", "bd_mode", "coefficients",
-    "mode_function", "occupation", "vacuum_kernel",
+    "mode_function", "occupation",
     "PlanckAnchors", "SpectrumRecord", "gamma_ratio", "bd_reference_power",
-    "mode_power", "curvature_power", "fit_tilt",
+    "fit_tilt",
     "SweepConfig", "ConfigError", "load_config", "parse_config", "serialize",
     "RunReport", "make_k_grid", "run_sweep", "write_outputs", "verify",
 ]

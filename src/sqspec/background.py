@@ -22,36 +22,15 @@ assembled into a matrix (see krylov.build_liouvillian).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 __all__ = [
-    "BackgroundParams",
     "CouplingCoefficients",
     "LanczosChain",
-    "scale_factor",
     "z_rate",
     "couplings",
     "lanczos_chain",
 ]
-
-
-@dataclass(frozen=True)
-class BackgroundParams:
-    """Constant-eps quasi-de Sitter background.
-
-    hubble_rate : Hubble rate H (inverse time, constant during inflation)
-    epsilon     : slow-roll parameter, 0 < epsilon < 1
-    """
-
-    hubble_rate: float = 1.0
-    epsilon: float = 0.01
-
-    def __post_init__(self):
-        if not self.hubble_rate > 0:
-            raise ValueError(f"hubble_rate must be > 0, got {self.hubble_rate}")
-        if not 0 < self.epsilon < 1:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -87,13 +66,6 @@ class LanczosChain:
 
     def __len__(self) -> int:
         return len(self.b)
-
-
-def scale_factor(eta: float, params: BackgroundParams) -> float:
-    """Scale factor a(eta) = -1/(H eta) for eta < 0."""
-    if eta >= 0:
-        raise ValueError(f"conformal time must be < 0 (inflation), got eta={eta}")
-    return -1.0 / (params.hubble_rate * eta)
 
 
 def z_rate(eta: float) -> float:

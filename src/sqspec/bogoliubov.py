@@ -12,9 +12,10 @@ with coefficients fixed by the squeeze parameters:
 
     alpha = cosh r,      beta = -e^{-i phi} sinh r.
 
-The pair-creation kernel relating the two vacua is beta*/alpha* =
--e^{i phi} tanh r (always inside the unit disk), and the occupation of the
-squeezed vacuum relative to Bunch-Davies is |beta|^2 = sinh^2 r.
+The occupation of the squeezed vacuum relative to Bunch-Davies is
+|beta|^2 = sinh^2 r.  The pipeline evaluates mode_function against bd_mode at
+each mode's evaluation point: |v_z/v_BD|^2 tends to the spectrum ratio
+gamma_z only in the super-horizon limit v_BD*/v_BD -> -1 (see spectrum).
 
 alpha is carried as a complex number even though this parametrization makes
 it real, so a phase convention with complex alpha stays representable.
@@ -34,7 +35,6 @@ __all__ = [
     "coefficients",
     "mode_function",
     "occupation",
-    "vacuum_kernel",
     "wronskian_residual",
 ]
 
@@ -119,8 +119,3 @@ def mode_function(state: SqueezeState, eta: float, k: float) -> complex:
 def occupation(state: SqueezeState) -> float:
     """Pair occupation number |beta|^2 = sinh^2 r of the squeezed vacuum."""
     return math.sinh(state.r) ** 2
-
-
-def vacuum_kernel(state: SqueezeState) -> complex:
-    """Pair-creation kernel beta*/alpha* = -e^{i phi} tanh r; |kernel| < 1."""
-    return -cmath.exp(1j * state.phi) * math.tanh(state.r)

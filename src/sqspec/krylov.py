@@ -24,9 +24,9 @@ The dissipative two-mode squeezed vacuum has the geometric amplitude series
 over |n, n>, in Planck units (M_P = 1, so mu2 = k and sqrt|1-mu1^2| =
 |z'/z|).  It reduces at mu2 -> 0, |1-mu1^2| -> 1 to the pure two-mode
 squeezed state psi_n = (-1)^n e^{2 i n phi} tanh^n(r) / cosh(r).  The series
-is returned unnormalized by default: for mu2 != 0 its norm is not 1, and that
-deficit is itself a dissipation diagnostic, so it is exposed rather than
-hidden (``squared_norm``).
+is returned unnormalized: for mu2 != 0 its norm is not 1, and that deficit is
+itself a dissipation diagnostic, so it is exposed rather than hidden
+(``squared_norm``; a caller divides by its square root to normalize).
 """
 
 from __future__ import annotations
@@ -80,16 +80,12 @@ class OtmssAmplitudes:
     """Amplitude series psi_n, n = 0..n_max, over the paired basis.
 
     coefficients          : complex psi_n, as a tuple
-    truncation_tail_bound : closed-form sum_{n > n_max} |psi_n|^2 of the
-                            coefficients as returned
-    normalized            : whether coefficients were rescaled to unit norm
-    squared_norm          : analytic infinite-series sum |psi_n|^2 of the raw
-                            (unnormalized) coefficients
+    truncation_tail_bound : closed-form sum_{n > n_max} |psi_n|^2
+    squared_norm          : analytic infinite-series sum |psi_n|^2
     """
 
     coefficients: tuple[complex, ...]
     truncation_tail_bound: float
-    normalized: bool
     squared_norm: float
 
 
@@ -154,7 +150,6 @@ def _geometric_series(
     prefactor: complex,
     ratio: complex,
     n_max: int | None,
-    normalize: bool,
     tail_tol: float,
 ) -> OtmssAmplitudes:
     """Assemble psi_n = prefactor * ratio^n with closed-form tail accounting."""
@@ -177,16 +172,9 @@ def _geometric_series(
     for _ in range(n_max):
         power *= ratio
         coeffs.append(prefactor * power)
-    tail = squared_norm * rho2 ** (n_max + 1)
-
-    if normalize:
-        norm = math.sqrt(squared_norm)
-        coeffs = [c / norm for c in coeffs]
-        tail = tail / squared_norm
     return OtmssAmplitudes(
         coefficients=tuple(coeffs),
-        truncation_tail_bound=tail,
-        normalized=normalize,
+        truncation_tail_bound=squared_norm * rho2 ** (n_max + 1),
         squared_norm=squared_norm,
     )
 
@@ -196,7 +184,6 @@ def otmss_amplitudes(
     phi: float,
     couplings: CouplingCoefficients,
     n_max: int | None = None,
-    normalize: bool = False,
     tail_tol: float = 1e-13,
 ) -> OtmssAmplitudes:
     """Amplitude series of the dissipative squeezed vacuum at (r, phi).
@@ -219,7 +206,7 @@ def otmss_amplitudes(
         )
     prefactor = (1.0 / math.cosh(r)) / denom
     ratio = root * (-cmath.exp(2j * phi) * t) / denom
-    return _geometric_series(prefactor, ratio, n_max, normalize, tail_tol)
+    return _geometric_series(prefactor, ratio, n_max, tail_tol)
 
 
 def tmss_amplitudes(
@@ -237,4 +224,4 @@ def tmss_amplitudes(
         raise ValueError(f"squeeze amplitude must be >= 0, got r={r}")
     prefactor = 1.0 / math.cosh(r)
     ratio = -cmath.exp(2j * phi) * math.tanh(r)
-    return _geometric_series(prefactor, ratio, n_max, normalize=False, tail_tol=tail_tol)
+    return _geometric_series(prefactor, ratio, n_max, tail_tol)

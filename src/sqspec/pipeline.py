@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .background import CouplingCoefficients, LanczosChain, lanczos_chain
-from .bogoliubov import coefficients, occupation
+from .bogoliubov import bd_mode, coefficients, mode_function, occupation
 from .config import ConfigError, SweepConfig, parse_config, serialize
 from .krylov import characteristic_poly_residual, meixner_poly, otmss_amplitudes, tmss_amplitudes
 from .spectrum import SpectrumRecord, bd_reference_power, fit_tilt, gamma_ratio
@@ -48,6 +48,9 @@ _FIT_MIN_RECORDS = 3
 @dataclass(frozen=True)
 class SummaryStats:
     max_abs_gamma_minus_one: float
+    # | |v_z/v_BD|^2 / gamma - 1 | at the evaluation point: gamma is the
+    # super-horizon limit (v_BD*/v_BD -> -1) of that mode-function ratio
+    max_abs_mode_ratio_over_gamma_minus_one: float
     max_wronskian_residual: float
     max_occupation: float
     amplitude_fit: float
@@ -104,6 +107,7 @@ def run_sweep(config: SweepConfig) -> RunReport:
 
     records: list[SpectrumRecord] = []
     failures: list[tuple[float, str]] = []
+    mode_ratio_gaps: list[float] = []
     stats = [res.stats for res in mode_results if res.stats is not None]
     for res in mode_results:
         if res.state is None:
@@ -112,6 +116,11 @@ def run_sweep(config: SweepConfig) -> RunReport:
         state = res.state
         pair = coefficients(state)
         gamma = gamma_ratio(state)
+        k_int = res.k * config.unit_scale
+        eta = -state.x / k_int
+        # the ratio before the square: |v_z|^2 alone overflows at large r
+        mode_ratio = abs(mode_function(state, eta, k_int) / bd_mode(eta, k_int)) ** 2
+        mode_ratio_gaps.append(abs(mode_ratio / gamma - 1.0))
         power_bd = bd_reference_power(res.k, config.anchors)
         records.append(
             SpectrumRecord(
@@ -133,6 +142,7 @@ def run_sweep(config: SweepConfig) -> RunReport:
 
     summary = SummaryStats(
         max_abs_gamma_minus_one=max((abs(r.gamma - 1.0) for r in records), default=float("nan")),
+        max_abs_mode_ratio_over_gamma_minus_one=max(mode_ratio_gaps, default=float("nan")),
         max_wronskian_residual=max((r.wronskian_residual for r in records), default=float("nan")),
         max_occupation=max((r.occupation for r in records), default=float("nan")),
         amplitude_fit=amplitude_fit,
@@ -238,6 +248,8 @@ def write_outputs(report: RunReport, out_dir: str | Path) -> list[Path]:
         f"integrator steps: {s.n_steps} accepted ({s.n_slaved_steps} slaved), "
         f"{s.n_rejected} rejected",
         f"max |gamma - 1|: {no_records(s) or format(s.max_abs_gamma_minus_one, '.6e')}",
+        "max | |v_z/v_BD|^2 / gamma - 1 |: "
+        f"{no_records(s) or format(s.max_abs_mode_ratio_over_gamma_minus_one, '.6e')}",
         f"max wronskian residual: {no_records(s) or format(s.max_wronskian_residual, '.6e')}",
         f"max occupation |beta|^2: {no_records(s) or format(s.max_occupation, '.6e')}",
         f"fitted amplitude at pivot: {fit_skipped(s) or format(s.amplitude_fit, '.6e')}",

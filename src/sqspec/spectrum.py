@@ -7,16 +7,16 @@ The spectrum ratio in the super-horizon limit (where v_BD*/v_BD -> -1) is
 bounded by e^{-2r} <= gamma_z <= e^{2r}.  Both sides of the identity are
 evaluated on every call and must agree; a disagreement signals a broken
 phase convention somewhere upstream, so it raises instead of returning.
+The pipeline takes this limit of the state at each mode's evaluation point;
+at horizon crossing it is not the mode-function ratio |v_z/v_BD|^2 there,
+and summary.txt reports the largest relative gap between the two.
 
 The observationally anchored BD baseline is the power law
 
     P_R(k) = A_s (k / k_*)^{n_s - 1}
 
-with Planck normalization A_s = 2.196e-9, n_s = 0.9649 at k_* = 0.05 Mpc^-1.
-curvature_power supports two constructions: "anchored" multiplies that
-power law by gamma_z (what the desk-scale figures show), "first-principles"
-builds (k^3 / 2 pi^2) |v_BD|^2 gamma_z / (2 eps a^2 M_P^2) from the
-background directly, in Planck units (M_P = 1).
+with Planck normalization A_s = 2.196e-9, n_s = 0.9649 at k_* = 0.05 Mpc^-1;
+the squeezed power is that power law times gamma_z.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .background import BackgroundParams, scale_factor
-from .bogoliubov import _alpha_beta, bd_mode
+from .bogoliubov import _alpha_beta
 from .squeeze_dynamics import SqueezeState
 
 __all__ = [
@@ -34,8 +33,6 @@ __all__ = [
     "SpectrumRecord",
     "gamma_ratio",
     "bd_reference_power",
-    "mode_power",
-    "curvature_power",
     "fit_tilt",
 ]
 
@@ -97,39 +94,6 @@ def bd_reference_power(k: float, anchors: PlanckAnchors) -> float:
     if k <= 0:
         raise ValueError(f"wavenumber must be > 0, got k={k}")
     return anchors.amplitude * (k / anchors.pivot) ** (anchors.tilt - 1.0)
-
-
-def mode_power(eta: float, k: float, state: SqueezeState) -> float:
-    """Mode-function power (k^3 / 2 pi^2) |v_BD(eta,k)|^2 gamma_z."""
-    v = bd_mode(eta, k)
-    return k**3 / (2.0 * math.pi**2) * abs(v) ** 2 * gamma_ratio(state)
-
-
-def curvature_power(
-    k: float,
-    state: SqueezeState,
-    params: BackgroundParams | None = None,
-    eta: float | None = None,
-    *,
-    anchors: PlanckAnchors | None = None,
-    mode: str = "anchored",
-) -> float:
-    """Curvature power of the squeezed vacuum at wavenumber k.
-
-    mode="anchored": bd_reference_power(k) * gamma_z with k in Mpc^-1 labels.
-    mode="first-principles": mode_power / (2 eps a^2) (M_P = 1) with k
-    internal and the background evaluated at eta (< 0).
-    """
-    if mode == "anchored":
-        if anchors is None:
-            anchors = PlanckAnchors()
-        return bd_reference_power(k, anchors) * gamma_ratio(state)
-    if mode == "first-principles":
-        if params is None or eta is None:
-            raise ValueError("first-principles mode needs params and eta")
-        a = scale_factor(eta, params)
-        return mode_power(eta, k, state) / (2.0 * params.epsilon * a**2)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def fit_tilt(

@@ -300,3 +300,17 @@ def test_supplementary_crossing_closed_form(default_report):
         0, "crossing-closed-form",
         worst <= 1e-9, f"max |r - r_closed| / r_closed = {worst:.3e} (bound 1e-9)",
     )
+
+
+def test_supplementary_mode_function_ratio(default_report, consistent_report):
+    # gamma is the super-horizon limit of |v_z/v_BD|^2; at crossing the two
+    # agree to 2.2e-6 on the literal sweep, while the consistent sweep's
+    # r(1) up to ~4.6 keeps them 0.42 apart
+    literal = default_report.summary.max_abs_mode_ratio_over_gamma_minus_one
+    consistent = consistent_report.summary.max_abs_mode_ratio_over_gamma_minus_one
+    _criterion(
+        0, "mode-function-ratio",
+        literal <= 1e-5 and consistent > 0.1,
+        f"max | |v_z/v_BD|^2 / gamma - 1 | = {literal:.3e} literal (bound 1e-5), "
+        f"{consistent:.3e} hamiltonian-consistent (must exceed 0.1)",
+    )

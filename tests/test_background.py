@@ -1,43 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from sqspec.background import (
-    BackgroundParams,
-    couplings,
-    lanczos_chain,
-    scale_factor,
-    z_rate,
-)
-
-
-class TestScaleFactor:
-    @pytest.mark.parametrize("hubble", [1.0, 2.5])
-    def test_inverse_proportionality(self, hubble):
-        p = BackgroundParams(hubble_rate=hubble)
-        assert scale_factor(-1.0 / hubble, p) == pytest.approx(1.0, rel=1e-15)
-        assert scale_factor(-0.5 / hubble, p) == pytest.approx(2.0, rel=1e-15)
-        assert scale_factor(-10.0 / hubble, p) == pytest.approx(0.1, rel=1e-15)
-
-    def test_monotone_toward_zero(self):
-        p = BackgroundParams()
-        etas = -np.geomspace(10.0, 1e-3, 40)
-        a = [scale_factor(e, p) for e in etas]
-        assert all(b > c for b, c in zip(a[1:], a[:-1]))
-
-    @pytest.mark.parametrize("eta", [0.0, 1.0])
-    def test_rejects_post_inflation(self, eta):
-        with pytest.raises(ValueError, match="conformal time"):
-            scale_factor(eta, BackgroundParams())
-
-    def test_identity_a_H_eta(self):
-        # a * H * (-eta) == 1 on the whole domain
-        p = BackgroundParams(hubble_rate=0.731)
-        for eta in -np.geomspace(100.0, 1e-4, 25):
-            assert scale_factor(eta, p) * p.hubble_rate * (-eta) == pytest.approx(
-                1.0, rel=1e-14
-            )
+from sqspec.background import couplings, lanczos_chain, z_rate
 
 
 class TestZRate:
@@ -110,15 +74,3 @@ class TestLanczosChain:
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
             lanczos_chain(-1, eta=-1.0, k=1.0)
-
-
-class TestParamsValidation:
-    def test_epsilon_bounds(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            BackgroundParams(epsilon=0.0)
-        with pytest.raises(ValueError, match="epsilon"):
-            BackgroundParams(epsilon=1.0)
-
-    def test_positive_rates(self):
-        with pytest.raises(ValueError, match="hubble_rate"):
-            BackgroundParams(hubble_rate=-1.0)

@@ -10,7 +10,6 @@ from sqspec.bogoliubov import (
     coefficients,
     mode_function,
     occupation,
-    vacuum_kernel,
     wronskian_residual,
 )
 from sqspec.spectrum import gamma_ratio
@@ -137,28 +136,3 @@ class TestOccupation:
         for s in random_states(500, seed=8):
             pair = coefficients(s)
             assert occupation(s) == pytest.approx(abs(pair.beta) ** 2, rel=1e-13)
-
-
-class TestVacuumKernel:
-    def test_coinciding_vacua(self):
-        assert vacuum_kernel(SqueezeState(r=0.0, phi=1.0, x=1.0)) == 0.0
-
-    def test_ln2(self):
-        kernel = vacuum_kernel(SqueezeState(r=LN2, phi=0.0, x=1.0))
-        assert kernel.real == pytest.approx(-0.6, rel=1e-14)
-        assert abs(kernel.imag) < 1e-16
-
-    def test_matches_beta_over_alpha(self):
-        for s in random_states(300, seed=13):
-            pair = coefficients(s)
-            expected = pair.beta.conjugate() / pair.alpha.conjugate()
-            assert vacuum_kernel(s) == pytest.approx(expected, rel=1e-13)
-
-    @pytest.mark.parametrize("r", [0.1, 1.0, 5.0, 18.0])
-    def test_strictly_inside_unit_disk(self, r):
-        assert abs(vacuum_kernel(SqueezeState(r=r, phi=0.3, x=1.0))) < 1.0
-
-    def test_never_outside_unit_disk_at_saturation(self):
-        # tanh(r) rounds to 1.0 in doubles past r ~ 19; the bound must not
-        # overshoot even there
-        assert abs(vacuum_kernel(SqueezeState(r=25.0, phi=0.3, x=1.0))) <= 1.0

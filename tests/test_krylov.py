@@ -175,12 +175,6 @@ class TestOtmssAmplitudes:
         got = np.sum(np.abs(amp.coefficients) ** 2)
         assert got == pytest.approx(amp.squared_norm, rel=1e-11)
 
-    def test_normalized_flag(self):
-        cc = CouplingCoefficients(mu2=0.2, coupling=1.0)
-        amp = otmss_amplitudes(1.0, -0.4, cc, normalize=True)
-        total = np.sum(np.abs(amp.coefficients) ** 2)
-        assert 1.0 - amp.truncation_tail_bound - 1e-13 <= total <= 1.0 + 1e-13
-
     def test_unnormalized_norm_deficit(self):
         # with dissipation the literal series does not have unit norm
         cc = CouplingCoefficients(mu2=0.2, coupling=1.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 import os
 import subprocess
@@ -102,6 +103,7 @@ class TestRunSweep:
         report = run_sweep(dataclasses.replace(SMALL, zero_coupling=True))
         assert all(rec.gamma == 1.0 for rec in report.records)
         assert all(rec.power_otmss == rec.power_bd for rec in report.records)
+        assert report.summary.max_abs_mode_ratio_over_gamma_minus_one <= 1e-15
         assert report.summary.amplitude_fit == pytest.approx(2.196e-9, rel=1e-12)
         assert report.summary.tilt_fit == pytest.approx(0.9649, abs=1e-12)
 
@@ -338,10 +340,27 @@ class TestCli:
         assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
         assert "max |gamma - 1| = no records" in capsys.readouterr().out
         summary = (out / "summary.txt").read_text()
-        for name in ("max |gamma - 1|", "max wronskian residual", "max occupation |beta|^2"):
+        for name in (
+            "max |gamma - 1|",
+            "max | |v_z/v_BD|^2 / gamma - 1 |",
+            "max wronskian residual",
+            "max occupation |beta|^2",
+        ):
             assert f"{name}: no records" in summary
         assert "nan" not in summary
         assert summary.count("the seed r = 0 is the angle singularity") == 3
+
+    def test_seed_near_double_range_reports_mode_ratio(self, tmp_path):
+        # |v_z|^2 alone overflows a double at r = 354; the ratio to v_BD
+        # is formed before it is squared
+        cfg = tmp_path / "large.cfg"
+        cfg.write_text("k_points = 3\nx_start = 1.0001\ninit_r = 354\n")
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        prefix = "max | |v_z/v_BD|^2 / gamma - 1 |: "
+        (line,) = [ln for ln in (out / "summary.txt").read_text().splitlines()
+                   if ln.startswith(prefix)]
+        assert math.isfinite(float(line[len(prefix):]))
 
     def test_negative_r_fails_per_mode(self, tmp_path, capsys):
         # the closed form's dr/deta is finite at r = 0 and phi0 = 0 is its
@@ -431,3 +450,15 @@ def test_sqspec_runs_without_numpy(tmp_path):
     assert proc.stdout.strip() == "[]"
     assert (tmp_path / "out" / "records.csv").exists()
     assert elapsed <= 2.0
+
+
+@pytest.mark.parametrize("module", [
+    "sqspec", "sqspec.background", "sqspec.bogoliubov", "sqspec.config",
+    "sqspec.krylov", "sqspec.pipeline", "sqspec.spectrum", "sqspec.squeeze_dynamics",
+])
+def test_every_all_entry_resolves(module):
+    # `import *` raises AttributeError on an __all__ entry whose name is gone
+    names = importlib.import_module(module).__all__
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    assert set(names) <= namespace.keys()

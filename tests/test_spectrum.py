@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from sqspec.background import BackgroundParams
 from sqspec.bogoliubov import coefficients
 from sqspec.config import SweepConfig
 from sqspec.pipeline import run_sweep
@@ -11,10 +10,8 @@ from sqspec.spectrum import (
     PlanckAnchors,
     SpectrumRecord,
     bd_reference_power,
-    curvature_power,
     fit_tilt,
     gamma_ratio,
-    mode_power,
 )
 from sqspec.squeeze_dynamics import SqueezeState
 
@@ -77,48 +74,6 @@ class TestBdReferencePower:
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
             bd_reference_power(0.0, ANCH)
-
-
-class TestModePower:
-    def test_bd_limit_is_pure_mode_power(self):
-        # |v_BD|^2 = 1/k at crossing, so (k^3/2 pi^2) |v|^2 = 1/(2 pi^2) at k=1
-        got = mode_power(-1.0, 1.0, state(0.0, 0.0))
-        assert got == pytest.approx(1.0 / (2 * math.pi**2), rel=1e-14)
-
-    def test_two_path_super_horizon(self):
-        from sqspec.bogoliubov import mode_function
-
-        s = state(0.25, 0.9)
-        k, eta = 1.3, -0.001 / 1.3
-        via_gamma = mode_power(eta, k, s)
-        direct = k**3 / (2 * math.pi**2) * abs(mode_function(s, eta, k)) ** 2
-        assert via_gamma == pytest.approx(direct, rel=1e-3)
-
-
-class TestCurvaturePower:
-    def test_anchored_pivot_bd(self):
-        got = curvature_power(0.05, state(0.0, 0.0), anchors=ANCH)
-        assert got == 2.196e-9
-
-    def test_anchored_is_power_law_times_gamma(self):
-        s = state(0.4, 0.6)
-        g = gamma_ratio(s)
-        for k in (1e-3, 0.05, 0.7):
-            assert curvature_power(k, s, anchors=ANCH) == bd_reference_power(k, ANCH) * g
-
-    def test_first_principles_de_sitter_amplitude(self):
-        # super-horizon limit H^2 / (8 pi^2 eps M_P^2), derived analytically
-        # from (k^3/2pi^2) |v_BD|^2 / (2 eps a^2) with a = -1/(H eta)
-        params = BackgroundParams(hubble_rate=1e-5, epsilon=0.01)
-        k = 2.0
-        eta = -1e-3 / k
-        got = curvature_power(k, state(0.0, 0.0), params, eta, mode="first-principles")
-        expected = params.hubble_rate**2 / (8 * math.pi**2 * params.epsilon)
-        assert got == pytest.approx(expected, rel=2e-6)
-
-    def test_first_principles_needs_background(self):
-        with pytest.raises(ValueError, match="first-principles"):
-            curvature_power(1.0, state(0.1, 0.0), mode="first-principles")
 
 
 def power_law_records(gamma=1.0, n=40, tilt=ANCH.tilt):
