@@ -122,6 +122,29 @@ class TestModeFunction:
             devs.append(abs(ratio - gamma))
         assert all(b < a for a, b in zip(devs, devs[1:]))
 
+    @pytest.mark.parametrize("x", [10.0, 1.0, 0.1])
+    def test_ratio_closed_form_at_any_eta(self, x):
+        # |alpha + beta v_BD*/v_BD|^2 with v_BD*/v_BD = -e^{-i(2x + 2 atan(1/x))}
+        # at k eta = -x: cosh 2r - sinh 2r cos(2x + 2 atan(1/x) + phi), which
+        # tends to gamma as x -> 0
+        k = 1.7
+        for s in random_states(200, seed=31):
+            got = abs(mode_function(s, -x / k, k) / bd_mode(-x / k, k)) ** 2
+            expected = math.cosh(2 * s.r) - math.sinh(2 * s.r) * math.cos(
+                2 * x + 2 * math.atan(1 / x) + s.phi
+            )
+            assert got == pytest.approx(expected, rel=1e-11)
+
+    def test_ratio_before_square_stays_finite_near_double_range(self):
+        # at crossing |v_z|^2 ~ cosh^2 r / k overflows a double at r = 354,
+        # k = 1e-4; the ratio does not
+        k = 1e-4
+        state = SqueezeState(r=354.0, phi=0.4, x=1.0)
+        v_z, v_bd = mode_function(state, -1.0 / k, k), bd_mode(-1.0 / k, k)
+        with pytest.raises(OverflowError):
+            abs(v_z) ** 2
+        assert math.isfinite(abs(v_z / v_bd) ** 2)
+
 
 class TestOccupation:
     def test_vacuum(self):
@@ -136,3 +159,33 @@ class TestOccupation:
         for s in random_states(500, seed=8):
             pair = coefficients(s)
             assert occupation(s) == pytest.approx(abs(pair.beta) ** 2, rel=1e-13)
+
+
+def kernel(state):
+    """Vacuum kernel beta*/alpha* of the stored pair."""
+    pair = coefficients(state)
+    return pair.beta.conjugate() / pair.alpha.conjugate()
+
+
+class TestVacuumKernel:
+    def test_coinciding_vacua(self):
+        assert kernel(SqueezeState(r=0.0, phi=1.0, x=1.0)) == 0.0
+
+    def test_ln2(self):
+        value = kernel(SqueezeState(r=LN2, phi=0.0, x=1.0))
+        assert value.real == pytest.approx(-0.6, rel=1e-14)
+        assert abs(value.imag) < 1e-16
+
+    def test_magnitude_is_tanh_r(self):
+        for s in random_states(300, seed=13):
+            assert abs(kernel(s)) == pytest.approx(math.tanh(s.r), rel=1e-13)
+
+    @pytest.mark.parametrize("r", [0.1, 1.0, 5.0, 18.0])
+    def test_strictly_inside_unit_disk(self, r):
+        assert abs(kernel(SqueezeState(r=r, phi=0.3, x=1.0))) < 1.0
+
+    def test_never_outside_unit_disk_at_saturation(self):
+        # tanh(r) rounds to 1.0 in doubles past r ~ 19; the stored pair's
+        # ratio must not overshoot even there
+        for r in (25.0, 354.0):
+            assert abs(kernel(SqueezeState(r=r, phi=0.3, x=1.0))) <= 1.0

@@ -175,6 +175,15 @@ class TestOtmssAmplitudes:
         got = np.sum(np.abs(amp.coefficients) ** 2)
         assert got == pytest.approx(amp.squared_norm, rel=1e-11)
 
+    def test_normalized_by_squared_norm(self):
+        # squared_norm is the infinite series, so the returned coefficients
+        # divided by its root fall short of unit norm by at most the tail
+        cc = CouplingCoefficients(mu2=0.2, coupling=1.0)
+        amp = otmss_amplitudes(1.0, -0.4, cc)
+        scale = math.sqrt(amp.squared_norm)
+        total = np.sum(np.abs(np.asarray(amp.coefficients) / scale) ** 2)
+        assert 1.0 - amp.truncation_tail_bound / amp.squared_norm - 1e-13 <= total <= 1.0 + 1e-13
+
     def test_unnormalized_norm_deficit(self):
         # with dissipation the literal series does not have unit norm
         cc = CouplingCoefficients(mu2=0.2, coupling=1.0)

@@ -12,11 +12,11 @@ import pytest
 
 import sqspec
 from sqspec import bogoliubov, pipeline
-from sqspec.bogoliubov import coefficients
+from sqspec.bogoliubov import bd_mode, coefficients, mode_function
 from sqspec.cli import main as cli_main
 from sqspec.config import SweepConfig, parse_config
 from sqspec.pipeline import CSV_COLUMNS, make_k_grid, run_sweep, verify, write_outputs
-from sqspec.squeeze_dynamics import evolve_grid
+from sqspec.squeeze_dynamics import SqueezeState, evolve_grid
 
 SMALL = SweepConfig(k_points=24)
 
@@ -87,6 +87,18 @@ class TestRunSweep:
             assert rec.power_otmss == rec.power_bd * rec.gamma  # bitwise
             assert rec.occupation >= 0.0
             assert -np.pi < rec.phi <= np.pi
+
+    def test_mode_ratio_summary_matches_records(self, small_report):
+        # crossing: eta = -1/k; wrapping phi moves the ratio only by rounding
+        gaps = []
+        for rec in small_report.records:
+            state = SqueezeState(r=rec.r, phi=rec.phi, x=1.0)
+            k = rec.k * SMALL.unit_scale
+            ratio = abs(mode_function(state, -1.0 / k, k) / bd_mode(-1.0 / k, k)) ** 2
+            gaps.append(abs(ratio / rec.gamma - 1.0))
+        got = small_report.summary.max_abs_mode_ratio_over_gamma_minus_one
+        assert got == pytest.approx(max(gaps), rel=1e-6)
+        assert 0.0 < got <= 1e-5
 
     def test_config_echo_roundtrip(self, small_report):
         assert parse_config(small_report.config_echo) == SMALL
