@@ -13,8 +13,9 @@ against tau = -1/x, where 1/x = a/a_k is the scale factor in units of its
 value at horizon crossing; tau decreases with x, so steps are negative in
 both.  On the attractor d ln r/dtau = -k/(r + k) (the Lambert-W form in
 perfbench/oracle.py), so ln r is linear in tau while r << k and the steps
-are long.  The error norm of u is rtol alone, which is relative in r at any
-size of r, and atol guards the angle only (atol + rtol |phi|).
+are long; the first trial step runs from the seed to the first checkpoint.
+The error norm of u is rtol alone, which is relative in r at any size of r,
+and atol guards the angle only (atol + rtol |phi|).
 
 _flow holds the printed flow in conformal time, each formula once: the
 closed-coupling factor A, the coth r Laurent series, the bracket B of the
@@ -43,8 +44,7 @@ through the next step.  The stage reads dr/deta at cos(2 phi~) =
 -c cos(2 delta) - s sin(2 delta) and returns sin(2 phi~), from which
 _attractor_phi forms the accepted angle.  The closed form has s = 0, so
 delta = 0.  A slaved stage off the branch (s outside [0, 0.99)) is NaN and is
-rejected.  Both regimes are first-same-as-last (FSAL); the derivative is
-re-seeded only when the slaved regime is left.
+rejected.  Both regimes are first-same-as-last (FSAL).
 
 The slaved regime is a prefix of the trajectory: it is entered at the seed
 x = xs[0] or never, when the branch exists, the seed is off the repelling
@@ -69,7 +69,7 @@ accepted slaved step, with the difference of the held d delta1/dx.  The
 regime is left once the slack is within _STIFF_BUDGET and that term exceeds
 rtol, or in any case _SLAVE_HANDBACK = 200 relaxation lengths before the
 last checkpoint, so the full system re-forms the lag before the angle is
-read.  Exit re-seeds the full system from phi~.
+read.  Exit re-seeds the full system from phi~; the last landing is no exit.
 
 r is never clamped, and r = exp(u) > 0 holds by construction.  The
 coordinate singularity r = 0 has no logarithm: a seed there ends at once in
@@ -282,7 +282,7 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, r_cap, max_steps):
     max_err = 0.0
     capped = False
 
-    h = (-1.0 / x_end - tau) * 1e-4  # negative: tau decreases with x
+    h = -1.0 / x_end - tau  # negative: tau decreases with x
 
     # the seed is the only way onto the slaved branch (module docstring)
     dlag = d2 = 0.0  # d delta1/dx and its derivative, held between accepted points
@@ -389,10 +389,10 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, r_cap, max_steps):
                         slope = (d1 - d1_prev) / (x - x_prev)
                         d2 = (slope - dlag) / (x - x_prev)
                         dlag, x_prev, d1_prev = slope, x, d1
-                    # leave for good on the next-order term or near the end
+                    # leave for good on the next-order term or near (not at) the last checkpoint
                     slack = rate * (x - x_end)
                     lagging = slack <= _STIFF_BUDGET and 2.0 * s * abs(d2) > rtol * rate * rate * (1.0 - s * s) ** 1.5
-                    if lagging or slack <= _SLAVE_HANDBACK:
+                    if (lagging or slack <= _SLAVE_HANDBACK) and x != x_end:
                         slaved = False
                         fu, fp = _stage(tau, u, phi, k, power, form)
             else:

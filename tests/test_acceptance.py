@@ -302,6 +302,17 @@ def test_supplementary_crossing_closed_form(default_report):
     )
 
 
+def test_supplementary_step_attempts(default_report):
+    # each mode's first trial step spans its whole window, so no mode takes
+    # a start-up ramp of short steps
+    summary = default_report.summary
+    attempts = summary.n_steps + summary.n_rejected
+    _criterion(
+        0, "step-attempts",
+        attempts <= 750, f"{attempts} step attempts over {summary.n_records} modes (bound 750)",
+    )
+
+
 def test_supplementary_mode_function_ratio(default_report, consistent_report):
     # gamma is the super-horizon limit of |v_z/v_BD|^2; at crossing the two
     # agree to 2.2e-6 on the literal sweep, while the consistent sweep's

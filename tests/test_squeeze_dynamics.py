@@ -1,5 +1,6 @@
 import contextlib
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -287,9 +288,9 @@ class TestIntegrate:
         assert 1.0 < traj.x[-1] < 10.0
         assert all(map(math.isfinite, traj.r + traj.phi))
         # with no checkpoint inside the span, the seed and then the point
-        # where the budget ran out
+        # where the budget ran out (at k = 1e-4 the span takes 6 attempts)
         with pytest.raises(StepBudgetError) as excinfo:
-            integrate(0.5, 10.0, 1.0, samples=[10.0, 1.0], max_steps=2)
+            integrate(1e-4, 10.0, 1.0, samples=[10.0, 1.0], max_steps=2)
         traj = excinfo.value.trajectory
         assert traj.x[0] == 10.0 and len(traj.x) == 2
         assert 1.0 < traj.x[-1] < 10.0
@@ -595,15 +596,42 @@ class TestSeededLayer:
         assert flags[0] and not flags[-1]
         assert flags == sorted(flags, reverse=True)
 
-    def test_sub_ulp_step_on_the_branch(self):
-        # the first steps are below half an ulp of x, so accepted slaved
-        # steps leave x unchanged; the lag estimate must skip them
+    def test_sub_ulp_step_on_the_branch(self, monkeypatch):
+        # checkpoints a few ulps of x apart, where tau = -1/x is the finer
+        # grid: a step of 20 ulps of tau stops 1 ulp short of the third
+        # checkpoint but on it in x, and the 1-ulp landing that follows
+        # leaves x unchanged; the lag estimate must skip that step, not
+        # divide by the zero difference in x
+        unmoved = []
+        attractor_phi = eng._attractor_phi
+
+        def spy(s, phi_anchor):
+            # called once per accepted slaved step, just before the skip's test
+            driver = sys._getframe(1).f_locals
+            if "x_prev" in driver:
+                unmoved.append(driver["x"] == driver["x_prev"])
+            return attractor_phi(s, phi_anchor)
+
+        monkeypatch.setattr(eng, "_attractor_phi", spy)
+        x0 = 1050.0
+        xs = [x0 - n * math.ulp(x0) for n in (0, 1, 12, 212)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = integrate(1e-6, 1000.0, 1000.0 - 1e-10, init=(1e-9, PI4))
+            traj = integrate(1e-6, x0, xs[-1], init=(1e-9, PI4), samples=xs)
         stats = traj.integrator_stats
         assert stats.status == "ok"
-        assert stats.n_steps == stats.n_slaved_steps > 0
+        assert stats.n_steps == stats.n_slaved_steps == len(unmoved)
+        assert any(unmoved)
+        assert traj.x == tuple(xs)
+
+    def test_crossing_mode_lands_in_one_attempt(self, monkeypatch):
+        # the first trial step spans the window: on the attractor ln r is
+        # near-linear in tau, so it is accepted, and a run that ends on the
+        # fast path re-seeds no full-system stage
+        flags = _spy_stages(monkeypatch)
+        stats = integrate(1.0, 100.0, 1.0, samples=[100.0, 1.0]).integrator_stats
+        assert (stats.n_steps, stats.n_rejected, stats.n_slaved_steps) == (1, 0, 1)
+        assert flags and all(flags)
 
 
 def _quiet_default_traj(k):
