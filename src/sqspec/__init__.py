@@ -59,7 +59,6 @@ from .squeeze_dynamics import (
     integrate,
     rhs_closed_reference,
     rhs_conformal,
-    rhs_transformed,
 )
 
 __all__ = [
@@ -71,7 +70,7 @@ __all__ = [
     "otmss_amplitudes", "tmss_amplitudes",
     "SqueezeState", "Trajectory", "ModeResult",
     "CappedGrowthWarning", "StepSizeUnderflowError", "StepBudgetError",
-    "rhs_conformal", "rhs_transformed", "rhs_closed_reference",
+    "rhs_conformal", "rhs_closed_reference",
     "integrate", "evolve_grid",
     "BogoliubovPair", "bd_mode", "coefficients",
     "mode_function", "occupation",

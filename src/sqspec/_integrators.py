@@ -19,10 +19,12 @@ and atol guards the angle only (atol + rtol |phi|).
 
 _flow holds the printed flow in conformal time, each formula once: the
 closed-coupling factor A, the coth r Laurent series, the bracket B of the
-angle equation and dr/deta of each form.  _stage turns it into (du/dtau,
-dphi/dtau) of the full system; the RK4 driver's _rhs_x and the public rhs_*
-functions in squeeze_dynamics read the same copy.  _slaved_stage inlines it
-for the slaved regime below, so a slaved stage is one Python call.
+angle equation, dr/deta in the printed conformal form, and the closed form
+(the analytic mu2 = 0 limit) of the closed-reference oracle.  _stage turns
+it into (du/dtau, dphi/dtau) of the full system; the RK4 driver's _rhs_x
+and the public rhs_* functions in squeeze_dynamics read the same copy.
+_slaved_stage inlines it for the slaved regime below, so a slaved stage is
+one Python call.
 
 Stiffness handling.  The angle equation carries a coth(r) relaxation rate:
 for r ~ 1e-6 the angle is attracted to its quasi-static branch
@@ -99,7 +101,7 @@ from __future__ import annotations
 import math
 import sys
 
-FORMS = ("conformal", "transformed", "closed-reference")
+FORMS = ("conformal", "closed-reference")
 COUPLING_POWERS = ("literal", "hamiltonian-consistent")
 
 # relaxation lengths of slack to the last checkpoint: the seed is put on the
@@ -130,27 +132,18 @@ def _flow(r, phi, lam, mu2, power, form):
     if not math.isfinite(phi):
         return math.nan, math.nan
     c2p = math.cos(2.0 * phi)
-    closed = form == "closed-reference"
-    if closed:
-        dpdeta = 0.5 * math.sin(2.0 * phi) * (a_cc * tr + coth)
-    else:
-        # the bracket B of the angle equation; coth r + mu2 is summed first,
-        # as in the printed M_P (coth r + mu2)
-        bracket = a_cc * tr / (1.0 + mu2 * tr) + (coth + mu2)
-        dpdeta = 0.5 * math.sin(2.0 * phi) * bracket - mu2
-    if form == "conformal":
-        s2r = math.sinh(2.0 * r)
-        ch = math.cosh(r)
-        den = s2r + 2.0 * mu2 * (ch * ch)
-        if den != 0.0:
-            return -a_cc * s2r * c2p / den, dpdeta
-    elif not closed:
-        den = tr + mu2
-        if den != 0.0:
-            return -tr * (a_cc * c2p) / den, dpdeta
-    # the closed form (the analytic mu2 = 0 limit, finite at r = 0), which is
-    # also the 0/0 limit of the printed ratios at r = 0 with mu2 = 0
-    return -a_cc * c2p, dpdeta
+    if form == "closed-reference":  # the analytic mu2 = 0 limit, finite at r = 0
+        return -a_cc * c2p, 0.5 * math.sin(2.0 * phi) * (a_cc * tr + coth)
+    # the bracket B of the angle equation; coth r + mu2 is summed first, as in
+    # the printed M_P (coth r + mu2)
+    bracket = a_cc * tr / (1.0 + mu2 * tr) + (coth + mu2)
+    dpdeta = 0.5 * math.sin(2.0 * phi) * bracket - mu2
+    s2r = math.sinh(2.0 * r)
+    ch = math.cosh(r)
+    den = s2r + 2.0 * mu2 * (ch * ch)
+    if den == 0.0:  # r = 0 with mu2 = 0: the 0/0 limit is the closed form
+        return -a_cc * c2p, dpdeta
+    return -a_cc * s2r * c2p / den, dpdeta
 
 
 def _stage(tau, u, phi, k, power, form):
@@ -183,12 +176,9 @@ def _slaved_stage(tau, u, k, power, form, dlag):
     if not 0.0 <= s < 0.99:
         return math.nan, s, 0.0, bracket, s
     c = math.sqrt(1.0 - s * s)  # -cos(2 phi*)
-    if form == "conformal":
-        s2r = math.sinh(2.0 * r)
-        ch = math.cosh(r)
-        g = a_cc * s2r / (s2r + 2.0 * k * (ch * ch))  # dr/deta = -g cos(2 phi)
-    else:
-        g = a_cc * tr / (tr + k)
+    s2r = math.sinh(2.0 * r)
+    ch = math.cosh(r)
+    g = a_cc * s2r / (s2r + 2.0 * k * (ch * ch))  # dr/deta = -g cos(2 phi)
     # dB/dx / B^2, so that csch^2 r ~ 1/r^2 cannot overflow: a_cc ~ x^-p at
     # fixed r, plus dB/dr times the zeroth-order dr/dx = -g c / k
     ib = 1.0 / bracket
@@ -413,7 +403,9 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, r_cap, max_steps):
                 status = "step-underflow"
                 break
         if status == "ok" or x < out_x[-1]:  # or a failed run stopped between two
-            out_x.append(x)
+            # a run that is ok sits at tau_target, also where a checkpoint
+            # shares the previous one's tau and took no step
+            out_x.append(x_target if status == "ok" else x)
             out_r.append(math.exp(u))
             out_phi.append(phi)
         if status != "ok":

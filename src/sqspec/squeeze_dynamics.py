@@ -5,8 +5,6 @@ The flow in conformal time eta (prime = d/deta, all in Planck units) is
     r' = [ -A sinh(2r) cos(2 phi) - sinh(2r) mu2' ]
          / [ sinh(2r) + 2 mu2 cosh^2(r) ]                      (conformal form)
 
-    r' = - tanh(r) (mu2' + A cos 2 phi) / (tanh r + mu2)       (transformed form)
-
     phi' = -M_P mu2 + (1/2) sin(2 phi) [ A tanh(r)/(1 + mu2 tanh r)
                                          + M_P (coth r + mu2) ]
 
@@ -19,9 +17,14 @@ squares it:
     coupling_power="literal"                A = M_P |1 - mu1^2| = (z'/z)^2 / M_P
     coupling_power="hamiltonian-consistent" A = |z'/z|
 
-The two r' forms are algebraically identical (sinh 2r / (sinh 2r +
-2 mu2 cosh^2 r) == tanh r / (tanh r + mu2)); they are kept as separate code
-paths so they can cross-check each other.  A third right-hand side,
+The paper also prints r' in a transformed form,
+
+    r' = - tanh(r) (mu2' + A cos 2 phi) / (tanh r + mu2),      (transformed form)
+
+which is the same expression: sinh 2r / (sinh 2r + 2 mu2 cosh^2 r) ==
+tanh r / (tanh r + mu2).  The flow is evaluated once, in the conformal
+form, by _integrators._flow; the tests check the identity against the
+printed transformed expression.  A second right-hand side,
 rhs_closed_reference, is the analytic mu2 = 0 limit (the pure
 two-mode-squeezed flow) used as a weak-dissipation oracle.
 
@@ -58,7 +61,6 @@ __all__ = [
     "StepSizeUnderflowError",
     "StepBudgetError",
     "rhs_conformal",
-    "rhs_transformed",
     "rhs_closed_reference",
     "integrate",
     "evolve_grid",
@@ -140,7 +142,6 @@ class Trajectory:
     r: tuple[float, ...]
     phi: tuple[float, ...]
     k: float
-    form: str
     integrator_stats: IntegratorStats
 
     def state_at(self, x: float) -> SqueezeState:
@@ -178,17 +179,6 @@ def rhs_conformal(
 ) -> tuple[float, float]:
     """(dr/deta, dphi/deta) of the conformal-form flow at the given state."""
     return _rhs(state, k, couplings, coupling_power, "conformal")
-
-
-def rhs_transformed(
-    state: SqueezeState,
-    k: float,
-    couplings: CouplingCoefficients | None = None,
-    coupling_power: str = "literal",
-) -> tuple[float, float]:
-    """(dr/dtau, dphi/dtau) of the transformed-form flow; tau is identified
-    with conformal time, so the two forms can be compared directly."""
-    return _rhs(state, k, couplings, coupling_power, "transformed")
 
 
 def rhs_closed_reference(
@@ -341,7 +331,7 @@ def integrate(
 
     traj = Trajectory(
         x=tuple(out_x), r=tuple(out_r), phi=tuple(out_phi),
-        k=k, form=form, integrator_stats=stats,
+        k=k, integrator_stats=stats,
     )
 
     if stats.status == "step-underflow":

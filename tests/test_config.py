@@ -61,9 +61,14 @@ class TestParsing:
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "sweep.cfg"
-        path.write_text("k_points = 12\nform = transformed\n")
+        path.write_text("k_points = 12\nform = closed-reference\n")
         cfg = load_config(path)
-        assert cfg.k_points == 12 and cfg.form == "transformed"
+        assert cfg.k_points == 12 and cfg.form == "closed-reference"
+
+    def test_transformed_form_is_rejected(self):
+        # the transformed form is the conformal one printed differently
+        with pytest.raises(ConfigError, match="form must be one of conformal, closed-reference; got 'transformed'"):
+            parse_config("form = transformed\n")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -241,9 +241,9 @@ class TestCli:
         assert parse_config(out) == SweepConfig()
 
     def test_show_config_with_overrides(self, capsys):
-        assert cli_main(["show-config", "--k-points", "33", "--form", "transformed"]) == 0
+        assert cli_main(["show-config", "--k-points", "33", "--form", "closed-reference"]) == 0
         cfg = parse_config(capsys.readouterr().out)
-        assert cfg.k_points == 33 and cfg.form == "transformed"
+        assert cfg.k_points == 33 and cfg.form == "closed-reference"
 
     def test_sweep_end_to_end(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
@@ -270,6 +270,18 @@ class TestCli:
         bad.write_text("k_min = 2.0\nk_max = 1.0\n")
         assert cli_main(["sweep", "--config", str(bad)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_transformed_form_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("form = transformed\nk_points = 4\n")
+        assert cli_main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "config error: form must be one of conformal, closed-reference; got 'transformed'" in err
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["show-config", "--form", "transformed"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'transformed'" in capsys.readouterr().err
 
     def test_non_finite_value_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -412,14 +424,11 @@ class TestCli:
             in (tmp_path / "summary.txt").read_text()
         )
 
-    @pytest.mark.parametrize("form", ["transformed", "conformal"])
-    def test_double_range_overflow_fails_per_mode(self, tmp_path, capsys, form):
+    def test_double_range_overflow_fails_per_mode(self, tmp_path, capsys):
         # at k = 1 r grows past 354.9, where cosh 2r overflows: that mode
         # fails and names the overflow, the other three keep their records
         cfg = tmp_path / "overflow.cfg"
-        cfg.write_text(
-            f"x_end = 0.001\neval_point = super-horizon\nk_points = 4\nform = {form}\n"
-        )
+        cfg.write_text("x_end = 0.001\neval_point = super-horizon\nk_points = 4\n")
         out = tmp_path / "out"
         code = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
         assert code == 2

@@ -20,7 +20,6 @@ from sqspec.squeeze_dynamics import (
     integrate,
     rhs_closed_reference,
     rhs_conformal,
-    rhs_transformed,
     wrap_angle,
 )
 
@@ -43,6 +42,16 @@ RADAU_CONSISTENT = [
 ]
 
 
+def _printed_transformed(r, phi, a, mu2):
+    """(dr/deta, dphi/deta) of the paper's transformed form at mu2' = 0 for
+    the closed-coupling factor a, written out independently of the package:
+    r' = -tanh r (A cos 2 phi) / (tanh r + mu2)."""
+    t = math.tanh(r)
+    dr = -t * a * math.cos(2.0 * phi) / (t + mu2)
+    bracket = a * t / (1.0 + mu2 * t) + 1.0 / t + mu2
+    return dr, 0.5 * math.sin(2.0 * phi) * bracket - mu2
+
+
 class TestRhsPointwise:
     def test_quarter_pi_is_fixed_point_of_r(self):
         # cos(2 phi) = 0 kills the only surviving numerator term at mu2' = 0
@@ -51,8 +60,6 @@ class TestRhsPointwise:
             state = SqueezeState(r=r, phi=PI4, x=3.0)
             dr, _ = rhs_conformal(state, 1.0, couplings=cc)
             assert abs(dr) < 1e-12
-            dr_t, _ = rhs_transformed(state, 1.0, couplings=cc)
-            assert abs(dr_t) < 1e-12
 
     def test_large_r_saturation(self):
         # sinh 2r / (sinh 2r + ...) -> 1 at mu2 = 0
@@ -61,7 +68,7 @@ class TestRhsPointwise:
         dr, _ = rhs_conformal(state, 1.0, couplings=cc)
         assert dr == pytest.approx(-1.0 * math.cos(0.8), rel=1e-10)
         state_t = SqueezeState(r=40.0, phi=0.0, x=2.0)
-        dr_t, _ = rhs_transformed(state_t, 1.0, couplings=cc)
+        dr_t, _ = rhs_conformal(state_t, 1.0, couplings=cc)
         assert dr_t == pytest.approx(-1.0, rel=1e-12)
 
     def test_conformal_frozen_oracle(self):
@@ -73,15 +80,18 @@ class TestRhsPointwise:
         assert dp == pytest.approx(-0.22492441159015873, rel=1e-14)
 
     def test_transformed_frozen_oracle(self):
-        # r=0.5, phi=1.0, mu2=0.2, |1-mu1^2| = 4 (coupling 2), M_P=1
+        # independent 50-digit evaluation of the printed transformed form at
+        # r=0.5, phi=1.0, mu2=0.2, |1-mu1^2| = 4 (coupling 2), M_P=1; the
+        # conformal form that sqspec evaluates is the same expression
         cc = CouplingCoefficients(mu2=0.2, coupling=2.0)
         state = SqueezeState(r=0.5, phi=1.0, x=1.0)
-        dr, dp = rhs_transformed(state, 1.0, couplings=cc)
+        dr, dp = rhs_conformal(state, 1.0, couplings=cc)
         assert dr == pytest.approx(1.1617798511896459, rel=1e-14)
         assert dp == pytest.approx(1.6440707015465308, rel=1e-14)
 
     def test_conformal_equals_transformed(self):
-        # the two printed forms are algebraically identical
+        # the two printed forms are algebraically identical; the transformed
+        # one is evaluated by the test-local reference
         rng = np.random.RandomState(11)
         for _ in range(200):
             state = SqueezeState(
@@ -94,7 +104,7 @@ class TestRhsPointwise:
                 coupling=rng.uniform(0.01, 3.0),
             )
             a = rhs_conformal(state, 1.0, couplings=cc)
-            b = rhs_transformed(state, 1.0, couplings=cc)
+            b = _printed_transformed(state.r, state.phi, cc.coupling**2, cc.mu2)
             np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_closed_reference_is_analytic_limit(self):
@@ -120,7 +130,6 @@ class TestRhsPointwise:
             )
             cc = CouplingCoefficients(mu2=rng.uniform(0.0, 2.0), coupling=0.0)
             assert rhs_conformal(state, 1.0, couplings=cc)[0] == 0.0
-            assert rhs_transformed(state, 1.0, couplings=cc)[0] == 0.0
 
     def test_singular_angle_term_is_not_a_crash(self):
         # r = 0 with sin(2 phi) != 0: the angle rate is unbounded but must
@@ -303,6 +312,10 @@ class TestIntegrate:
             integrate(1.0, 0.5, 2.0)
         with pytest.raises(ValueError, match="form"):
             integrate(1.0, 5.0, 0.5, form="nope")
+        # the transformed form is the conformal one printed differently, and
+        # it is not a separate form
+        with pytest.raises(ValueError, match=r"unknown form 'transformed'.*closed-reference.*conformal"):
+            integrate(1.0, 5.0, 0.5, form="transformed")
         with pytest.raises(ValueError, match="tolerances"):
             integrate(1.0, 5.0, 0.5, rtol=0.0)
         for r0 in (-1e-300, math.nextafter(eng._R_MAX, math.inf)):
@@ -440,6 +453,13 @@ def _spy_stages(monkeypatch):
     return flags
 
 
+# (x, r, k, d delta1/dx) on the branch, from deep inside the horizon to r = 4
+_SLAVED_POINTS = [
+    (100.0, 1e-6, 0.05, 0.0), (1.0, 2.7e-6, 1e-4, 0.0), (3.0, 5e-5, 0.7, 1e-3),
+    (0.5, 0.3, 0.2, -0.05), (0.02, 4.0, 1.0, 2.0),
+]
+
+
 class TestSlavedBranch:
     """The slaved stage holds the angle on the slow manifold phi~ and takes
     dr/deta from it; it must agree with the full right-hand side at the
@@ -447,11 +467,7 @@ class TestSlavedBranch:
 
     @pytest.mark.parametrize("form", eng.FORMS)
     @pytest.mark.parametrize("power", eng.COUPLING_POWERS)
-    @pytest.mark.parametrize(
-        "x,r,k,dlag",
-        [(100.0, 1e-6, 0.05, 0.0), (1.0, 2.7e-6, 1e-4, 0.0), (3.0, 5e-5, 0.7, 1e-3),
-         (0.5, 0.3, 0.2, -0.05), (0.02, 4.0, 1.0, 2.0)],
-    )
+    @pytest.mark.parametrize("x,r,k,dlag", _SLAVED_POINTS)
     def test_matches_rhs_at_attractor(self, form, power, x, r, k, dlag):
         args = (k, power, form)
         fast, s2p, _, _, s = _slaved_at(x, r, *args, dlag)
@@ -459,6 +475,18 @@ class TestSlavedBranch:
         phi = eng._attractor_phi(s2p, math.pi / 2)
         full = _stage_at(x, r, phi, *args)[0]
         assert fast == pytest.approx(full, rel=1e-13)
+
+    @pytest.mark.parametrize("power", eng.COUPLING_POWERS)
+    @pytest.mark.parametrize("x,r,k,dlag", _SLAVED_POINTS)
+    def test_matches_printed_transformed_form(self, power, x, r, k, dlag):
+        # the slaved stage inlines its own copy of the conformal r'; the
+        # printed transformed form, the same expression, must agree with it
+        fast, s2p, _, _, s = _slaved_at(x, r, k, power, "conformal", dlag)
+        assert 0.0 <= s < 0.99
+        phi = eng._attractor_phi(s2p, math.pi / 2)
+        lam = k / x
+        drdeta = _printed_transformed(r, phi, lam * lam if power == "literal" else lam, k)[0]
+        assert fast == pytest.approx(-x * x / k * drdeta / r, rel=1e-13)
 
     @pytest.mark.parametrize("form", eng.FORMS)
     def test_first_order_term_matches_a_difference(self, form):
@@ -488,11 +516,10 @@ class TestSlavedBranch:
                 assert math.cos(2.0 * phi) < 0.0
                 assert abs(phi - anchor) <= math.pi / 2 + 1e-12
 
-    @pytest.mark.parametrize("form", ["conformal", "transformed"])
-    def test_slaved_stage_off_the_branch_is_nan(self, form):
+    def test_slaved_stage_off_the_branch_is_nan(self):
         # at x = 10, r = 3, k = 10 the bracket is ~11.1, so sin(2 phi*) =
         # 2 mu2 / B ~ 1.8: no fixed point, and the stage is rejected
-        du, _, _, _, s = _slaved_at(10.0, 3.0, 10.0, "literal", form)
+        du, _, _, _, s = _slaved_at(10.0, 3.0, 10.0, "literal", "conformal")
         assert s > 1.0
         assert math.isnan(du)
 
@@ -623,6 +650,18 @@ class TestSeededLayer:
         assert stats.n_steps == stats.n_slaved_steps == len(unmoved)
         assert any(unmoved)
         assert traj.x == tuple(xs)
+
+    def test_checkpoint_sharing_a_tau_is_recorded_at_its_x(self):
+        # 1000 - u rounds to the tau of 1000: no step is taken to reach it,
+        # and the state, already at that tau, is recorded at the requested x
+        u = math.ulp(1000.0)
+        xs = [1000.0, 1000.0 - u, 1000.0 - 16 * u, 1000.0 - 216 * u]
+        assert -1.0 / xs[0] == -1.0 / xs[1]
+        traj = integrate(1e-6, xs[0], xs[-1], init=(1e-9, PI4), samples=xs)
+        assert traj.integrator_stats.status == "ok"
+        assert traj.x == tuple(xs)
+        state = traj.state_at(xs[1])
+        assert (state.r, state.phi) == (traj.r[1], traj.phi[1])
 
     def test_crossing_mode_lands_in_one_attempt(self, monkeypatch):
         # the first trial step spans the window: on the attractor ln r is
