@@ -3,8 +3,8 @@
 Library modules:
 
     background       quasi-de Sitter background and chain coefficients
-    krylov           tridiagonal chain operator, recurrence polynomials,
-                     squeezed-vacuum amplitude series
+    krylov           chain recurrence polynomials, squeezed-vacuum
+                     amplitude series
     squeeze_dynamics evolution of the squeeze parameters (r_k, phi_k)
     bogoliubov       (alpha_k, beta_k), mode functions, occupation
     spectrum         gamma_z ratio, anchored power spectrum, tilt fit
@@ -33,8 +33,6 @@ from .config import ConfigError, SweepConfig, load_config, parse_config, seriali
 from .krylov import (
     AmplitudeDivergenceError,
     OtmssAmplitudes,
-    TridiagonalLiouvillian,
-    build_liouvillian,
     characteristic_poly_residual,
     meixner_poly,
     otmss_amplitudes,
@@ -42,7 +40,6 @@ from .krylov import (
 )
 from .pipeline import RunReport, make_k_grid, run_sweep, verify, write_outputs
 from .spectrum import (
-    PlanckAnchors,
     SpectrumRecord,
     bd_reference_power,
     fit_tilt,
@@ -65,8 +62,8 @@ __all__ = [
     "__version__",
     "CouplingCoefficients", "LanczosChain",
     "couplings", "lanczos_chain", "z_rate",
-    "TridiagonalLiouvillian", "OtmssAmplitudes", "AmplitudeDivergenceError",
-    "build_liouvillian", "meixner_poly", "characteristic_poly_residual",
+    "OtmssAmplitudes", "AmplitudeDivergenceError",
+    "meixner_poly", "characteristic_poly_residual",
     "otmss_amplitudes", "tmss_amplitudes",
     "SqueezeState", "Trajectory", "ModeResult",
     "CappedGrowthWarning", "StepSizeUnderflowError", "StepBudgetError",
@@ -74,8 +71,7 @@ __all__ = [
     "integrate", "evolve_grid",
     "BogoliubovPair", "bd_mode", "coefficients",
     "mode_function", "occupation",
-    "PlanckAnchors", "SpectrumRecord", "gamma_ratio", "bd_reference_power",
-    "fit_tilt",
+    "SpectrumRecord", "gamma_ratio", "bd_reference_power", "fit_tilt",
     "SweepConfig", "ConfigError", "load_config", "parse_config", "serialize",
     "RunReport", "make_k_grid", "run_sweep", "write_outputs", "verify",
 ]

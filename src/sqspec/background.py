@@ -17,7 +17,7 @@ The ladder coefficients of the tridiagonal mode chain are
     c_n = i (2n+1) k        (stored as the real magnitude (2n+1) k)
 
 The imaginary unit on c_n is a convention applied only when the chain is
-assembled into a matrix (see krylov.build_liouvillian).
+assembled into a matrix (see LanczosChain.matrix).
 """
 
 from __future__ import annotations
@@ -66,6 +66,23 @@ class LanczosChain:
 
     def __len__(self) -> int:
         return len(self.b)
+
+    def matrix(self, n: int) -> tuple[tuple[complex, ...], ...]:
+        """Dense n x n chain operator L_n on the first n basis vectors, as rows.
+
+        The i-convention is applied here: c_n = i c_mag[n] gives the diagonal
+        entry -i c_n = c_mag[n]; b_1 .. b_{n-1} sit symmetrically beside it.
+        """
+        if n < 1:
+            raise ValueError("empty chain space: dimension must be >= 1")
+        if len(self) < n:
+            raise ValueError(f"chain supplies {len(self)} coefficients, need {n}")
+        rows = [[0j] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = complex(self.c_mag[i])
+        for i in range(1, n):
+            rows[i - 1][i] = rows[i][i - 1] = complex(self.b[i])
+        return tuple(map(tuple, rows))
 
 
 def z_rate(eta: float) -> float:

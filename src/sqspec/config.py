@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from ._integrators import _R_MAX, COUPLING_POWERS, FORMS
-from .spectrum import PlanckAnchors, bd_reference_power
+from .spectrum import bd_reference_power
 
 __all__ = ["SweepConfig", "ConfigError", "load_config", "parse_config", "serialize"]
 
@@ -98,7 +98,7 @@ class SweepConfig:
         # the power law is monotone in k, so its ends bound every grid node
         for k in (self.k_min, self.k_max):
             try:
-                power = bd_reference_power(k, self.anchors)
+                power = bd_reference_power(k, self.a_s, self.n_s, self.k_pivot)
             except (OverflowError, ZeroDivisionError):
                 power = math.inf
             if not 0.0 < power < math.inf:
@@ -131,10 +131,6 @@ class SweepConfig:
                 raise ConfigError(
                     f"{key} must be one of {', '.join(allowed)}; got {getattr(self, key)!r}"
                 )
-
-    @property
-    def anchors(self) -> PlanckAnchors:
-        return PlanckAnchors(amplitude=self.a_s, tilt=self.n_s, pivot=self.k_pivot)
 
 
 _SCHEMA = {f.name: f.type for f in fields(SweepConfig)}

@@ -8,28 +8,28 @@ fixed formatting, so identical configs produce byte-identical CSV files.
 verify() runs the built-in oracle suite (polynomial-determinant equivalence,
 dual-integrator agreement, Wronskian and spectrum-ratio identity scan,
 weak-dissipation limit convergence) and reports one pass/fail line each.
+
+A RunReport carries the resolved SweepConfig it ran; write_outputs echoes it
+into summary.txt with its sha256 hash and the time of writing.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .background import CouplingCoefficients, LanczosChain, lanczos_chain
 from .bogoliubov import bd_mode, coefficients, mode_function, occupation
-from .config import ConfigError, SweepConfig, parse_config, serialize
+from .config import ConfigError, SweepConfig, serialize
 from .krylov import characteristic_poly_residual, meixner_poly, otmss_amplitudes, tmss_amplitudes
-from .spectrum import SpectrumRecord, bd_reference_power, fit_tilt, gamma_ratio
+from .spectrum import _FIT_MIN_RECORDS, SpectrumRecord, bd_reference_power, fit_tilt, gamma_ratio
 from .squeeze_dynamics import SqueezeState, _geometric_nodes, evolve_grid, integrate
 
 __all__ = [
     "SummaryStats",
-    "Provenance",
     "RunReport",
     "make_k_grid",
     "run_sweep",
@@ -41,8 +41,6 @@ CSV_COLUMNS = (
     "k", "r", "phi", "occupation", "gamma",
     "power_bd", "power_otmss", "wronskian_residual",
 )
-# fewest records the power-law tilt fit is run on
-_FIT_MIN_RECORDS = 3
 
 
 @dataclass(frozen=True)
@@ -66,19 +64,11 @@ class SummaryStats:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    version: str
-    timestamp: str
-    config_hash: str
-
-
-@dataclass(frozen=True)
 class RunReport:
-    config_echo: str
+    config: SweepConfig
     records: tuple[SpectrumRecord, ...]
     failures: tuple[tuple[float, str], ...]
     summary: SummaryStats
-    provenance: Provenance
 
 
 def make_k_grid(config: SweepConfig) -> list[float]:
@@ -121,7 +111,7 @@ def run_sweep(config: SweepConfig) -> RunReport:
         # the ratio before the square: |v_z|^2 alone overflows at large r
         mode_ratio = abs(mode_function(state, eta, k_int) / bd_mode(eta, k_int)) ** 2
         mode_ratio_gaps.append(abs(mode_ratio / gamma - 1.0))
-        power_bd = bd_reference_power(res.k, config.anchors)
+        power_bd = bd_reference_power(res.k, config.a_s, config.n_s, config.k_pivot)
         records.append(
             SpectrumRecord(
                 k=res.k,
@@ -154,18 +144,8 @@ def run_sweep(config: SweepConfig) -> RunReport:
         n_rejected=sum(st.n_rejected for st in stats),
         n_slaved_steps=sum(st.n_slaved_steps for st in stats),
     )
-    echo = serialize(config)
-    provenance = Provenance(
-        version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        config_hash=hashlib.sha256(echo.encode("utf-8")).hexdigest(),
-    )
     return RunReport(
-        config_echo=echo,
-        records=tuple(records),
-        failures=tuple(failures),
-        summary=summary,
-        provenance=provenance,
+        config=config, records=tuple(records), failures=tuple(failures), summary=summary
     )
 
 
@@ -224,7 +204,12 @@ def write_outputs(report: RunReport, out_dir: str | Path) -> list[Path]:
 
     Returns the list of files written.  records.csv depends only on the
     configuration (no timestamps), so repeated runs are byte-identical.
+    summary.txt is stamped with the time it is written.
     """
+    # imported here, the one place that needs them, to keep them off start-up
+    import hashlib
+    from datetime import datetime, timezone
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -237,10 +222,11 @@ def write_outputs(report: RunReport, out_dir: str | Path) -> list[Path]:
     written.append(csv_path)
 
     s = report.summary
+    echo = serialize(report.config)
     summary_lines = [
-        f"sqspec sweep summary (version {report.provenance.version})",
-        f"timestamp: {report.provenance.timestamp}",
-        f"config hash: {report.provenance.config_hash}",
+        f"sqspec sweep summary (version {__version__})",
+        f"timestamp: {datetime.now(timezone.utc).isoformat(timespec='seconds')}",
+        f"config hash: {hashlib.sha256(echo.encode('utf-8')).hexdigest()}",
         "",
         f"records: {s.n_records}",
         f"failures: {s.n_failures}",
@@ -258,11 +244,11 @@ def write_outputs(report: RunReport, out_dir: str | Path) -> list[Path]:
     if report.failures:
         summary_lines.append("failed k values:")
         summary_lines.extend(f"  k={k:.6e}: {msg}" for k, msg in report.failures)
-    summary_lines.extend(["", "resolved configuration:", report.config_echo])
+    summary_lines.extend(["", "resolved configuration:", echo])
     (out / "summary.txt").write_text("\n".join(summary_lines), encoding="utf-8")
     written.append(out / "summary.txt")
 
-    pivot = parse_config(report.config_echo).k_pivot
+    pivot = report.config.k_pivot
     for stem, column, ylabel, yscale in _FIGURES:
         path = out / f"{stem}.plot"
         path.write_text(_plot_script(stem, column, ylabel, yscale, pivot), encoding="utf-8")

@@ -15,8 +15,8 @@ The observationally anchored BD baseline is the power law
 
     P_R(k) = A_s (k / k_*)^{n_s - 1}
 
-with Planck normalization A_s = 2.196e-9, n_s = 0.9649 at k_* = 0.05 Mpc^-1;
-the squeezed power is that power law times gamma_z.
+with the anchors A_s, n_s and k_* taken from SweepConfig (a_s, n_s, k_pivot;
+Planck values by default); the squeezed power is that power law times gamma_z.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .bogoliubov import _alpha_beta
 from .squeeze_dynamics import SqueezeState
 
 __all__ = [
-    "PlanckAnchors",
     "SpectrumRecord",
     "gamma_ratio",
     "bd_reference_power",
@@ -37,21 +36,8 @@ __all__ = [
 ]
 
 _GAMMA_IDENTITY_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PlanckAnchors:
-    """Power-law anchors: amplitude A_s, tilt n_s, pivot k_* in Mpc^-1."""
-
-    amplitude: float = 2.196e-9
-    tilt: float = 0.9649
-    pivot: float = 0.05
-
-    def __post_init__(self):
-        if not self.amplitude > 0:
-            raise ValueError(f"amplitude must be > 0, got {self.amplitude}")
-        if not self.pivot > 0:
-            raise ValueError(f"pivot must be > 0, got {self.pivot}")
+# fewest records the power-law tilt fit is run on
+_FIT_MIN_RECORDS = 3
 
 
 @dataclass(frozen=True)
@@ -89,16 +75,17 @@ def gamma_ratio(state: SqueezeState) -> float:
     return closed
 
 
-def bd_reference_power(k: float, anchors: PlanckAnchors) -> float:
-    """Anchored BD power law A_s (k/k_*)^(n_s - 1); k in pivot units (Mpc^-1)."""
+def bd_reference_power(k: float, a_s: float, n_s: float, k_pivot: float) -> float:
+    """Anchored BD power law a_s (k/k_pivot)^(n_s - 1); k in pivot units (Mpc^-1)."""
     if k <= 0:
         raise ValueError(f"wavenumber must be > 0, got k={k}")
-    return anchors.amplitude * (k / anchors.pivot) ** (anchors.tilt - 1.0)
+    # a negative pivot would give a complex power
+    if not (a_s > 0 and k_pivot > 0):
+        raise ValueError(f"a_s and k_pivot must be > 0, got a_s={a_s}, k_pivot={k_pivot}")
+    return a_s * (k / k_pivot) ** (n_s - 1.0)
 
 
-def fit_tilt(
-    records: Sequence[SpectrumRecord], pivot: float = 0.05
-) -> tuple[float, float]:
+def fit_tilt(records: Sequence[SpectrumRecord], pivot: float) -> tuple[float, float]:
     """Least-squares power-law fit of the squeezed spectrum.
 
     Fits ln(power_otmss) on ln(k/pivot); returns (exp(intercept), 1 + slope),
@@ -106,10 +93,11 @@ def fit_tilt(
     fit is the closed-form straight line through the centred data, with
     every sum taken exactly rounded by math.fsum.
     """
-    if len(records) < 3:
-        raise ValueError(f"need at least 3 records to fit, got {len(records)}")
-    if len({rec.k for rec in records}) < 3:
-        raise ValueError("degenerate k grid: need at least 3 distinct wavenumbers")
+    n = _FIT_MIN_RECORDS
+    if len(records) < n:
+        raise ValueError(f"need at least {n} records to fit, got {len(records)}")
+    if len({rec.k for rec in records}) < n:
+        raise ValueError(f"degenerate k grid: need at least {n} distinct wavenumbers")
     xs = [math.log(rec.k / pivot) for rec in records]
     ys = [math.log(rec.power_otmss) for rec in records]
     x_mean = math.fsum(xs) / len(xs)

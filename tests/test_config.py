@@ -24,10 +24,6 @@ class TestDefaults:
     def test_no_file_gives_defaults(self):
         assert load_config(None) == SweepConfig()
 
-    def test_anchors_property(self):
-        a = SweepConfig().anchors
-        assert a.amplitude == 2.196e-9 and a.tilt == 0.9649 and a.pivot == 0.05
-
 
 class TestParsing:
     def test_partial_override(self):

@@ -6,7 +6,6 @@ import pytest
 from sqspec.background import CouplingCoefficients, LanczosChain, lanczos_chain
 from sqspec.krylov import (
     AmplitudeDivergenceError,
-    build_liouvillian,
     characteristic_poly_residual,
     meixner_poly,
     otmss_amplitudes,
@@ -29,32 +28,32 @@ class TestLiouvillian:
     def test_two_site_transcription(self):
         k = 0.8
         chain = LanczosChain(b=np.array([0.0, 1.0]), c_mag=np.array([k, 3 * k]))
-        liou = build_liouvillian(chain, 2)
-        m = np.asarray(liou.matrix())
+        m = np.asarray(chain.matrix(2))
         # -i c_n with c_n = i * magnitude leaves the real magnitudes on the diagonal
         assert m[0, 0] == k and m[1, 1] == 3 * k
         assert m[0, 1] == 1.0 and m[1, 0] == 1.0
 
     def test_single_site(self):
         chain = de_sitter_chain(3)
-        liou = build_liouvillian(chain, 1)
-        assert np.asarray(liou.matrix()).shape == (1, 1)
-        assert np.asarray(liou.matrix())[0, 0] == chain.c_mag[0]
+        m = np.asarray(chain.matrix(1))
+        assert m.shape == (1, 1)
+        assert m[0, 0] == chain.c_mag[0]
 
     def test_de_sitter_offdiagonal(self):
-        liou = build_liouvillian(de_sitter_chain(5), 4)
-        np.testing.assert_allclose(liou.offdiagonal, [1.0, 2.0, 3.0], rtol=1e-15)
+        m = np.asarray(de_sitter_chain(5).matrix(4))
+        np.testing.assert_allclose(np.diag(m, 1), [1.0, 2.0, 3.0], rtol=1e-15)
+        np.testing.assert_array_equal(np.triu(m, 2), 0.0)
 
     def test_empty_space_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            build_liouvillian(de_sitter_chain(3), 0)
+            de_sitter_chain(3).matrix(0)
 
     def test_chain_too_short(self):
         with pytest.raises(ValueError, match="chain"):
-            build_liouvillian(de_sitter_chain(2), 5)
+            de_sitter_chain(2).matrix(5)
 
     def test_symmetric_placement(self):
-        m = np.asarray(build_liouvillian(de_sitter_chain(8), 6).matrix())
+        m = np.asarray(de_sitter_chain(8).matrix(6))
         np.testing.assert_array_equal(m, m.T)
 
 
@@ -84,6 +83,21 @@ class TestMeixnerPoly:
         for x in (0.2, -1.0 + 2.0j):
             assert characteristic_poly_residual(1, x, chain) == 0.0
 
+    def test_determinant_reads_entries_off_the_band(self, monkeypatch):
+        # the recurrence runs on the band alone; the determinant side must
+        # see an entry outside it
+        band = LanczosChain.matrix
+
+        def with_corner(chain, n):
+            rows = [list(row) for row in band(chain, n)]
+            rows[0][n - 1] = 1.0
+            return tuple(map(tuple, rows))
+
+        monkeypatch.setattr(LanczosChain, "matrix", with_corner)
+        chain = de_sitter_chain()
+        for n in (3, 6, 10):
+            assert characteristic_poly_residual(n, 1.0 + 1.0j, chain) > 1e-3
+
 
 class TestMeixnerDeterminantEquivalence:
     @pytest.mark.parametrize("chain_kind", ["de-sitter", "random-positive"])
@@ -111,7 +125,7 @@ class TestMeixnerDeterminantEquivalence:
         for n in (2, 5, 8):
             x = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             det = np.linalg.det(
-                x * np.eye(n) - build_liouvillian(chain, n).matrix()
+                x * np.eye(n) - np.asarray(chain.matrix(n))
             )
             p = meixner_poly(n, x, chain)
             assert abs(p - det) / max(1.0, abs(det)) < 1e-12
@@ -218,3 +232,39 @@ class TestTmssAmplitudes:
             assert tmss_amplitudes(r, 0.1, n_max=5).squared_norm == pytest.approx(
                 1.0, rel=1e-13
             )
+
+    @pytest.mark.parametrize("r", [10.0, 15.0, 18.0, 19.0])
+    def test_unit_norm_at_large_r(self, r):
+        # 1 - tanh^2 r cancelled to 1 - 1.7e-4 at r = 15 and 0.565 at r = 19
+        assert abs(tmss_amplitudes(r, 0.1, n_max=5).squared_norm - 1.0) <= 2.3e-16
+
+    def test_ratio_rounding_to_one_diverges(self):
+        # tanh(19.1) rounds to 1
+        with pytest.raises(AmplitudeDivergenceError):
+            tmss_amplitudes(19.1, 0.1, n_max=5)
+
+    @pytest.mark.parametrize("n_max", [0, 5, 60])
+    def test_is_the_series_at_zero_dissipation(self, n_max):
+        cc = CouplingCoefficients(mu2=0.0, coupling=1.0)
+        for r, phi in ((0.0, 0.3), (0.8, -1.1), (3.5, 2.9)):
+            assert tmss_amplitudes(r, phi, n_max) == otmss_amplitudes(r, phi, cc, n_max)
+
+
+def test_squared_norm_against_mpmath():
+    # the geometric closed form at 50 digits, out to r = 20
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.RandomState(5)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for _ in range(300):
+            r = rng.uniform(0.0, 20.0)
+            mu2, root = 10.0 ** rng.uniform(-8, 1), rng.uniform(0.0, 1.5)
+            try:
+                got = otmss_amplitudes(r, 0.3, CouplingCoefficients(mu2, root), n_max=2)
+            except AmplitudeDivergenceError:
+                continue
+            t = mpmath.tanh(r)
+            denom = 1 + mu2 * t
+            exact = (mpmath.sech(r) / denom) ** 2 / (1 - (root * t / denom) ** 2)
+            worst = max(worst, float(abs(got.squared_norm / exact - 1)))
+    assert worst < 1e-14

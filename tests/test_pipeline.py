@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import math
 import os
@@ -14,7 +15,7 @@ import sqspec
 from sqspec import bogoliubov, pipeline
 from sqspec.bogoliubov import bd_mode, coefficients, mode_function
 from sqspec.cli import main as cli_main
-from sqspec.config import SweepConfig, parse_config
+from sqspec.config import SweepConfig, parse_config, serialize
 from sqspec.pipeline import CSV_COLUMNS, make_k_grid, run_sweep, verify, write_outputs
 from sqspec.squeeze_dynamics import SqueezeState, evolve_grid
 
@@ -100,16 +101,20 @@ class TestRunSweep:
         assert got == pytest.approx(max(gaps), rel=1e-6)
         assert 0.0 < got <= 1e-5
 
-    def test_config_echo_roundtrip(self, small_report):
-        assert parse_config(small_report.config_echo) == SMALL
+    def test_config_roundtrip(self, small_report):
+        assert small_report.config == SMALL
+        assert parse_config(serialize(small_report.config)) == SMALL
 
     def test_summary_fit_near_anchors(self, small_report):
         assert small_report.summary.tilt_fit == pytest.approx(0.9649, abs=1e-6)
         assert small_report.summary.amplitude_fit == pytest.approx(2.196e-9, rel=1e-6)
 
-    def test_provenance_hash_is_config_hash(self, small_report):
-        report2 = run_sweep(SMALL)
-        assert report2.provenance.config_hash == small_report.provenance.config_hash
+    def test_provenance_hash_is_config_hash(self, small_report, tmp_path):
+        expected = hashlib.sha256(serialize(SMALL).encode("utf-8")).hexdigest()
+        for out in ("a", "b"):
+            write_outputs(small_report, tmp_path / out)
+            lines = (tmp_path / out / "summary.txt").read_text(encoding="utf-8").splitlines()
+            assert f"config hash: {expected}" in lines
 
     def test_zero_coupling_debug_run(self):
         report = run_sweep(dataclasses.replace(SMALL, zero_coupling=True))

@@ -7,7 +7,6 @@ from sqspec.bogoliubov import coefficients
 from sqspec.config import SweepConfig
 from sqspec.pipeline import run_sweep
 from sqspec.spectrum import (
-    PlanckAnchors,
     SpectrumRecord,
     bd_reference_power,
     fit_tilt,
@@ -16,7 +15,8 @@ from sqspec.spectrum import (
 from sqspec.squeeze_dynamics import SqueezeState
 
 LN2 = math.log(2.0)
-ANCH = PlanckAnchors()
+# Planck anchors: a_s, n_s, k_pivot
+ANCH = (2.196e-9, 0.9649, 0.05)
 
 
 def state(r, phi):
@@ -58,25 +58,24 @@ class TestGammaRatio:
 
 class TestBdReferencePower:
     def test_pivot_amplitude(self):
-        assert bd_reference_power(0.05, ANCH) == 2.196e-9
+        assert bd_reference_power(0.05, *ANCH) == 2.196e-9
 
     def test_scale_invariant_when_flat(self):
-        flat = PlanckAnchors(tilt=1.0)
         for k in (1e-4, 0.05, 1.0):
-            assert bd_reference_power(k, flat) == 2.196e-9
+            assert bd_reference_power(k, 2.196e-9, 1.0, 0.05) == 2.196e-9
 
     def test_decade_above_pivot(self):
         # A_s * 10^(n_s - 1), cross-checked in logs at 50 digits
-        assert bd_reference_power(0.5, ANCH) == pytest.approx(
+        assert bd_reference_power(0.5, *ANCH) == pytest.approx(
             2.0255004116273877e-09, rel=1e-13
         )
 
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
-            bd_reference_power(0.0, ANCH)
+            bd_reference_power(0.0, *ANCH)
 
 
-def power_law_records(gamma=1.0, n=40, tilt=ANCH.tilt):
+def power_law_records(gamma=1.0, n=40, tilt=0.9649):
     ks = np.geomspace(1e-4, 1.0, n)
     recs = []
     for k in ks:
@@ -103,12 +102,12 @@ class TestFitTilt:
 
     def test_needs_three_records(self):
         with pytest.raises(ValueError, match="3"):
-            fit_tilt(power_law_records(n=40)[:2])
+            fit_tilt(power_law_records(n=40)[:2], pivot=0.05)
 
     def test_rejects_degenerate_grid(self):
         rec = power_law_records(n=5)[0]
         with pytest.raises(ValueError, match="degenerate"):
-            fit_tilt([rec, rec, rec])
+            fit_tilt([rec, rec, rec], pivot=0.05)
 
     def test_matches_polyfit_on_default_sweep(self):
         report = run_sweep(SweepConfig())
@@ -123,8 +122,8 @@ class TestFitTilt:
 class TestAnchorsValidation:
     def test_positive_amplitude(self):
         with pytest.raises(ValueError):
-            PlanckAnchors(amplitude=0.0)
+            bd_reference_power(0.05, 0.0, 0.9649, 0.05)
 
     def test_positive_pivot(self):
         with pytest.raises(ValueError):
-            PlanckAnchors(pivot=-0.05)
+            bd_reference_power(0.05, 2.196e-9, 0.9649, -0.05)
