@@ -8,55 +8,40 @@ Library modules:
     squeeze_dynamics evolution of the squeeze parameters (r_k, phi_k)
     bogoliubov       (alpha_k, beta_k), mode functions, occupation
     spectrum         gamma_z ratio, anchored power spectrum, tilt fit
-    config/pipeline  sweep configuration, orchestration, artifact emission
+    config           sweep configuration, k grid, BD power law (stdlib only)
+    pipeline         orchestration, artifact emission, the oracle suite
+
+`import sqspec` loads no submodule: each public name is imported from its
+submodule when first read, so resolving a configuration loads config alone.
 
 The `sqspec` CLI exposes the sweep, the oracle suite and config inspection.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .background import (
-    CouplingCoefficients,
-    LanczosChain,
-    couplings,
-    lanczos_chain,
-    z_rate,
-)
-from .bogoliubov import (
-    BogoliubovPair,
-    bd_mode,
-    coefficients,
-    mode_function,
-    occupation,
-)
-from .config import ConfigError, SweepConfig, load_config, parse_config, serialize
-from .krylov import (
-    AmplitudeDivergenceError,
-    OtmssAmplitudes,
-    characteristic_poly_residual,
-    meixner_poly,
-    otmss_amplitudes,
-    tmss_amplitudes,
-)
-from .pipeline import RunReport, make_k_grid, run_sweep, verify, write_outputs
-from .spectrum import (
-    SpectrumRecord,
-    bd_reference_power,
-    fit_tilt,
-    gamma_ratio,
-)
-from .squeeze_dynamics import (
-    CappedGrowthWarning,
-    ModeResult,
-    SqueezeState,
-    StepBudgetError,
-    StepSizeUnderflowError,
-    Trajectory,
-    evolve_grid,
-    integrate,
-    rhs_closed_reference,
-    rhs_conformal,
-)
+# submodule -> its names in __all__, imported when it or a name is first read
+_EXPORTS = {
+    "background": ("CouplingCoefficients", "LanczosChain", "couplings", "lanczos_chain", "z_rate"),
+    "krylov": (
+        "OtmssAmplitudes", "AmplitudeDivergenceError", "meixner_poly",
+        "characteristic_poly_residual", "otmss_amplitudes", "tmss_amplitudes",
+    ),
+    "squeeze_dynamics": (
+        "SqueezeState", "Trajectory", "ModeResult", "CappedGrowthWarning", "StepSizeUnderflowError",
+        "StepBudgetError", "rhs_conformal", "rhs_closed_reference", "integrate", "evolve_grid",
+    ),
+    "bogoliubov": ("BogoliubovPair", "bd_mode", "coefficients", "mode_function", "occupation"),
+    "spectrum": ("SpectrumRecord", "gamma_ratio", "fit_tilt"),
+    "config": (
+        "SweepConfig", "ConfigError", "load_config", "parse_config", "serialize",
+        "bd_reference_power", "make_k_grid",
+    ),
+    "pipeline": ("RunReport", "run_sweep", "write_outputs", "verify"),
+    "_integrators": (),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [
     "__version__",
@@ -75,3 +60,18 @@ __all__ = [
     "SweepConfig", "ConfigError", "load_config", "parse_config", "serialize",
     "RunReport", "make_k_grid", "run_sweep", "write_outputs", "verify",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: called only for names not yet in the package namespace
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

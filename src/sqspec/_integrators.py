@@ -87,27 +87,25 @@ RK4 driver has no step to shrink: it stops at the first step that a
 non-finite stage, an overflow or a pole spoils or that takes r outside
 [0, _R_MAX], and integrate() raises a ValueError naming h_fixed.
 
-The engine runs on Python floats, fills lists and imports nothing, numpy
-included: each stage is a chain of scalar operations, and numpy scalar
-arithmetic about doubles their cost, so integrate() converts its numbers
-once.  A float divided by zero raises ZeroDivisionError where a numpy scalar
-gave inf, so a stage that divides by zero is a rejected stage.  form and
-coupling_power are dispatched on their names, FORMS and COUPLING_POWERS,
-which are also what the sweep configuration accepts.
+The engine runs on Python floats, fills lists and imports no numpy: each
+stage is a chain of scalar operations, and numpy scalar arithmetic about
+doubles their cost, so integrate() converts its numbers once.  A float
+divided by zero raises ZeroDivisionError where a numpy scalar gave inf, so a
+stage that divides by zero is a rejected stage.  form and coupling_power are
+dispatched on their names, FORMS and COUPLING_POWERS.  config defines them
+and _R_MAX, since the sweep configuration accepts and bounds the same values,
+and imports only the standard library.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
-FORMS = ("conformal", "closed-reference")
-COUPLING_POWERS = ("literal", "hamiltonian-consistent")
+from .config import _R_MAX, COUPLING_POWERS, FORMS  # noqa: F401  (re-exported)
 
 # relaxation lengths of slack to the last checkpoint: the seed is put on the
 # fast path above twice this, and below it the path may be left on its lag error
 _STIFF_BUDGET = 4000.0
-_R_MAX = 0.5 * math.log(sys.float_info.max)  # largest r with a finite cosh(2r)
 _LN_R_MAX = math.log(_R_MAX)
 # relaxation lengths left to the last checkpoint when the fast path always
 # hands back, so the full system re-forms the angle's lag before it is read

@@ -17,8 +17,7 @@ import dataclasses
 import sys
 import time
 
-from .config import _ENUMS, ConfigError, load_config
-from .pipeline import fit_skipped, no_records, run_sweep, verify, write_outputs
+from .config import _ENUMS, ConfigError, load_config, serialize
 
 # config key -> (flag, add_argument options) of the per-run overrides
 _OVERRIDE_FLAGS = {
@@ -88,10 +87,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "show-config":
-            from .config import serialize
-
             print(serialize(config), end="")
             return 0
+
+        # the engine is loaded only by the commands that run it
+        from .pipeline import fit_skipped, no_records, run_sweep, verify, write_outputs
 
         if args.command == "verify":
             code, lines = verify(config)

@@ -12,22 +12,41 @@ Unknown keys are rejected, values are type-checked, every float must be
 finite, and constraint violations name the offending field(s).  The anchors
 must give a finite positive BD power over the whole k window.  serialize()
 emits a canonical round-trippable echo of a resolved configuration.
+
+It also defines what the configuration is checked against and resolves
+into (FORMS, COUPLING_POWERS, _R_MAX, the BD power law, the k grid) and
+imports only the standard library, so resolving one loads no physics.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from ._integrators import _R_MAX, COUPLING_POWERS, FORMS
-from .spectrum import bd_reference_power
+__all__ = [
+    "SweepConfig", "ConfigError", "load_config", "parse_config", "serialize",
+    "bd_reference_power", "make_k_grid",
+]
 
-__all__ = ["SweepConfig", "ConfigError", "load_config", "parse_config", "serialize"]
+FORMS = ("conformal", "closed-reference")
+COUPLING_POWERS = ("literal", "hamiltonian-consistent")
+_R_MAX = 0.5 * math.log(sys.float_info.max)  # largest r with a finite cosh(2r)
 
 
 class ConfigError(ValueError):
     """Malformed configuration file or constraint violation."""
+
+
+def bd_reference_power(k: float, a_s: float, n_s: float, k_pivot: float) -> float:
+    """Anchored BD power law a_s (k/k_pivot)^(n_s - 1); k in pivot units (Mpc^-1)."""
+    if k <= 0:
+        raise ValueError(f"wavenumber must be > 0, got k={k}")
+    # a negative pivot would give a complex power
+    if not (a_s > 0 and k_pivot > 0):
+        raise ValueError(f"a_s and k_pivot must be > 0, got a_s={a_s}, k_pivot={k_pivot}")
+    return a_s * (k / k_pivot) ** (n_s - 1.0)
 
 
 _ENUMS = {
@@ -205,3 +224,29 @@ def serialize(config: SweepConfig) -> str:
             text = str(value)
         lines.append(f"{f.name} = {text}")
     return "\n".join(lines) + "\n"
+
+
+def _geometric_nodes(start: float, stop: float, n: int) -> list[float]:
+    """n >= 2 geometric nodes from start to stop as Python floats, both ends
+    exact: start^(1-t) stop^t, t = i/(n-1), written as two powers because
+    the ratio stop/start can underflow or overflow."""
+    return [start ** (1.0 - t) * stop ** t for t in (i / (n - 1) for i in range(n))]
+
+
+def make_k_grid(config: SweepConfig) -> list[float]:
+    """Log-spaced wavenumber labels from k_min to k_max, as a list of floats.
+    When the node nearest the pivot is an interior one it is snapped onto the
+    pivot exactly, so pivot-row checks need no interpolation; the endpoints
+    always stay k_min and k_max.  Raises ConfigError when the window is too
+    narrow for k_points distinct doubles."""
+    grid = _geometric_nodes(config.k_min, config.k_max, config.k_points)
+    if not all(a < b for a, b in zip(grid, grid[1:])):
+        raise ConfigError(
+            f"k_min = {config.k_min!r} to k_max = {config.k_max!r} holds no "
+            f"{config.k_points} distinct log-spaced wavenumbers"
+        )
+    if config.k_min <= config.k_pivot <= config.k_max:
+        i = min(range(len(grid)), key=lambda j: abs(math.log(grid[j] / config.k_pivot)))
+        if 0 < i < len(grid) - 1:
+            grid[i] = config.k_pivot
+    return grid

@@ -49,6 +49,7 @@ __all__ = [
 
 # automatic truncation: the geometric tail of |psi_n|^2 falls below this
 _TAIL_TOL = 1e-13
+_MAX_AUTO_TERMS = 10**6  # the automatic term count grows like e^{2r}
 
 
 class AmplitudeDivergenceError(ValueError):
@@ -130,14 +131,17 @@ def otmss_amplitudes(
 
     sqrt|1 - mu1^2| is couplings.coupling (M_P sqrt|1 - mu1^2|, M_P = 1).  With
     n_max=None the truncation is chosen so the geometric tail of |psi_n|^2
-    falls below 1e-13.  Raises AmplitudeDivergenceError when the geometric
-    ratio reaches 1 (the series no longer converges).
+    falls below 1e-13; a ValueError names the count when that takes more
+    than 10^6 terms (from r ~ 5.9 at mu2 = 0); pass n_max there.  Raises
+    AmplitudeDivergenceError when the geometric ratio reaches 1 (the series
+    no longer converges).
     """
     if r < 0:
         raise ValueError(f"squeeze amplitude must be >= 0, got r={r}")
     root = couplings.coupling  # sqrt|1 - mu1^2|
     t = math.tanh(r)
-    sech = 1.0 / math.cosh(r)
+    e = math.exp(-r)
+    sech = 2.0 * e / (1.0 + e * e)  # 1/cosh r would overflow past r ~ 710
     denom = 1.0 + couplings.mu2 * t
     rho = root * t / denom
     if rho >= 1.0:
@@ -149,15 +153,21 @@ def otmss_amplitudes(
     ratio = root * (-cmath.exp(2j * phi) * t) / denom
     rho2 = abs(ratio) ** 2
     # 1 - rho without cancellation, from 1 - tanh r = e^{-r} sech r
-    one_minus_rho = (math.exp(-r) * sech + (couplings.mu2 + (1.0 - root)) * t) / denom
+    one_minus_rho = (e * sech + (couplings.mu2 + (1.0 - root)) * t) / denom
     squared_norm = prefactor**2 / (one_minus_rho * (1.0 + rho))
 
     if n_max is None:
-        # smallest n with |psi_0|^2 rho^{2(n+1)} / (1 - rho^2) below _TAIL_TOL
-        if rho2 == 0.0:
+        # smallest n with |psi_0|^2 rho^{2(n+1)} / (1 - rho^2) below _TAIL_TOL;
+        # the norm is 0 where every psi_n underflows
+        if rho2 == 0.0 or squared_norm == 0.0:
             n_max = 0
         else:
             n_max = max(0, math.ceil(math.log(_TAIL_TOL / squared_norm) / math.log(rho2) - 1.0))
+        if n_max > _MAX_AUTO_TERMS:
+            raise ValueError(
+                f"automatic truncation at r={r} needs {n_max} terms, more than "
+                f"{_MAX_AUTO_TERMS}; pass n_max"
+            )
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
 

@@ -11,22 +11,23 @@ weak-dissipation limit convergence) and reports one pass/fail line each.
 
 A RunReport carries the resolved SweepConfig it ran; write_outputs echoes it
 into summary.txt with its sha256 hash and the time of writing.
+
+make_k_grid is config's, re-exported; krylov and random are imported inside
+verify's checks, their only users, so a sweep never loads them.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .background import CouplingCoefficients, LanczosChain, lanczos_chain
 from .bogoliubov import bd_mode, coefficients, mode_function, occupation
-from .config import ConfigError, SweepConfig, serialize
-from .krylov import characteristic_poly_residual, meixner_poly, otmss_amplitudes, tmss_amplitudes
-from .spectrum import _FIT_MIN_RECORDS, SpectrumRecord, bd_reference_power, fit_tilt, gamma_ratio
-from .squeeze_dynamics import SqueezeState, _geometric_nodes, evolve_grid, integrate
+from .config import SweepConfig, bd_reference_power, make_k_grid, serialize
+from .spectrum import _FIT_MIN_RECORDS, SpectrumRecord, fit_tilt, gamma_ratio
+from .squeeze_dynamics import SqueezeState, evolve_grid, integrate
 
 __all__ = [
     "SummaryStats",
@@ -69,25 +70,6 @@ class RunReport:
     records: tuple[SpectrumRecord, ...]
     failures: tuple[tuple[float, str], ...]
     summary: SummaryStats
-
-
-def make_k_grid(config: SweepConfig) -> list[float]:
-    """Log-spaced wavenumber labels from k_min to k_max, as a list of floats.
-    When the node nearest the pivot is an interior one it is snapped onto the
-    pivot exactly, so pivot-row checks need no interpolation; the endpoints
-    always stay k_min and k_max.  Raises ConfigError when the window is too
-    narrow for k_points distinct doubles."""
-    grid = _geometric_nodes(config.k_min, config.k_max, config.k_points)
-    if not all(a < b for a, b in zip(grid, grid[1:])):
-        raise ConfigError(
-            f"k_min = {config.k_min!r} to k_max = {config.k_max!r} holds no "
-            f"{config.k_points} distinct log-spaced wavenumbers"
-        )
-    if config.k_min <= config.k_pivot <= config.k_max:
-        i = min(range(len(grid)), key=lambda j: abs(math.log(grid[j] / config.k_pivot)))
-        if 0 < i < len(grid) - 1:
-            grid[i] = config.k_pivot
-    return grid
 
 
 def run_sweep(config: SweepConfig) -> RunReport:
@@ -262,6 +244,8 @@ def write_outputs(report: RunReport, out_dir: str | Path) -> list[Path]:
 
 
 def _check_meixner_determinant(rng: random.Random) -> tuple[bool, str]:
+    from .krylov import characteristic_poly_residual, meixner_poly
+
     chains = {
         "de-sitter": lanczos_chain(10, eta=-1.0, k=1.0),
         "random-positive": LanczosChain(
@@ -314,6 +298,8 @@ def _check_wronskian_gamma(rng: random.Random) -> tuple[bool, str]:
 
 
 def _check_tmss_limit() -> tuple[bool, str]:
+    from .krylov import otmss_amplitudes, tmss_amplitudes
+
     r, phi = 1.0, 0.3
     ref = tmss_amplitudes(r, phi, n_max=60).coefficients
     devs = []
@@ -331,6 +317,8 @@ def verify(config: SweepConfig) -> tuple[int, list[str]]:
 
     exit code 0 when every check passes, 3 otherwise.
     """
+    import random
+
     rng = random.Random(20240817)
     checks = [
         ("meixner-determinant", _check_meixner_determinant(rng)),

@@ -17,6 +17,7 @@ The observationally anchored BD baseline is the power law
 
 with the anchors A_s, n_s and k_* taken from SweepConfig (a_s, n_s, k_pivot;
 Planck values by default); the squeezed power is that power law times gamma_z.
+bd_reference_power lives in config, which checks the anchors with it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bogoliubov import _alpha_beta
+from .config import bd_reference_power
 from .squeeze_dynamics import SqueezeState
 
 __all__ = [
@@ -73,16 +75,6 @@ def gamma_ratio(state: SqueezeState) -> float:
             f"|alpha-beta|^2 {direct!r} at r={state.r}, phi={state.phi}"
         )
     return closed
-
-
-def bd_reference_power(k: float, a_s: float, n_s: float, k_pivot: float) -> float:
-    """Anchored BD power law a_s (k/k_pivot)^(n_s - 1); k in pivot units (Mpc^-1)."""
-    if k <= 0:
-        raise ValueError(f"wavenumber must be > 0, got k={k}")
-    # a negative pivot would give a complex power
-    if not (a_s > 0 and k_pivot > 0):
-        raise ValueError(f"a_s and k_pivot must be > 0, got a_s={a_s}, k_pivot={k_pivot}")
-    return a_s * (k / k_pivot) ** (n_s - 1.0)
 
 
 def fit_tilt(records: Sequence[SpectrumRecord], pivot: float) -> tuple[float, float]:

@@ -44,13 +44,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import _integrators as _eng
 from .background import CouplingCoefficients, couplings as _bg_couplings
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .config import SweepConfig
+from .config import SweepConfig, _geometric_nodes
 
 __all__ = [
     "SqueezeState",
@@ -189,13 +187,6 @@ def rhs_closed_reference(
 ) -> tuple[float, float]:
     """(dr/deta, dphi/deta) of the analytic dissipation-free limit."""
     return _rhs(state, k, couplings, coupling_power, "closed-reference")
-
-
-def _geometric_nodes(start: float, stop: float, n: int) -> list[float]:
-    """n >= 2 geometric nodes from start to stop as Python floats, both ends
-    exact: start^(1-t) stop^t, t = i/(n-1), written as two powers because
-    the ratio stop/start can underflow or overflow."""
-    return [start ** (1.0 - t) * stop ** t for t in (i / (n - 1) for i in range(n))]
 
 
 def _sample_grid(

@@ -1,4 +1,6 @@
+import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -203,6 +205,23 @@ class TestOtmssAmplitudes:
         cc = CouplingCoefficients(mu2=0.2, coupling=1.0)
         amp = otmss_amplitudes(1.0, 0.0, cc)
         assert amp.squared_norm < 1.0
+
+    def test_auto_truncation_is_bounded(self):
+        # the term count grows like e^{2r}: 6.6e7 at r = 8 would take minutes
+        cc = CouplingCoefficients(mu2=0.0, coupling=1.0)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"needs 66\d{6} terms.*pass n_max"):
+            otmss_amplitudes(8.0, 0.3, cc)
+        assert time.perf_counter() - t0 < 0.1
+        assert len(otmss_amplitudes(4.0, 0.3, cc).coefficients) == 22_307 + 1
+
+    def test_no_overflow_past_cosh_range(self):
+        # cosh(800) overflows; rho = 1/1.1 and every psi_n underflows to 0
+        cc = CouplingCoefficients(mu2=0.1, coupling=1.0)
+        for n_max in (2, None):
+            amp = otmss_amplitudes(800.0, 0.3, cc, n_max=n_max)
+            assert all(cmath.isfinite(c) for c in amp.coefficients)
+            assert math.isfinite(amp.squared_norm) and amp.squared_norm >= 0.0
 
 
 class TestTmssAmplitudes:

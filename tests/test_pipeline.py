@@ -488,3 +488,61 @@ def test_every_all_entry_resolves(module):
     namespace = {}
     exec(f"from {module} import *", namespace)
     assert set(names) <= namespace.keys()
+
+
+
+_SRC = str(Path(sqspec.__file__).resolve().parents[1])
+_PRINT_MODULES = 'print(*sorted(m for m in sys.modules if m.split(".")[0] == "sqspec"))'
+
+
+def _fresh(code: str, *argv: str) -> list[str]:
+    """Output lines of code run in a fresh interpreter that imports sqspec from src."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=_SRC), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+class TestLazyImports:
+    def test_setup_loads_config_alone(self):
+        from perfbench.run import _SETUP_CODE
+
+        out = _fresh(_SETUP_CODE + _PRINT_MODULES, _SRC, serialize(SweepConfig()))
+        assert out[-1].split() == ["sqspec", "sqspec.config"]
+
+    def test_show_config_loads_no_engine(self):
+        code = "import sys\nfrom sqspec.cli import main\nassert main(['show-config']) == 0\n"
+        code += _PRINT_MODULES
+        loaded = set(_fresh(code)[-1].split())
+        assert "sqspec.config" in loaded
+        assert not {"sqspec.squeeze_dynamics", "sqspec._integrators", "sqspec.pipeline"} & loaded
+
+    def test_only_verify_loads_krylov(self, tmp_path):
+        code = (
+            "import sys, sqspec\n"
+            "sqspec.write_outputs(sqspec.run_sweep(sqspec.SweepConfig(k_points=5)), sys.argv[1])\n"
+            + _PRINT_MODULES + "\nsqspec.verify(sqspec.SweepConfig())\n" + _PRINT_MODULES
+        )
+        swept, verified = _fresh(code, str(tmp_path))
+        assert "sqspec.pipeline" in swept.split() and "sqspec.krylov" not in swept.split()
+        assert "sqspec.krylov" in verified.split()
+
+    def test_submodule_attribute_resolves(self):
+        code = "import sys, sqspec\nsqspec.krylov.otmss_amplitudes\n" + _PRINT_MODULES
+        assert "sqspec.krylov" in _fresh(code)[-1].split()
+
+    def test_dir_lists_all(self):
+        assert set(sqspec.__all__) <= set(dir(sqspec))
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            sqspec.no_such_name
+
+    def test_moved_names_are_one_object(self):
+        from sqspec import config, spectrum, squeeze_dynamics
+
+        assert pipeline.make_k_grid is config.make_k_grid is sqspec.make_k_grid
+        assert spectrum.bd_reference_power is config.bd_reference_power is sqspec.bd_reference_power
+        assert squeeze_dynamics._geometric_nodes is config._geometric_nodes
