@@ -21,7 +21,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# submodule -> its names in __all__, imported when it or a name is first read
+# submodule -> the names it exports, imported when it or a name is first read;
+# __all__ is these names and __version__
 _EXPORTS = {
     "background": ("CouplingCoefficients", "LanczosChain", "couplings", "lanczos_chain", "z_rate"),
     "krylov": (
@@ -30,7 +31,7 @@ _EXPORTS = {
     ),
     "squeeze_dynamics": (
         "SqueezeState", "Trajectory", "ModeResult", "CappedGrowthWarning", "StepSizeUnderflowError",
-        "StepBudgetError", "rhs_conformal", "rhs_closed_reference", "integrate", "evolve_grid",
+        "StepBudgetError", "rhs", "integrate", "evolve_grid",
     ),
     "bogoliubov": ("BogoliubovPair", "bd_mode", "coefficients", "mode_function", "occupation"),
     "spectrum": ("SpectrumRecord", "gamma_ratio", "fit_tilt"),
@@ -43,23 +44,7 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "CouplingCoefficients", "LanczosChain",
-    "couplings", "lanczos_chain", "z_rate",
-    "OtmssAmplitudes", "AmplitudeDivergenceError",
-    "meixner_poly", "characteristic_poly_residual",
-    "otmss_amplitudes", "tmss_amplitudes",
-    "SqueezeState", "Trajectory", "ModeResult",
-    "CappedGrowthWarning", "StepSizeUnderflowError", "StepBudgetError",
-    "rhs_conformal", "rhs_closed_reference",
-    "integrate", "evolve_grid",
-    "BogoliubovPair", "bd_mode", "coefficients",
-    "mode_function", "occupation",
-    "SpectrumRecord", "gamma_ratio", "bd_reference_power", "fit_tilt",
-    "SweepConfig", "ConfigError", "load_config", "parse_config", "serialize",
-    "RunReport", "make_k_grid", "run_sweep", "write_outputs", "verify",
-]
+__all__ = ["__version__", *_HOME]
 
 
 def __getattr__(name: str):

@@ -22,7 +22,7 @@ closed-coupling factor A, the coth r Laurent series, the bracket B of the
 angle equation, dr/deta in the printed conformal form, and the closed form
 (the analytic mu2 = 0 limit) of the closed-reference oracle.  _stage turns
 it into (du/dtau, dphi/dtau) of the full system; the RK4 driver's _rhs_x
-and the public rhs_* functions in squeeze_dynamics read the same copy.
+and the public rhs in squeeze_dynamics read the same copy.
 _slaved_stage inlines it for the slaved regime below, so a slaved stage is
 one Python call.
 
@@ -92,16 +92,17 @@ stage is a chain of scalar operations, and numpy scalar arithmetic about
 doubles their cost, so integrate() converts its numbers once.  A float
 divided by zero raises ZeroDivisionError where a numpy scalar gave inf, so a
 stage that divides by zero is a rejected stage.  form and coupling_power are
-dispatched on their names, FORMS and COUPLING_POWERS.  config defines them
-and _R_MAX, since the sweep configuration accepts and bounds the same values,
-and imports only the standard library.
+dispatched on their names, config's FORMS and COUPLING_POWERS, which
+squeeze_dynamics checks them against.  config defines those and _R_MAX, since
+the sweep configuration accepts and bounds the same values, and imports only
+the standard library.
 """
 
 from __future__ import annotations
 
 import math
 
-from .config import _R_MAX, COUPLING_POWERS, FORMS  # noqa: F401  (re-exported)
+from .config import _R_MAX
 
 # relaxation lengths of slack to the last checkpoint: the seed is put on the
 # fast path above twice this, and below it the path may be left on its lag error
@@ -114,8 +115,8 @@ _SLAVE_HANDBACK = 200.0
 
 def _flow(r, phi, lam, mu2, power, form):
     """(dr/deta, dphi/deta) of the printed flow at (r, phi) for |z'/z| = lam.
-    A non-finite angle (a stage driven through the r = 0 singularity) gives
-    NaN, which the step controller rejects."""
+    A non-finite angle (a stage driven through the r = 0 singularity) or one
+    whose 2 phi overflows gives NaN, which the step controller rejects."""
     a_cc = lam * lam if power == "literal" else lam  # the closed-coupling factor
     tr = math.tanh(r)
     # Laurent form keeps coth(r)*sin(2 phi) accurate for tiny |r| (odd in r,
@@ -127,15 +128,16 @@ def _flow(r, phi, lam, mu2, power, form):
         coth = 1.0 / r + r / 3.0 + r * r * r / 45.0
     else:
         coth = 1.0 / tr
-    if not math.isfinite(phi):
+    two_phi = 2.0 * phi
+    if not math.isfinite(two_phi):
         return math.nan, math.nan
-    c2p = math.cos(2.0 * phi)
+    c2p = math.cos(two_phi)
     if form == "closed-reference":  # the analytic mu2 = 0 limit, finite at r = 0
-        return -a_cc * c2p, 0.5 * math.sin(2.0 * phi) * (a_cc * tr + coth)
+        return -a_cc * c2p, 0.5 * math.sin(two_phi) * (a_cc * tr + coth)
     # the bracket B of the angle equation; coth r + mu2 is summed first, as in
     # the printed M_P (coth r + mu2)
     bracket = a_cc * tr / (1.0 + mu2 * tr) + (coth + mu2)
-    dpdeta = 0.5 * math.sin(2.0 * phi) * bracket - mu2
+    dpdeta = 0.5 * math.sin(two_phi) * bracket - mu2
     s2r = math.sinh(2.0 * r)
     ch = math.cosh(r)
     den = s2r + 2.0 * mu2 * (ch * ch)

@@ -110,6 +110,8 @@ class SweepConfig:
             )
         if not 0 <= self.init_r <= _R_MAX:
             raise ConfigError(f"init_r must lie in [0, {_R_MAX:.4f}], got {self.init_r}")
+        if not math.isfinite(2.0 * self.init_phi):  # the flow reads the angle as 2 phi
+            raise ConfigError(f"init_phi must lie within +-DBL_MAX/2, got {self.init_phi}")
         if self.a_s <= 0:
             raise ConfigError(f"a_s must be > 0, got {self.a_s}")
         if self.k_pivot <= 0:

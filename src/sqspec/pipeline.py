@@ -12,14 +12,14 @@ weak-dissipation limit convergence) and reports one pass/fail line each.
 A RunReport carries the resolved SweepConfig it ran; write_outputs echoes it
 into summary.txt with its sha256 hash and the time of writing.
 
-make_k_grid is config's, re-exported; krylov and random are imported inside
-verify's checks, their only users, so a sweep never loads them.
+krylov and random are imported inside verify's checks, their only users, so
+a sweep never loads them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -29,19 +29,9 @@ from .config import SweepConfig, bd_reference_power, make_k_grid, serialize
 from .spectrum import _FIT_MIN_RECORDS, SpectrumRecord, fit_tilt, gamma_ratio
 from .squeeze_dynamics import SqueezeState, evolve_grid, integrate
 
-__all__ = [
-    "SummaryStats",
-    "RunReport",
-    "make_k_grid",
-    "run_sweep",
-    "write_outputs",
-    "verify",
-]
+__all__ = ["SummaryStats", "RunReport", "run_sweep", "write_outputs", "verify"]
 
-CSV_COLUMNS = (
-    "k", "r", "phi", "occupation", "gamma",
-    "power_bd", "power_otmss", "wronskian_residual",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(SpectrumRecord))
 
 
 @dataclass(frozen=True)

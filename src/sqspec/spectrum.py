@@ -27,15 +27,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bogoliubov import _alpha_beta
-from .config import bd_reference_power
 from .squeeze_dynamics import SqueezeState
 
-__all__ = [
-    "SpectrumRecord",
-    "gamma_ratio",
-    "bd_reference_power",
-    "fit_tilt",
-]
+__all__ = ["SpectrumRecord", "gamma_ratio", "fit_tilt"]
 
 _GAMMA_IDENTITY_RTOL = 1e-12
 # fewest records the power-law tilt fit is run on

@@ -24,19 +24,19 @@ The paper also prints r' in a transformed form,
 which is the same expression: sinh 2r / (sinh 2r + 2 mu2 cosh^2 r) ==
 tanh r / (tanh r + mu2).  The flow is evaluated once, in the conformal
 form, by _integrators._flow; the tests check the identity against the
-printed transformed expression.  A second right-hand side,
-rhs_closed_reference, is the analytic mu2 = 0 limit (the pure
+printed transformed expression.  rhs evaluates it at a state; its second
+form, "closed-reference", is the analytic mu2 = 0 limit (the pure
 two-mode-squeezed flow) used as a weak-dissipation oracle.
 
 Trajectories are sampled in the dimensionless variable x = -k eta (d/dx =
 -(1/k) d/deta), from deep sub-horizon x_start >> 1 down through horizon
-crossing x = 1 to x_end; the adaptive driver steps ln r against -1/x.  r = 0 is a coordinate singularity of the angle
-equation (coth r), so trajectories are seeded with a tiny positive r.  The
-default initial angle pi/4 is the fixed point of the r equation (cos 2phi =
-0), not of the angle equation: where its fast path applies, the adaptive
-driver starts the angle on its attractor and takes the initial relaxation
-layer in closed form.  See _integrators for the stiffness treatment of the
-coth(r) relaxation.
+crossing x = 1 to x_end; the adaptive driver steps ln r against -1/x.
+r = 0 is a coordinate singularity of the angle equation (coth r), so
+trajectories are seeded with a tiny positive r.  The default initial angle
+pi/4 is the fixed point of the r equation (cos 2phi = 0), not of the angle
+equation: where its fast path applies, the adaptive driver starts the angle
+on its attractor and takes the initial relaxation layer in closed form.
+See _integrators for the stiffness treatment of the coth(r) relaxation.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import Iterable, Sequence
 
 from . import _integrators as _eng
 from .background import CouplingCoefficients, couplings as _bg_couplings
-from .config import SweepConfig, _geometric_nodes
+from .config import _R_MAX, COUPLING_POWERS, FORMS, SweepConfig, _geometric_nodes
 
 __all__ = [
     "SqueezeState",
@@ -58,8 +58,7 @@ __all__ = [
     "CappedGrowthWarning",
     "StepSizeUnderflowError",
     "StepBudgetError",
-    "rhs_conformal",
-    "rhs_closed_reference",
+    "rhs",
     "integrate",
     "evolve_grid",
     "wrap_angle",
@@ -73,20 +72,20 @@ class CappedGrowthWarning(UserWarning):
     """The squeeze amplitude exceeded the configured cap; values stay finite."""
 
 
-class StepSizeUnderflowError(RuntimeError):
+class _IntegrationError(RuntimeError):
+    """An integration that stopped short; carries the partial trajectory."""
+
+    def __init__(self, message: str, trajectory: "Trajectory"):
+        super().__init__(message)
+        self.trajectory = trajectory
+
+
+class StepSizeUnderflowError(_IntegrationError):
     """Step size underflowed near a singularity; carries the partial trajectory."""
 
-    def __init__(self, message: str, trajectory: "Trajectory"):
-        super().__init__(message)
-        self.trajectory = trajectory
 
-
-class StepBudgetError(RuntimeError):
+class StepBudgetError(_IntegrationError):
     """Step budget exhausted, typically by a stiff window stepped explicitly."""
-
-    def __init__(self, message: str, trajectory: "Trajectory"):
-        super().__init__(message)
-        self.trajectory = trajectory
 
 
 def wrap_angle(phi: float) -> float:
@@ -121,6 +120,22 @@ class SqueezeState:
 
 @dataclass(frozen=True)
 class IntegratorStats:
+    """Counters of one integration, kept on its Trajectory (a failed run's
+    too) and on its ModeResult.
+
+    method: "adaptive" or "fixed".
+    n_steps: accepted steps, slaved ones included; RK4 steps for "fixed".
+    n_rejected: rejected step attempts (0 for "fixed").
+    max_error_estimate: the largest scaled error of an accepted step, in
+        units of the tolerance, so at most 1 (0 for "fixed").
+    n_slaved_steps: accepted steps on the fast path, with the angle held on
+        its slow manifold.
+    capped: r exceeded r_cap somewhere along the run.
+    status: "ok"; "step-underflow", the step size underflowed (integrate
+        raises StepSizeUnderflowError); or "max-steps", the step budget ran
+        out (integrate raises StepBudgetError).
+    """
+
     method: str
     n_steps: int
     n_rejected: int = 0
@@ -161,32 +176,31 @@ class ModeResult:
     stats: IntegratorStats | None = None
 
 
-def _rhs(state, k, cc, coupling_power, form):
-    if cc is None:
-        cc = _bg_couplings(-state.x / k, k)
-    if coupling_power not in _eng.COUPLING_POWERS:
-        raise ValueError(f"unknown coupling_power {coupling_power!r}")
-    return _eng._flow(state.r, state.phi, cc.coupling, cc.mu2, coupling_power, form)
+def _check_flow(form: str, coupling_power: str) -> None:
+    if form not in FORMS:
+        raise ValueError(f"unknown form {form!r}; expected one of {sorted(FORMS)}")
+    if coupling_power not in COUPLING_POWERS:
+        raise ValueError(
+            f"unknown coupling_power {coupling_power!r}; "
+            f"expected one of {sorted(COUPLING_POWERS)}"
+        )
 
 
-def rhs_conformal(
+def rhs(
     state: SqueezeState,
     k: float,
     couplings: CouplingCoefficients | None = None,
     coupling_power: str = "literal",
+    form: str = "conformal",
 ) -> tuple[float, float]:
-    """(dr/deta, dphi/deta) of the conformal-form flow at the given state."""
-    return _rhs(state, k, couplings, coupling_power, "conformal")
-
-
-def rhs_closed_reference(
-    state: SqueezeState,
-    k: float,
-    couplings: CouplingCoefficients | None = None,
-    coupling_power: str = "literal",
-) -> tuple[float, float]:
-    """(dr/deta, dphi/deta) of the analytic dissipation-free limit."""
-    return _rhs(state, k, couplings, coupling_power, "closed-reference")
+    """(dr/deta, dphi/deta) of the flow at the given state: the printed
+    conformal form, or with form="closed-reference" its analytic
+    dissipation-free limit.  couplings default to the background's at
+    eta = -x/k.  An angle whose 2 phi overflows gives NaN."""
+    _check_flow(form, coupling_power)
+    if couplings is None:
+        couplings = _bg_couplings(-state.x / k, k)
+    return _eng._flow(state.r, state.phi, couplings.coupling, couplings.mu2, coupling_power, form)
 
 
 def _sample_grid(
@@ -256,7 +270,8 @@ def integrate(
     checkpoints too), on which the engine runs.  Raises ValueError naming
     the argument for any non-finite number, for an x_start whose x_start^2/k
     overflows, for an init r outside [0, ~354.9], where the seed itself
-    would overflow, and for a fixed step that is not finite or leaves that
+    would overflow, for an init phi past +-DBL_MAX/2, whose 2 phi overflows,
+    and for a fixed step that is not finite or leaves that
     range of r (naming h_fixed, x and r);
     raises StepSizeUnderflowError / StepBudgetError with the partial
     trajectory attached; emits CappedGrowthWarning when r exceeds r_cap
@@ -272,17 +287,13 @@ def integrate(
     for name, value in numbers.items():
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    if not math.isfinite(2.0 * phi0):  # the flow reads the angle as 2 phi
+        raise ValueError(f"init phi must lie within +-DBL_MAX/2, got {phi0}")
     if not (x_start > x_end > 0):
         raise ValueError(f"require x_start > x_end > 0, got {x_start}, {x_end}")
     if rtol <= 0 or atol <= 0:
         raise ValueError("tolerances must be positive")
-    if form not in _eng.FORMS:
-        raise ValueError(f"unknown form {form!r}; expected one of {sorted(_eng.FORMS)}")
-    if coupling_power not in _eng.COUPLING_POWERS:
-        raise ValueError(
-            f"unknown coupling_power {coupling_power!r}; "
-            f"expected one of {sorted(_eng.COUPLING_POWERS)}"
-        )
+    _check_flow(form, coupling_power)
     if method not in ("adaptive", "fixed"):
         raise ValueError(f"unknown method {method!r}")
     if k <= 0:
@@ -293,8 +304,8 @@ def integrate(
     if not math.isfinite(x_start / k * x_start):
         raise ValueError(f"x_start^2/k must be finite, got x_start={x_start}, k={k}")
 
-    if not 0 <= r0 <= _eng._R_MAX:
-        raise ValueError(f"init r must lie in [0, {_eng._R_MAX:.4f}], got {r0}")
+    if not 0 <= r0 <= _R_MAX:
+        raise ValueError(f"init r must lie in [0, {_R_MAX:.4f}], got {r0}")
 
     xs = _sample_grid(x_start, x_end, samples)
 
@@ -315,7 +326,7 @@ def integrate(
         if not ok:
             raise ValueError(
                 f"h_fixed={h_fixed:.6g} is too coarse: the RK4 step from x={x_bad:.6g} "
-                f"(r={r_bad:.6g}) is not finite or leaves 0 <= r <= {_eng._R_MAX:.4f}"
+                f"(r={r_bad:.6g}) is not finite or leaves 0 <= r <= {_R_MAX:.4f}"
             )
         out_x = xs
         stats = IntegratorStats(method="fixed", n_steps=n_steps, capped=capped)
@@ -329,10 +340,10 @@ def integrate(
         x_last, r_last = out_x[-1], out_r[-1]
         if r0 == 0.0:
             cause = "the seed r = 0 is the angle singularity"
-        elif r_last > 0.5 * _eng._R_MAX:
+        elif r_last > 0.5 * _R_MAX:
             cause = (
                 "r at the edge of the double range "
-                f"(cosh 2r overflows past r = {_eng._R_MAX:.4f})"
+                f"(cosh 2r overflows past r = {_R_MAX:.4f})"
             )
         elif r_last < 0.5 * r0:
             cause = f"likely the r = 0 angle singularity (r fell from {r0:.6g})"
@@ -416,7 +427,7 @@ def evolve_grid(
                         stats=traj.integrator_stats,
                     )
                 )
-            except (StepSizeUnderflowError, StepBudgetError) as exc:
+            except _IntegrationError as exc:
                 stats = exc.trajectory.integrator_stats
                 results.append(ModeResult(k=k_label, state=None, error=str(exc), stats=stats))
     return results

@@ -9,16 +9,16 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from sqspec._integrators import _R_MAX  # noqa: E402
-from sqspec.config import _ENUMS, ConfigError, SweepConfig, parse_config, serialize  # noqa: E402
+from sqspec.config import _ENUMS, _R_MAX, ConfigError, SweepConfig, parse_config, serialize  # noqa: E402
 
 FLOAT_FIELDS = [f.name for f in fields(SweepConfig) if f.type == "float"]
 
-finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # window and anchors where a_s (k/k_pivot)^(n_s - 1) stays a positive double
 # (between 1e-50 * 1e-240 and 1e50 * 1e240), as a valid config requires
 wavenumber = st.floats(min_value=1e-30, max_value=1e30)
+# largest seed angle whose 2 phi, the angle the flow reads, is a double
+HALF_MAX = 0.5 * sys.float_info.max
 
 
 @st.composite
@@ -40,7 +40,7 @@ def valid_configs(draw):
         x_start=draw(st.floats(min_value=1.0, max_value=x_max, exclude_min=True)),
         x_end=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)),
         init_r=draw(st.floats(min_value=0.0, max_value=_R_MAX)),
-        init_phi=draw(finite),
+        init_phi=draw(st.floats(min_value=-HALF_MAX, max_value=HALF_MAX)),
         form=draw(st.sampled_from(_ENUMS["form"])),
         coupling_power=draw(st.sampled_from(_ENUMS["coupling_power"])),
         eval_point=draw(st.sampled_from(_ENUMS["eval_point"])),
@@ -78,4 +78,15 @@ def test_non_finite_float_raises(cfg, key, bad):
 def test_init_r_past_double_range_raises(cfg, bad):
     text = serialize(cfg).replace(f"init_r = {cfg.init_r!r}\n", f"init_r = {bad!r}\n")
     with pytest.raises(ConfigError, match="init_r must lie in"):
+        parse_config(text)
+
+
+@given(
+    valid_configs(),
+    st.floats(min_value=HALF_MAX, exclude_min=True, allow_infinity=False),
+    st.sampled_from([1.0, -1.0]),
+)
+def test_init_phi_past_half_double_range_raises(cfg, bad, sign):
+    text = serialize(cfg).replace(f"init_phi = {cfg.init_phi!r}\n", f"init_phi = {sign * bad!r}\n")
+    with pytest.raises(ConfigError, match="init_phi must lie within"):
         parse_config(text)

@@ -151,6 +151,8 @@ class TestWriteOutputs:
             "fig_gammak.plot", "fig_deltak.plot",
         }
         lines = (tmp_path / "records.csv").read_text().strip().split("\n")
+        # the file format is pinned, not read off SpectrumRecord's field order
+        assert lines[0] == "k,r,phi,occupation,gamma,power_bd,power_otmss,wronskian_residual"
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 1 + small_report.summary.n_records
 
@@ -287,6 +289,14 @@ class TestCli:
             cli_main(["show-config", "--form", "transformed"])
         assert excinfo.value.code == 2
         assert "invalid choice: 'transformed'" in capsys.readouterr().err
+
+    def test_seed_angle_past_half_double_range_exit_code(self, tmp_path, capsys):
+        # 2 phi overflows: a config error, not a runtime math domain error
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("init_phi = 1e308\nx_start = 5\ninit_r = 0.05\nk_points = 3\n")
+        assert cli_main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert "config error: init_phi must lie within" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_value_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -533,8 +543,13 @@ class TestLazyImports:
         code = "import sys, sqspec\nsqspec.krylov.otmss_amplitudes\n" + _PRINT_MODULES
         assert "sqspec.krylov" in _fresh(code)[-1].split()
 
-    def test_dir_lists_all(self):
-        assert set(sqspec.__all__) <= set(dir(sqspec))
+    def test_every_export_is_in_its_home_all(self):
+        # sqspec.__all__ is derived from _HOME, so each name must be exported
+        # by the submodule it resolves from
+        for name in sqspec.__all__:
+            if name != "__version__":
+                home = importlib.import_module(f"sqspec.{sqspec._HOME[name]}")
+                assert name in home.__all__, (name, home.__name__)
 
     def test_unknown_name_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
@@ -544,5 +559,6 @@ class TestLazyImports:
         from sqspec import config, spectrum, squeeze_dynamics
 
         assert pipeline.make_k_grid is config.make_k_grid is sqspec.make_k_grid
-        assert spectrum.bd_reference_power is config.bd_reference_power is sqspec.bd_reference_power
+        assert config.bd_reference_power is sqspec.bd_reference_power
+        assert not hasattr(spectrum, "bd_reference_power")
         assert squeeze_dynamics._geometric_nodes is config._geometric_nodes

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from sqspec.bogoliubov import coefficients
-from sqspec.config import SweepConfig
+from sqspec.config import SweepConfig, bd_reference_power
 from sqspec.pipeline import run_sweep
 from sqspec.spectrum import (
     SpectrumRecord,
-    bd_reference_power,
     fit_tilt,
     gamma_ratio,
 )

@@ -9,7 +9,7 @@ import pytest
 from sqspec import _integrators as eng
 from sqspec import squeeze_dynamics
 from sqspec.background import CouplingCoefficients
-from sqspec.config import SweepConfig
+from sqspec.config import _R_MAX, COUPLING_POWERS, FORMS, SweepConfig
 from sqspec.pipeline import make_k_grid
 from sqspec.squeeze_dynamics import (
     CappedGrowthWarning,
@@ -18,8 +18,7 @@ from sqspec.squeeze_dynamics import (
     StepSizeUnderflowError,
     evolve_grid,
     integrate,
-    rhs_closed_reference,
-    rhs_conformal,
+    rhs,
     wrap_angle,
 )
 
@@ -58,24 +57,24 @@ class TestRhsPointwise:
         cc = CouplingCoefficients(mu2=0.0, coupling=1.0)
         for r in (1e-6, 0.1, 2.0):
             state = SqueezeState(r=r, phi=PI4, x=3.0)
-            dr, _ = rhs_conformal(state, 1.0, couplings=cc)
+            dr, _ = rhs(state, 1.0, couplings=cc)
             assert abs(dr) < 1e-12
 
     def test_large_r_saturation(self):
         # sinh 2r / (sinh 2r + ...) -> 1 at mu2 = 0
         cc = CouplingCoefficients(mu2=0.0, coupling=1.0)
         state = SqueezeState(r=25.0, phi=0.4, x=2.0)
-        dr, _ = rhs_conformal(state, 1.0, couplings=cc)
+        dr, _ = rhs(state, 1.0, couplings=cc)
         assert dr == pytest.approx(-1.0 * math.cos(0.8), rel=1e-10)
         state_t = SqueezeState(r=40.0, phi=0.0, x=2.0)
-        dr_t, _ = rhs_conformal(state_t, 1.0, couplings=cc)
+        dr_t, _ = rhs(state_t, 1.0, couplings=cc)
         assert dr_t == pytest.approx(-1.0, rel=1e-12)
 
     def test_conformal_frozen_oracle(self):
         # independent 50-digit evaluation of the printed expressions at
         # r=1, phi=0.3, eta=-1, k=1, M_P=1 (A = 1, mu2 = 1)
         state = SqueezeState(r=1.0, phi=0.3, x=1.0)
-        dr, dp = rhs_conformal(state, 1.0)
+        dr, dp = rhs(state, 1.0)
         assert dr == pytest.approx(-0.35681929285030654, rel=1e-14)
         assert dp == pytest.approx(-0.22492441159015873, rel=1e-14)
 
@@ -85,7 +84,7 @@ class TestRhsPointwise:
         # conformal form that sqspec evaluates is the same expression
         cc = CouplingCoefficients(mu2=0.2, coupling=2.0)
         state = SqueezeState(r=0.5, phi=1.0, x=1.0)
-        dr, dp = rhs_conformal(state, 1.0, couplings=cc)
+        dr, dp = rhs(state, 1.0, couplings=cc)
         assert dr == pytest.approx(1.1617798511896459, rel=1e-14)
         assert dp == pytest.approx(1.6440707015465308, rel=1e-14)
 
@@ -103,21 +102,21 @@ class TestRhsPointwise:
                 mu2=rng.uniform(0.0, 2.0),
                 coupling=rng.uniform(0.01, 3.0),
             )
-            a = rhs_conformal(state, 1.0, couplings=cc)
+            a = rhs(state, 1.0, couplings=cc)
             b = _printed_transformed(state.r, state.phi, cc.coupling**2, cc.mu2)
             np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_closed_reference_is_analytic_limit(self):
         cc0 = CouplingCoefficients(mu2=0.0, coupling=0.7)
         state = SqueezeState(r=0.9, phi=1.1, x=4.0)
-        closed = rhs_closed_reference(state, 1.0, couplings=cc0)
-        conformal = rhs_conformal(state, 1.0, couplings=cc0)
+        closed = rhs(state, 1.0, couplings=cc0, form="closed-reference")
+        conformal = rhs(state, 1.0, couplings=cc0)
         np.testing.assert_allclose(closed, conformal, rtol=1e-14)
 
     def test_coupling_power_modes_differ(self):
         state = SqueezeState(r=0.5, phi=0.3, x=10.0)
-        lit = rhs_conformal(state, 0.5, coupling_power="literal")
-        ham = rhs_conformal(state, 0.5, coupling_power="hamiltonian-consistent")
+        lit = rhs(state, 0.5, coupling_power="literal")
+        ham = rhs(state, 0.5, coupling_power="hamiltonian-consistent")
         assert lit[0] != ham[0]
 
     def test_zero_coupling_freezes_r(self):
@@ -129,15 +128,32 @@ class TestRhsPointwise:
                 r=rng.uniform(1e-6, 4.0), phi=rng.uniform(-3.0, 3.0), x=2.0
             )
             cc = CouplingCoefficients(mu2=rng.uniform(0.0, 2.0), coupling=0.0)
-            assert rhs_conformal(state, 1.0, couplings=cc)[0] == 0.0
+            assert rhs(state, 1.0, couplings=cc)[0] == 0.0
 
     def test_singular_angle_term_is_not_a_crash(self):
         # r = 0 with sin(2 phi) != 0: the angle rate is unbounded but must
         # come back as a value, not an exception
         state = SqueezeState(r=0.0, phi=0.3, x=2.0)
-        dr, dp = rhs_conformal(state, 1.0)
+        dr, dp = rhs(state, 1.0)
         assert dr == 0.0
         assert math.isinf(dp)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_angle_past_half_double_range_is_nan(self, form):
+        # 2 phi overflows past DBL_MAX/2: NaN, as for a non-finite angle,
+        # not a math domain error from cos(inf)
+        half = 0.5 * sys.float_info.max
+        for phi in (1e308, -1e308, math.nextafter(half, math.inf)):
+            dr, dp = rhs(SqueezeState(r=0.5, phi=phi, x=1.0), 1.0, form=form)
+            assert math.isnan(dr) and math.isnan(dp)
+        assert all(map(math.isfinite, rhs(SqueezeState(r=0.5, phi=half, x=1.0), 1.0, form=form)))
+
+    def test_unknown_names_raise(self):
+        state = SqueezeState(r=0.5, phi=0.3, x=1.0)
+        with pytest.raises(ValueError, match=r"unknown form 'transformed'.*closed-reference.*conformal"):
+            rhs(state, 1.0, form="transformed")
+        with pytest.raises(ValueError, match=r"unknown coupling_power 'nope'.*hamiltonian-consistent.*literal"):
+            rhs(state, 1.0, coupling_power="nope")
 
 
 class TestSqueezeState:
@@ -318,9 +334,17 @@ class TestIntegrate:
             integrate(1.0, 5.0, 0.5, form="transformed")
         with pytest.raises(ValueError, match="tolerances"):
             integrate(1.0, 5.0, 0.5, rtol=0.0)
-        for r0 in (-1e-300, math.nextafter(eng._R_MAX, math.inf)):
+        for r0 in (-1e-300, math.nextafter(_R_MAX, math.inf)):
             with pytest.raises(ValueError, match="^init r must lie in"):
                 integrate(1.0, 5.0, 0.5, init=(r0, PI4))
+
+    @pytest.mark.parametrize("method", ["adaptive", "fixed"])
+    def test_seed_angle_past_half_double_range(self, method):
+        # its 2 phi overflows, so the seed is refused before the first stage
+        half = 0.5 * sys.float_info.max
+        for phi0 in (1e308, -1e308, math.nextafter(half, math.inf)):
+            with pytest.raises(ValueError, match="^init phi must lie within"):
+                integrate(1.0, 5.0, 0.5, init=(0.05, phi0), method=method)
 
     def test_stage_scale_past_double_range(self):
         # each stage is scaled by x^2/k, which overflows at k = 1 between
@@ -374,7 +398,7 @@ class TestIntegrate:
         # the largest valid seed evaluates without overflow; r grows from
         # there, so the run ends at once as an underflow that names the edge
         with pytest.raises(StepSizeUnderflowError, match="double range") as excinfo:
-            integrate(0.5, 10.0, 1.0, init=(eng._R_MAX, PI4))
+            integrate(0.5, 10.0, 1.0, init=(_R_MAX, PI4))
         stats = excinfo.value.trajectory.integrator_stats
         assert stats.n_steps + stats.n_rejected <= 200
 
@@ -465,8 +489,8 @@ class TestSlavedBranch:
     dr/deta from it; it must agree with the full right-hand side at the
     angle it reports."""
 
-    @pytest.mark.parametrize("form", eng.FORMS)
-    @pytest.mark.parametrize("power", eng.COUPLING_POWERS)
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("power", COUPLING_POWERS)
     @pytest.mark.parametrize("x,r,k,dlag", _SLAVED_POINTS)
     def test_matches_rhs_at_attractor(self, form, power, x, r, k, dlag):
         args = (k, power, form)
@@ -476,7 +500,7 @@ class TestSlavedBranch:
         full = _stage_at(x, r, phi, *args)[0]
         assert fast == pytest.approx(full, rel=1e-13)
 
-    @pytest.mark.parametrize("power", eng.COUPLING_POWERS)
+    @pytest.mark.parametrize("power", COUPLING_POWERS)
     @pytest.mark.parametrize("x,r,k,dlag", _SLAVED_POINTS)
     def test_matches_printed_transformed_form(self, power, x, r, k, dlag):
         # the slaved stage inlines its own copy of the conformal r'; the
@@ -488,7 +512,7 @@ class TestSlavedBranch:
         drdeta = _printed_transformed(r, phi, lam * lam if power == "literal" else lam, k)[0]
         assert fast == pytest.approx(-x * x / k * drdeta / r, rel=1e-13)
 
-    @pytest.mark.parametrize("form", eng.FORMS)
+    @pytest.mark.parametrize("form", FORMS)
     def test_first_order_term_matches_a_difference(self, form):
         # delta1 = (dphi*/dx) / nu, nu = B c / k, is formed from dB/dx in closed form; a
         # central difference of phi* along the zeroth-order flow must agree
