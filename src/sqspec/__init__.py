@@ -24,14 +24,14 @@ __version__ = "0.1.0"
 # submodule -> the names it exports, imported when it or a name is first read;
 # __all__ is these names and __version__
 _EXPORTS = {
-    "background": ("CouplingCoefficients", "LanczosChain", "couplings", "lanczos_chain", "z_rate"),
+    "background": ("CouplingCoefficients", "LanczosChain", "couplings", "lanczos_chain"),
     "krylov": (
         "OtmssAmplitudes", "AmplitudeDivergenceError", "meixner_poly",
         "characteristic_poly_residual", "otmss_amplitudes", "tmss_amplitudes",
     ),
     "squeeze_dynamics": (
-        "SqueezeState", "Trajectory", "ModeResult", "CappedGrowthWarning", "StepSizeUnderflowError",
-        "StepBudgetError", "rhs", "integrate", "evolve_grid",
+        "SqueezeState", "Trajectory", "ModeResult", "StepSizeUnderflowError", "StepBudgetError",
+        "rhs", "integrate", "evolve_grid",
     ),
     "bogoliubov": ("BogoliubovPair", "bd_mode", "coefficients", "mode_function", "occupation"),
     "spectrum": ("SpectrumRecord", "gamma_ratio", "fit_tilt"),

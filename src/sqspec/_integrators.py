@@ -111,6 +111,8 @@ _LN_R_MAX = math.log(_R_MAX)
 # relaxation lengths left to the last checkpoint when the fast path always
 # hands back, so the full system re-forms the angle's lag before it is read
 _SLAVE_HANDBACK = 200.0
+# r past which a run is flagged in IntegratorStats.capped
+_R_CAP = 30.0
 
 
 def _flow(r, phi, lam, mu2, power, form):
@@ -244,7 +246,7 @@ _DP_E1, _DP_E3, _DP_E4, _DP_E5, _DP_E6, _DP_E7 = (
 )
 
 
-def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, r_cap, max_steps):
+def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, max_steps):
     """Advance (r, phi) through the decreasing checkpoints xs, stepping
     (ln r, phi) against tau = -1/x and landing on each checkpoint exactly.
 
@@ -368,7 +370,7 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, r_cap, max_steps):
                 n_steps += 1
                 if err > max_err:
                     max_err = err
-                if math.exp(u) > r_cap:
+                if math.exp(u) > _R_CAP:
                     capped = True
                 if slaved:
                     n_slaved += 1
@@ -414,7 +416,7 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, r_cap, max_steps):
     return out_x, out_r, out_phi, n_steps, n_rejected, max_err, n_slaved, capped, status
 
 
-def _drive_rk4(xs, n_sub, r0, phi0, k, power, form, r_cap):
+def _drive_rk4(xs, n_sub, r0, phi0, k, power, form):
     """Classical RK4 with n_sub[i] equal steps on segment xs[i] -> xs[i+1].
 
     Plain full-system stepping, no stiffness bypass; meant for
@@ -453,7 +455,7 @@ def _drive_rk4(xs, n_sub, r0, phi0, k, power, form, r_cap):
             phi = p_new
             x += h
             n_steps += 1
-            if r > r_cap:
+            if r > _R_CAP:
                 capped = True
         if not ok:
             break

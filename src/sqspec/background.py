@@ -27,7 +27,6 @@ from dataclasses import dataclass
 __all__ = [
     "CouplingCoefficients",
     "LanczosChain",
-    "z_rate",
     "couplings",
     "lanczos_chain",
 ]
@@ -85,13 +84,6 @@ class LanczosChain:
         return tuple(map(tuple, rows))
 
 
-def z_rate(eta: float) -> float:
-    """z'/z = -1/eta (constant-eps de Sitter; positive for eta < 0)."""
-    if eta >= 0:
-        raise ValueError(f"conformal time must be < 0 (inflation), got eta={eta}")
-    return -1.0 / eta
-
-
 def couplings(eta: float, k: float) -> CouplingCoefficients:
     """Coupling coefficients at conformal time eta for comoving wavenumber k.
 
@@ -102,7 +94,7 @@ def couplings(eta: float, k: float) -> CouplingCoefficients:
         raise ValueError(f"conformal time must be < 0 (inflation), got eta={eta}")
     if k <= 0:
         raise ValueError(f"wavenumber must be > 0, got k={k}")
-    return CouplingCoefficients(mu2=k, coupling=abs(z_rate(eta)))
+    return CouplingCoefficients(mu2=k, coupling=-1.0 / eta)
 
 
 def lanczos_chain(n_max: int, eta: float, k: float) -> LanczosChain:
@@ -115,7 +107,9 @@ def lanczos_chain(n_max: int, eta: float, k: float) -> LanczosChain:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if k <= 0:
         raise ValueError(f"wavenumber must be > 0, got k={k}")
-    rate = abs(z_rate(eta))
+    if eta >= 0:
+        raise ValueError(f"conformal time must be < 0 (inflation), got eta={eta}")
+    rate = -1.0 / eta
     n = [float(i) for i in range(n_max + 1)]
     return LanczosChain(
         b=tuple(i * rate for i in n), c_mag=tuple((2.0 * i + 1.0) * k for i in n)

@@ -83,7 +83,6 @@ class SweepConfig:
     rtol: float = 1e-10
     atol: float = 1e-10
     unit_scale: float = 1.0
-    r_cap: float = 30.0
     zero_coupling: bool = False
 
     def __post_init__(self):
@@ -145,8 +144,6 @@ class SweepConfig:
                 "x_start^2 / (k_min * unit_scale) must be finite, got "
                 f"x_start={self.x_start}, k_min={self.k_min}, unit_scale={self.unit_scale}"
             )
-        if self.r_cap <= 0:
-            raise ConfigError(f"r_cap must be > 0, got {self.r_cap}")
         for key, allowed in _ENUMS.items():
             if getattr(self, key) not in allowed:
                 raise ConfigError(
@@ -208,7 +205,7 @@ def load_config(path: str | Path | None = None) -> SweepConfig:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {p}: {exc}") from exc
     return parse_config(text)
 

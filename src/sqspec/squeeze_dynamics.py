@@ -42,7 +42,6 @@ See _integrators for the stiffness treatment of the coth(r) relaxation.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -55,7 +54,6 @@ __all__ = [
     "IntegratorStats",
     "Trajectory",
     "ModeResult",
-    "CappedGrowthWarning",
     "StepSizeUnderflowError",
     "StepBudgetError",
     "rhs",
@@ -66,10 +64,6 @@ __all__ = [
 
 DEFAULT_INIT_R = 1e-6
 DEFAULT_INIT_PHI = math.pi / 4.0
-
-
-class CappedGrowthWarning(UserWarning):
-    """The squeeze amplitude exceeded the configured cap; values stay finite."""
 
 
 class _IntegrationError(RuntimeError):
@@ -130,7 +124,8 @@ class IntegratorStats:
         units of the tolerance, so at most 1 (0 for "fixed").
     n_slaved_steps: accepted steps on the fast path, with the angle held on
         its slow manifold.
-    capped: r exceeded r_cap somewhere along the run.
+    capped: r exceeded 30 (_R_CAP) somewhere along the run; the run goes
+        on and its values stay finite.
     status: "ok"; "step-underflow", the step size underflowed (integrate
         raises StepSizeUnderflowError); or "max-steps", the step budget ran
         out (integrate raises StepBudgetError).
@@ -238,7 +233,6 @@ def integrate(
     method: str = "adaptive",
     h_fixed: float | None = None,
     samples: int | Sequence[float] | None = None,
-    r_cap: float = 30.0,
     max_steps: int = 2_000_000,
 ) -> Trajectory:
     """Integrate the selected flow from x_start down to x_end for one mode.
@@ -274,15 +268,14 @@ def integrate(
     and for a fixed step that is not finite or leaves that
     range of r (naming h_fixed, x and r);
     raises StepSizeUnderflowError / StepBudgetError with the partial
-    trajectory attached; emits CappedGrowthWarning when r exceeds r_cap
-    (integration continues, the values stay finite).
+    trajectory attached.  r passing 30 only sets integrator_stats.capped.
     """
     if init is None:
         init = (DEFAULT_INIT_R, DEFAULT_INIT_PHI)
     r0, phi0 = float(init[0]), float(init[1])
     numbers = {
         "k": k, "x_start": x_start, "x_end": x_end, "rtol": rtol, "atol": atol,
-        "r_cap": r_cap, "h_fixed": h_fixed, "init r": r0, "init phi": phi0,
+        "h_fixed": h_fixed, "init r": r0, "init phi": phi0,
     }
     for name, value in numbers.items():
         if value is not None and not math.isfinite(value):
@@ -311,7 +304,7 @@ def integrate(
 
     if method == "adaptive":
         out_x, out_r, out_phi, *counts = _eng._drive_adaptive(
-            xs, r0, phi0, k, coupling_power, form, rtol, atol, r_cap, max_steps,
+            xs, r0, phi0, k, coupling_power, form, rtol, atol, max_steps,
         )
         stats = IntegratorStats("adaptive", *counts)
     else:
@@ -321,7 +314,7 @@ def integrate(
             raise ValueError(f"h_fixed must be > 0, got {h_fixed}")
         n_sub = [max(1, math.ceil((a - b) / h_fixed)) for a, b in zip(xs, xs[1:])]
         out_r, out_phi, ok, n_steps, capped, x_bad, r_bad = _eng._drive_rk4(
-            xs, n_sub, r0, phi0, k, coupling_power, form, r_cap,
+            xs, n_sub, r0, phi0, k, coupling_power, form,
         )
         if not ok:
             raise ValueError(
@@ -361,12 +354,6 @@ def integrate(
             "raise max_steps or shrink the span",
             traj,
         )
-    if stats.capped:
-        warnings.warn(
-            f"squeeze amplitude exceeded cap {r_cap} for k={k}; trajectory kept",
-            CappedGrowthWarning,
-            stacklevel=2,
-        )
     return traj
 
 
@@ -392,42 +379,39 @@ def evolve_grid(
     eval_x = config.x_end if config.eval_point == "super-horizon" else 1.0
 
     results: list[ModeResult] = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CappedGrowthWarning)
-        for k_label in ks:
-            k_int = k_label * config.unit_scale
-            if config.zero_coupling:
-                # debug shortcut: zero coupling freezes r' == 0 identically, and
-                # the run pins r = 0 (exact vacuum; the angle is then unphysical
-                # and kept at its seed)
-                results.append(
-                    ModeResult(
-                        k=k_label,
-                        state=SqueezeState(r=0.0, phi=config.init_phi, x=eval_x),
-                    )
+    for k_label in ks:
+        k_int = k_label * config.unit_scale
+        if config.zero_coupling:
+            # debug shortcut: zero coupling freezes r' == 0 identically, and
+            # the run pins r = 0 (exact vacuum; the angle is then unphysical
+            # and kept at its seed)
+            results.append(
+                ModeResult(
+                    k=k_label,
+                    state=SqueezeState(r=0.0, phi=config.init_phi, x=eval_x),
                 )
-                continue
-            try:
-                traj = integrate(
-                    k_int,
-                    config.x_start,
-                    eval_x,
-                    init=(config.init_r, config.init_phi),
-                    form=config.form,
-                    coupling_power=config.coupling_power,
-                    rtol=config.rtol,
-                    atol=config.atol,
-                    samples=[config.x_start, eval_x],
-                    r_cap=config.r_cap,
+            )
+            continue
+        try:
+            traj = integrate(
+                k_int,
+                config.x_start,
+                eval_x,
+                init=(config.init_r, config.init_phi),
+                form=config.form,
+                coupling_power=config.coupling_power,
+                rtol=config.rtol,
+                atol=config.atol,
+                samples=[config.x_start, eval_x],
+            )
+            results.append(
+                ModeResult(
+                    k=k_label,
+                    state=traj.state_at(eval_x),
+                    stats=traj.integrator_stats,
                 )
-                results.append(
-                    ModeResult(
-                        k=k_label,
-                        state=traj.state_at(eval_x),
-                        stats=traj.integrator_stats,
-                    )
-                )
-            except _IntegrationError as exc:
-                stats = exc.trajectory.integrator_stats
-                results.append(ModeResult(k=k_label, state=None, error=str(exc), stats=stats))
+            )
+        except _IntegrationError as exc:
+            stats = exc.trajectory.integrator_stats
+            results.append(ModeResult(k=k_label, state=None, error=str(exc), stats=stats))
     return results

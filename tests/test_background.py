@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
 
-from sqspec.background import couplings, lanczos_chain, z_rate
+from sqspec.background import couplings, lanczos_chain
 
 
 class TestZRate:
+    """z'/z = -1/eta, read where it is used: the coupling and the chain's b_1."""
+
     @pytest.mark.parametrize(
         "eta,expected", [(-1.0, 1.0), (-2.0, 0.5), (-0.1, 10.0)]
     )
     def test_values(self, eta, expected):
-        assert z_rate(eta) == pytest.approx(expected, rel=1e-15)
+        assert couplings(eta, 0.3).coupling == pytest.approx(expected, rel=1e-15)
+        assert lanczos_chain(1, eta, 0.3).b[1] == couplings(eta, 0.3).coupling
 
     def test_rejects_nonnegative_eta(self):
-        with pytest.raises(ValueError):
-            z_rate(0.0)
+        for eta in (0.0, 1.0):
+            with pytest.raises(ValueError, match="conformal time must be < 0"):
+                lanczos_chain(3, eta, 1.0)
+            with pytest.raises(ValueError, match="conformal time must be < 0"):
+                couplings(eta, 1.0)
 
 
 class TestCouplings:

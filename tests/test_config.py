@@ -70,6 +70,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.cfg")
 
+    def test_file_not_utf8(self, tmp_path):
+        path = tmp_path / "latin.cfg"
+        path.write_bytes(b"k_points = 5\n\xff\xfe\n")
+        with pytest.raises(ConfigError, match=r"^cannot read config file .*utf-8"):
+            load_config(path)
+
 
 class TestValidation:
     def test_k_order_names_both_fields(self):

@@ -50,7 +50,6 @@ def valid_configs(draw):
         rtol=draw(positive),
         atol=draw(positive),
         unit_scale=unit_scale,
-        r_cap=draw(positive),
         zero_coupling=draw(st.booleans()),
     )
 

@@ -133,7 +133,7 @@ class TestRunSweep:
         assert report.summary.max_wronskian_residual < 1e-15
 
     def test_capped_modes_count_up_to_the_evaluated_point(self):
-        # r passes r_cap only after horizon crossing, so a crossing sweep
+        # r passes 30 only after horizon crossing, so a crossing sweep
         # (integrated to x = 1 and no further) reports no cap hits
         cfg = SweepConfig(k_min=0.5, k_max=1.0, k_points=5)
         assert run_sweep(cfg).summary.n_capped == 0
@@ -316,6 +316,25 @@ class TestCli:
         bad.write_text("mu2_rate = 0.0\n")
         assert cli_main(["show-config", "--config", str(bad)]) == 1
         assert "config error: line 1: unknown key 'mu2_rate'" in capsys.readouterr().err
+
+    def test_removed_r_cap_key_exit_code(self, tmp_path, capsys):
+        # r > 30 is flagged at a fixed threshold; there is no knob for it
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("r_cap = 30\n")
+        assert cli_main(["show-config", "--config", str(bad)]) == 1
+        assert "config error: line 1: unknown key 'r_cap'" in capsys.readouterr().err
+
+    def test_config_file_not_utf8(self, tmp_path):
+        # a decode failure is a config error, not a traceback
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"k_points = 5\n\xff\xfe\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "sqspec", "show-config", "--config", str(bad)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=_SRC), timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error: cannot read config file")
+        assert "Traceback" not in proc.stderr
 
     def test_seed_past_double_range_is_a_config_error(self, tmp_path, capsys):
         # cosh 2r of the seed itself overflows past r = 354.9: refused up front

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import sys
 import warnings
@@ -12,7 +11,6 @@ from sqspec.background import CouplingCoefficients
 from sqspec.config import _R_MAX, COUPLING_POWERS, FORMS, SweepConfig
 from sqspec.pipeline import make_k_grid
 from sqspec.squeeze_dynamics import (
-    CappedGrowthWarning,
     SqueezeState,
     StepBudgetError,
     StepSizeUnderflowError,
@@ -206,8 +204,7 @@ class TestIntegrate:
         ],
     )
     def test_stiff_window_against_frozen_reference(self, k, r1, phi1, rend):
-        with pytest.warns(CappedGrowthWarning) if k == 1.0 else contextlib.nullcontext():
-            traj = integrate(k, 100.0, 0.01, samples=[100.0, 1.0, 0.01])
+        traj = integrate(k, 100.0, 0.01, samples=[100.0, 1.0, 0.01])
         s1 = traj.state_at(1.0)
         assert abs(s1.r - r1) < 2e-9
         assert abs(s1.phi - phi1) < 1e-9
@@ -226,9 +223,7 @@ class TestIntegrate:
     def test_default_tolerance_against_radau(self, power, x_end, k, r_ref, phi_ref, bound):
         # rtol is relative in r: the default run lands on an independent
         # stiff reference at its evaluation point
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CappedGrowthWarning)
-            traj = integrate(k, 100.0, x_end, coupling_power=power, samples=[100.0, x_end])
+        traj = integrate(k, 100.0, x_end, coupling_power=power, samples=[100.0, x_end])
         assert abs(traj.r[-1] - r_ref) <= bound * r_ref
         if phi_ref is not None:
             assert abs(traj.phi[-1] - phi_ref) <= 1e-9
@@ -251,7 +246,7 @@ class TestIntegrate:
 
     def test_finite_and_subcap_through_crossing(self):
         for k in (1e-4, 0.05, 1.0):
-            traj = _quiet_default_traj(k)
+            traj = integrate(k, 100.0, 0.01)
             assert all(map(math.isfinite, traj.r))
             assert all(r < 30.0 for x, r in zip(traj.x, traj.r) if x >= 1.0)
 
@@ -281,9 +276,30 @@ class TestIntegrate:
         assert all(a > b for a, b in zip(grid, grid[1:]))
 
     def test_cap_warning_and_flag(self):
-        with pytest.warns(CappedGrowthWarning):
-            traj = integrate(1.0, 100.0, 0.01, r_cap=30.0)
-        assert traj.integrator_stats.capped
+        # r passing 30 is counted in the stats of either driver, and the
+        # run warns about nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            adaptive = integrate(1.0, 100.0, 0.01)
+            fixed = integrate(1.0, 2.0, 0.01, init=(1.0, PI4), method="fixed", h_fixed=1e-3)
+            below = integrate(1.0, 100.0, 1.0)
+        assert adaptive.integrator_stats.capped and fixed.integrator_stats.capped
+        assert max(adaptive.r) > 30.0 and max(fixed.r) > 30.0
+        assert not below.integrator_stats.capped
+
+    def test_capped_run_that_fails_keeps_its_flag(self):
+        # input 735 of tools/compare_integrate.py seed 0: r passes 30 and
+        # then runs into the edge of the double range, so the run ends in a
+        # typed failure whose partial trajectory is flagged
+        with pytest.raises(StepSizeUnderflowError, match="edge of the double range") as excinfo:
+            integrate(
+                57.027917281341146, 7.974955003429399, 0.07505771290865032,
+                init=(0.44372185245306833, 7.6258565632608395),
+                form="closed-reference", rtol=2.94720111842274e-05,
+                atol=2.399188928214201e-05, max_steps=20_000, samples=[3.476564692951843],
+            )
+        stats = excinfo.value.trajectory.integrator_stats
+        assert stats.capped and stats.status == "step-underflow"
 
     def test_underflow_diagnostic_keeps_last_state(self):
         with pytest.raises(StepSizeUnderflowError) as excinfo:
@@ -358,7 +374,7 @@ class TestIntegrate:
     @pytest.mark.parametrize(
         "name",
         [
-            "k", "x_start", "x_end", "rtol", "atol", "r_cap", "h_fixed", "init r",
+            "k", "x_start", "x_end", "rtol", "atol", "h_fixed", "init r",
             "init phi", "samples",
         ],
     )
@@ -580,10 +596,8 @@ class TestSlavedExit:
         # fails when the hand-back is too short, k = 0.69 (consistent) when
         # the fast path ignores its lag error
         kwargs = dict(coupling_power=power, samples=[100.0, x_end])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CappedGrowthWarning)
-            got = integrate(k, 100.0, x_end, **kwargs).state_at(x_end)
-            ref = integrate(k, 100.0, x_end, rtol=1e-13, atol=1e-16, **kwargs).state_at(x_end)
+        got = integrate(k, 100.0, x_end, **kwargs).state_at(x_end)
+        ref = integrate(k, 100.0, x_end, rtol=1e-13, atol=1e-16, **kwargs).state_at(x_end)
         assert abs(got.r - ref.r) <= r_bound * ref.r
         assert abs(got.phi - ref.phi) <= phi_bound
 
@@ -619,9 +633,7 @@ class TestSeededLayer:
         # window is shorter than 8000 relaxation lengths, so it is not seeded)
         rate = _slaved_at(100.0, 1e-6, k, "literal", "conformal")[3] / k
         x_s = 100.0 - lengths / rate
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CappedGrowthWarning)
-            seeded = integrate(k, 100.0, 0.01, samples=[100.0, x_s, 0.01])
+        seeded = integrate(k, 100.0, 0.01, samples=[100.0, x_s, 0.01])
         plain = integrate(
             k, 100.0, x_s, samples=[100.0, x_s], rtol=1e-13, atol=1e-16,
         )
@@ -695,12 +707,6 @@ class TestSeededLayer:
         stats = integrate(1.0, 100.0, 1.0, samples=[100.0, 1.0]).integrator_stats
         assert (stats.n_steps, stats.n_rejected, stats.n_slaved_steps) == (1, 0, 1)
         assert flags and all(flags)
-
-
-def _quiet_default_traj(k):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CappedGrowthWarning)
-        return integrate(k, 100.0, 0.01)
 
 
 class TestEvolveGrid:

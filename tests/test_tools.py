@@ -26,9 +26,8 @@ def test_compare_integrate_runs_on_this_tree():
     assert "10 identical" in proc.stdout
 
 
-def test_compare_integrate_flags_untyped_errors(tmp_path):
-    # a tree whose integrate() dies with a program error is reported, input
-    # by input, as untyped outcomes and fails the check
+def _broken_tree(tmp_path):
+    """A tree whose integrate() dies with a program error on every input."""
     pkg = tmp_path / "sqspec"
     pkg.mkdir()
     (pkg / "__init__.py").write_text("")
@@ -38,8 +37,14 @@ def test_compare_integrate_flags_untyped_errors(tmp_path):
         "class StepSizeUnderflowError(RuntimeError):\n    pass\n\n\n"
         "def integrate(**kwargs):\n    return 1.0 / 0.0\n"
     )
+    return str(tmp_path)
+
+
+def test_compare_integrate_flags_untyped_errors(tmp_path):
+    # a tree whose integrate() dies with a program error is reported, input
+    # by input, as untyped outcomes and fails the check
     proc = subprocess.run(
-        [sys.executable, "tools/compare_integrate.py", "src", str(tmp_path), "--n", "5"],
+        [sys.executable, "tools/compare_integrate.py", "src", _broken_tree(tmp_path), "--n", "5"],
         cwd=ROOT, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 1, proc.stderr
@@ -66,3 +71,47 @@ def test_compare_integrate_inputs_are_stable():
     for seed in (0, 1):
         forms = {kwargs["form"] for kwargs in draw_inputs(1200, seed)}
         assert forms == {"conformal", "closed-reference"}
+
+
+def test_survey_runs_on_this_tree():
+    # one tree: the accuracy survey in tolerance units
+    proc = subprocess.run(
+        [sys.executable, "tools/compare_integrate.py", "src", "--n", "12"],
+        cwd=ROOT, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "adaptive inputs that end ok, scored against a tight run" in proc.stdout
+    assert "beyond 100x, full system" in proc.stdout
+
+
+def test_survey_flags_untyped_errors(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "tools/compare_integrate.py", _broken_tree(tmp_path), "--n", "5"],
+        cwd=ROOT, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "SRC has 5 untyped outcomes" in proc.stdout
+
+
+def test_survey_scores_in_tolerance_units():
+    # seed-0 inputs 0-15 (one fixed-step draw and six failed runs among
+    # them, which are not scored) and four far ones: 134 takes the fast path
+    # at k = 979; 316, 403 and 516 (k = 799) run on the full system only
+    tool = _compare_integrate()
+    drawn = tool.draw_inputs(1200, 0)
+    inputs = {i: drawn[i] for i in [*range(16), 134, 316, 403, 516]}
+    rows, untyped = tool.survey(str(ROOT / "src"), inputs)
+    assert untyped == 0
+    by_index = {row["index"]: row for row in rows}
+    assert {i for i, row in by_index.items() if row["fast"]} == {0, 3, 4, 6, 8, 12, 13, 14, 134}
+    assert {i for i, row in by_index.items() if not row["fast"]} == {1, 316, 403, 516}
+    # the full-system tail at large k: 516 is 2.0e5 rtol off in r
+    assert by_index[516]["r"] > 1e5
+    assert by_index[134]["r"] < 100 < by_index[134]["phi"]
+    # the units: the r error of 134 is its relative error over rtol
+    kwargs = inputs[134]
+    run, ref = tool.run_tree(str(ROOT / "src"), [kwargs, dict(kwargs, **tool.TIGHT)])
+    err_r, err_phi = tool.error_against(run["samples"], ref["samples"])
+    assert by_index[134]["r"] == err_r / kwargs["rtol"]
+    phi_max = max(abs(phi) for _, _, phi in ref["samples"])
+    assert by_index[134]["phi"] == err_phi / (kwargs["atol"] + kwargs["rtol"] * phi_max)

@@ -1,11 +1,13 @@
-"""Compare squeeze_dynamics.integrate() between two source trees.
+"""Compare squeeze_dynamics.integrate() between two source trees, or survey
+the accuracy of one.
 
 Usage:
     python tools/compare_integrate.py OLD_SRC NEW_SRC [--n 1200] [--seed 0]
+    python tools/compare_integrate.py SRC [--n 1200] [--seed 0]
 
-OLD_SRC and NEW_SRC are directories that hold an importable ``sqspec``
-package (for a second checkout, its ``src`` directory).  Both trees run the
-same seeded random valid inputs, each in its own interpreter:
+OLD_SRC, NEW_SRC and SRC are directories that hold an importable ``sqspec``
+package (for a second checkout, its ``src`` directory).  Each tree runs the
+same seeded random valid inputs in its own interpreter:
 
     k 1e-6 to 1e3, x_start 1.3 to 1000, x_end 1e-5 to 0.99 of x_start (all
     log-uniform); init r = 0 (10%) or log-uniform in [1e-9, 5], init phi
@@ -24,11 +26,20 @@ fixed-step input, an input where either tree evaluated a slaved stage off
 the angle's branch (one whose first derivative is NaN), or other.  The spy
 sits on the adaptive driver's slaved stage, _slaved_stage.
 For each differing input that has samples on both sides it prints the error
-of both sides against a tight run (rtol 1e-13, atol 1e-16) of each tree: the
-largest relative error of r and absolute error of phi over the checkpoints
-both reached.  An input counts as better or worse only when both references
-agree on it, and as unsettled otherwise.  The exit status is 1 when NEW_SRC
-has an untyped outcome.
+of both sides against a tight run (rtol 1e-13, atol 1e-16, max_steps
+2,000,000) of each tree: the largest relative error of r and absolute error
+of phi over the checkpoints both reached.  An input counts as better or
+worse only when both references agree on it, and as unsettled otherwise.
+The exit status is 1 when NEW_SRC has an untyped outcome.
+
+With one tree the script surveys it in tolerance units: every adaptive input
+that ends ok is scored against the tight run of the same tree, the r error
+in units of rtol and the phi error in units of atol + rtol max|phi_ref| (a
+tight run that stops short is compared on the checkpoints it reached).  It
+prints the median, p90, p99 (nearest rank) and max of both, the inputs
+beyond 10x and 100x, split by fast path (a run with slaved steps) and full
+system, and the worst inputs of each split.  The exit status is 1 when either
+run has an untyped outcome.
 """
 
 from __future__ import annotations
@@ -47,6 +58,8 @@ import warnings
 # inputs; "transformed", the conformal form's printed twin, runs as "conformal"
 FORMS = ("conformal", "transformed", "closed-reference")
 POWERS = ("literal", "hamiltonian-consistent")
+# the reference run: tight tolerances and integrate()'s default step budget
+TIGHT = dict(rtol=1e-13, atol=1e-16, method="adaptive", max_steps=2_000_000)
 
 
 def draw_inputs(n, seed):
@@ -122,7 +135,7 @@ def run_worker():
             dict(
                 outcome=outcome,
                 samples=[list(map(float, s)) for s in zip(traj.x, traj.r, traj.phi)] if traj else [],
-                stats=list(vars(traj.integrator_stats).values()) if traj else [],
+                stats=vars(traj.integrator_stats) if traj else {},
                 warnings=[w.category.__name__ for w in caught],
                 off_branch=off_branch[0],
             )
@@ -154,27 +167,92 @@ def error_against(samples, ref):
     return err_r, err_phi
 
 
+def kind(result):
+    return result["outcome"].split(":")[0]
+
+
+def nearest_rank(values, p):
+    """The p-quantile of values by the nearest-rank rule (p = 1: the max)."""
+    ordered = sorted(values)
+    return ordered[max(0, math.ceil(p * len(ordered)) - 1)]
+
+
+def survey(src, inputs):
+    """Score the adaptive inputs of {index: kwargs} that end ok against the
+    tight run of the same tree.  Returns (rows, untyped): one dict per scored
+    input (index, k, fast, r, phi; r and phi in tolerance units) and the
+    number of untyped outcomes of both runs."""
+    runs = run_tree(src, list(inputs.values()))
+    scored = [
+        (i, kwargs, res) for (i, kwargs), res in zip(inputs.items(), runs)
+        if kwargs.get("method") != "fixed" and res["outcome"] == "ok"
+    ]
+    refs = run_tree(src, [dict(kwargs, **TIGHT) for _, kwargs, _ in scored])
+    untyped = sum(kind(res).startswith("untyped") for res in runs + refs)
+    rows = []
+    for (i, kwargs, res), ref in zip(scored, refs):
+        err_r, err_phi = error_against(res["samples"], ref["samples"])
+        phi_scale = kwargs["atol"] + kwargs["rtol"] * max(abs(phi) for _, _, phi in ref["samples"])
+        rows.append(dict(
+            index=i, k=kwargs["k"], fast=res["stats"]["n_slaved_steps"] > 0,
+            r=err_r / kwargs["rtol"], phi=err_phi / phi_scale,
+        ))
+    return rows, untyped
+
+
+def report_survey(rows):
+    print(f"{len(rows)} adaptive inputs that end ok, scored against a tight run of the same tree")
+    if not rows:
+        return
+    print(f"  {'error in tolerance units':38s}   median      p90      p99      max")
+    for key, name in (("r", "r rel err / rtol"), ("phi", "phi abs err / (atol + rtol max|phi|)")):
+        values = [row[key] for row in rows]
+        print(f"  {name:38s}" + "".join(f" {nearest_rank(values, p):8.3g}" for p in (0.5, 0.9, 0.99, 1.0)))
+    splits = [
+        ("fast path", [row for row in rows if row["fast"]]),
+        ("full system", [row for row in rows if not row["fast"]]),
+    ]
+    for factor in (10, 100):
+        for name, part in splits:
+            beyond = [(row["r"] > factor, row["phi"] > factor) for row in part]
+            print(
+                f"beyond {factor}x, {name} ({len(part)} inputs): "
+                f"r {sum(r for r, _ in beyond)}, phi {sum(p for _, p in beyond)}, "
+                f"r or phi {sum(r or p for r, p in beyond)}"
+            )
+    for name, part in splits:
+        print(f"worst on the {name}:")
+        for row in sorted(part, key=lambda row: -max(row["r"], row["phi"]))[:5]:
+            print(f"  input {row['index']} (k = {row['k']:.4g}): r {row['r']:.3g}, phi {row['phi']:.3g}")
+
+
 def main():
     if sys.argv[1:] == ["--worker"]:
         run_worker()
         return
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("old_src")
-    parser.add_argument("new_src")
+    parser.add_argument("old_src", metavar="OLD_SRC")
+    parser.add_argument(
+        "new_src", metavar="NEW_SRC", nargs="?", help="without it, survey OLD_SRC alone"
+    )
     parser.add_argument("--n", type=int, default=1200, help="number of inputs")
     parser.add_argument("--seed", type=int, default=0, help="seed of the input draw")
     args = parser.parse_args()
 
     inputs = draw_inputs(args.n, args.seed)
+    if args.new_src is None:
+        rows, untyped = survey(args.old_src, dict(enumerate(inputs)))
+        report_survey(rows)
+        if untyped:
+            print(f"SRC has {untyped} untyped outcomes")
+            sys.exit(1)
+        return
     old = run_tree(args.old_src, inputs)
     new = run_tree(args.new_src, inputs)
     differ = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
     print(f"{len(inputs)} inputs: {len(inputs) - len(differ)} identical, {len(differ)} differ")
     off = sum(1 for a in old if a["off_branch"]), sum(1 for b in new if b["off_branch"])
     print(f"inputs with a slaved stage off the branch: old {off[0]}, new {off[1]}")
-
-    def kind(result):
-        return result["outcome"].split(":")[0]
 
     pairs = collections.Counter((kind(a), kind(b)) for a, b in zip(old, new))
     print("outcome pairs (old -> new):")
@@ -192,7 +270,7 @@ def main():
     print("differing inputs by cause:", dict(sorted(causes.items())))
 
     compared = [i for i in differ if old[i]["samples"] and new[i]["samples"]]
-    tight_inputs = [dict(inputs[i], rtol=1e-13, atol=1e-16, method="adaptive") for i in compared]
+    tight_inputs = [dict(inputs[i], **TIGHT) for i in compared]
     refs = run_tree(args.old_src, tight_inputs), run_tree(args.new_src, tight_inputs)
     verdicts = []
     for n, i in enumerate(compared):
