@@ -101,6 +101,7 @@ the standard library.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from .config import _R_MAX
 
@@ -113,6 +114,34 @@ _LN_R_MAX = math.log(_R_MAX)
 _SLAVE_HANDBACK = 200.0
 # r past which a run is flagged in IntegratorStats.capped
 _R_CAP = 30.0
+
+
+@dataclass(frozen=True)
+class IntegratorStats:
+    """Counters of one integration, built by the driver that counts them and
+    kept on its Trajectory (a failed run's too) and on its ModeResult.
+
+    method: "adaptive" or "fixed".
+    n_steps: accepted steps, slaved ones included; RK4 steps for "fixed".
+    n_rejected: rejected step attempts (0 for "fixed").
+    max_error_estimate: the largest scaled error of an accepted step, in
+        units of the tolerance, so at most 1 (0 for "fixed").
+    n_slaved_steps: accepted steps on the fast path, with the angle held on
+        its slow manifold.
+    capped: r exceeded 30 (_R_CAP) somewhere along the run; the run goes
+        on and its values stay finite.
+    status: "ok"; "step-underflow", the step size underflowed (integrate
+        raises StepSizeUnderflowError); or "max-steps", the step budget ran
+        out (integrate raises StepBudgetError).
+    """
+
+    method: str
+    n_steps: int
+    n_rejected: int = 0
+    max_error_estimate: float = 0.0
+    n_slaved_steps: int = 0
+    capped: bool = False
+    status: str = "ok"
 
 
 def _flow(r, phi, lam, mu2, power, form):
@@ -250,11 +279,10 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, max_steps):
     """Advance (r, phi) through the decreasing checkpoints xs, stepping
     (ln r, phi) against tau = -1/x and landing on each checkpoint exactly.
 
-    Returns (out_x, out_r, out_phi, n_steps, n_rejected, max_err, n_slaved,
-    capped, status): out_x, out_r and out_phi hold each checkpoint reached
-    and, when integration stopped between two, the state where it stopped;
-    the rest are the fields of squeeze_dynamics.IntegratorStats after
-    method, in order, and status is "ok", "step-underflow" or "max-steps".
+    Returns (out_x, out_r, out_phi, stats): out_x, out_r and out_phi hold
+    each checkpoint reached and, when integration stopped between two, the
+    state where it stopped; stats is the run's IntegratorStats, with status
+    "ok", "step-underflow" or "max-steps".
     """
     x = xs[0]
     out_x = [x]
@@ -262,7 +290,7 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, max_steps):
     out_phi = [phi0]
     x_end = xs[-1]
     if r0 == 0.0:  # the singularity itself: u = ln r has no seed
-        return out_x, out_r, out_phi, 0, 0, 0.0, 0, False, "step-underflow"
+        return out_x, out_r, out_phi, IntegratorStats("adaptive", 0, status="step-underflow")
     tau = -1.0 / x
     u = math.log(r0)
     phi = phi0
@@ -413,7 +441,7 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, max_steps):
         if status != "ok":
             break
 
-    return out_x, out_r, out_phi, n_steps, n_rejected, max_err, n_slaved, capped, status
+    return out_x, out_r, out_phi, IntegratorStats("adaptive", n_steps, n_rejected, max_err, n_slaved, capped, status)
 
 
 def _drive_rk4(xs, n_sub, r0, phi0, k, power, form):
@@ -423,8 +451,9 @@ def _drive_rk4(xs, n_sub, r0, phi0, k, power, form):
     cross-validating the adaptive driver on well-conditioned windows.  It
     stops at the first step the adaptive driver would reject: a non-finite
     stage, an overflow or a pole, or a new r outside [0, _R_MAX].
-    Returns (out_r, out_phi, ok, n_steps, capped, x, r): ok is False when it
-    stopped early, and then (x, r) is the state the bad step started from.
+    Returns (out_r, out_phi, stats, bad): stats is the run's IntegratorStats
+    (status "ok": this driver has no typed failure), and bad is None, or,
+    when it stopped early, the (x, r) the bad step started from.
     """
     out_r = [r0]
     out_phi = [phi0]
@@ -432,7 +461,7 @@ def _drive_rk4(xs, n_sub, r0, phi0, k, power, form):
     phi = phi0
     n_steps = 0
     capped = False
-    ok = True
+    bad = None
 
     for x0, x1, n in zip(xs, xs[1:], n_sub):
         h = (x1 - x0) / n
@@ -449,7 +478,7 @@ def _drive_rk4(xs, n_sub, r0, phi0, k, power, form):
                 r_new = p_new = math.nan
             # a non-finite stage reaches r_new or p_new
             if not (0.0 <= r_new <= _R_MAX and math.isfinite(p_new)):
-                ok = False
+                bad = (x, r)
                 break
             r = r_new
             phi = p_new
@@ -457,9 +486,9 @@ def _drive_rk4(xs, n_sub, r0, phi0, k, power, form):
             n_steps += 1
             if r > _R_CAP:
                 capped = True
-        if not ok:
+        if bad is not None:
             break
         out_r.append(r)
         out_phi.append(phi)
 
-    return out_r, out_phi, ok, n_steps, capped, x, r
+    return out_r, out_phi, IntegratorStats("fixed", n_steps, capped=capped), bad

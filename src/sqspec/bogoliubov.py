@@ -31,6 +31,7 @@ from .squeeze_dynamics import SqueezeState
 
 __all__ = [
     "BogoliubovPair",
+    "alpha_beta",
     "bd_mode",
     "coefficients",
     "mode_function",
@@ -90,8 +91,8 @@ def wronskian_residual(alpha: complex, beta: complex) -> float:
     return abs(math.fsum(terms))
 
 
-def _alpha_beta(state: SqueezeState) -> tuple[complex, complex]:
-    """(alpha, beta) = (cosh r, -e^{-i phi} sinh r), without the residual."""
+def alpha_beta(state: SqueezeState) -> tuple[complex, complex]:
+    """(alpha, beta) = (cosh r, -e^{-i phi} sinh r): coefficients' pair, without its residual."""
     return complex(math.cosh(state.r), 0.0), -cmath.exp(-1j * state.phi) * math.sinh(state.r)
 
 
@@ -101,7 +102,7 @@ def coefficients(state: SqueezeState) -> BogoliubovPair:
     The attached residual is wronskian_residual(alpha, beta) / |alpha|^2: the
     stored pair's defect in units of cosh^2 r, a few ulps at any r.
     """
-    alpha, beta = _alpha_beta(state)
+    alpha, beta = alpha_beta(state)
     return BogoliubovPair(
         alpha=alpha,
         beta=beta,
@@ -111,7 +112,7 @@ def coefficients(state: SqueezeState) -> BogoliubovPair:
 
 def mode_function(state: SqueezeState, eta: float, k: float) -> complex:
     """Squeezed-vacuum mode v_z = alpha v_BD + beta v_BD* at (eta, k)."""
-    alpha, beta = _alpha_beta(state)
+    alpha, beta = alpha_beta(state)
     v = bd_mode(eta, k)
     return alpha * v + beta * v.conjugate()
 

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bogoliubov import _alpha_beta
+from .bogoliubov import alpha_beta
 from .squeeze_dynamics import SqueezeState
 
 __all__ = ["SpectrumRecord", "gamma_ratio", "fit_tilt"]
@@ -61,7 +61,7 @@ def gamma_ratio(state: SqueezeState) -> float:
     """
     scale = math.cosh(2.0 * state.r)
     closed = scale + math.sinh(2.0 * state.r) * math.cos(state.phi)
-    alpha, beta = _alpha_beta(state)
+    alpha, beta = alpha_beta(state)
     direct = abs(alpha - beta) ** 2
     if abs(direct - closed) > _GAMMA_IDENTITY_RTOL * scale:
         raise AssertionError(

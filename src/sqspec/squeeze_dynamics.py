@@ -46,12 +46,12 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import _integrators as _eng
+from ._integrators import IntegratorStats
 from .background import CouplingCoefficients, couplings as _bg_couplings
 from .config import _R_MAX, COUPLING_POWERS, FORMS, SweepConfig, _geometric_nodes
 
 __all__ = [
     "SqueezeState",
-    "IntegratorStats",
     "Trajectory",
     "ModeResult",
     "StepSizeUnderflowError",
@@ -61,10 +61,6 @@ __all__ = [
     "evolve_grid",
     "wrap_angle",
 ]
-
-DEFAULT_INIT_R = 1e-6
-DEFAULT_INIT_PHI = math.pi / 4.0
-
 
 class _IntegrationError(RuntimeError):
     """An integration that stopped short; carries the partial trajectory."""
@@ -110,34 +106,6 @@ class SqueezeState:
     @property
     def phi_wrapped(self) -> float:
         return wrap_angle(self.phi)
-
-
-@dataclass(frozen=True)
-class IntegratorStats:
-    """Counters of one integration, kept on its Trajectory (a failed run's
-    too) and on its ModeResult.
-
-    method: "adaptive" or "fixed".
-    n_steps: accepted steps, slaved ones included; RK4 steps for "fixed".
-    n_rejected: rejected step attempts (0 for "fixed").
-    max_error_estimate: the largest scaled error of an accepted step, in
-        units of the tolerance, so at most 1 (0 for "fixed").
-    n_slaved_steps: accepted steps on the fast path, with the angle held on
-        its slow manifold.
-    capped: r exceeded 30 (_R_CAP) somewhere along the run; the run goes
-        on and its values stay finite.
-    status: "ok"; "step-underflow", the step size underflowed (integrate
-        raises StepSizeUnderflowError); or "max-steps", the step budget ran
-        out (integrate raises StepBudgetError).
-    """
-
-    method: str
-    n_steps: int
-    n_rejected: int = 0
-    max_error_estimate: float = 0.0
-    n_slaved_steps: int = 0
-    capped: bool = False
-    status: str = "ok"
 
 
 @dataclass(frozen=True)
@@ -228,8 +196,8 @@ def integrate(
     form: str = "conformal",
     *,
     coupling_power: str = "literal",
-    rtol: float = 1e-10,
-    atol: float = 1e-10,
+    rtol: float = SweepConfig.rtol,
+    atol: float = SweepConfig.atol,
     method: str = "adaptive",
     h_fixed: float | None = None,
     samples: int | Sequence[float] | None = None,
@@ -237,12 +205,13 @@ def integrate(
 ) -> Trajectory:
     """Integrate the selected flow from x_start down to x_end for one mode.
 
-    init is the (r, phi) seed at x_start (default: r = 1e-6, phi = pi/4);
-    the first sample is always init as passed.  method="adaptive" is the
-    embedded 5(4) pair with tolerance control and the stiff-window fast path,
-    whose entry and exit rules are fixed in _integrators.  It steps ln r
-    against -1/x, so rtol is relative in r at any size of r, and atol guards
-    the angle only (atol + rtol |phi|).  The fast path is entered at x_start
+    init is the (r, phi) seed at x_start; it, rtol and atol default to
+    SweepConfig's init_r, init_phi, rtol and atol (r = 1e-6, phi = pi/4,
+    1e-10 and 1e-10).  The first sample is always init as passed.
+    method="adaptive" is the embedded 5(4) pair with tolerance control and
+    the stiff-window fast path, whose entry and exit rules are fixed in
+    _integrators.  It steps ln r against -1/x, so rtol is relative in r at
+    any size of r, and atol guards the angle only (atol + rtol |phi|).  The fast path is entered at x_start
     or not at all, and once left it is not re-entered.  On it the angle is
     held on its slow manifold, the attracting branch to second order in the
     relaxation rate.  Where it is entered, the angle starts there: the
@@ -271,7 +240,7 @@ def integrate(
     trajectory attached.  r passing 30 only sets integrator_stats.capped.
     """
     if init is None:
-        init = (DEFAULT_INIT_R, DEFAULT_INIT_PHI)
+        init = (SweepConfig.init_r, SweepConfig.init_phi)
     r0, phi0 = float(init[0]), float(init[1])
     numbers = {
         "k": k, "x_start": x_start, "x_end": x_end, "rtol": rtol, "atol": atol,
@@ -303,26 +272,25 @@ def integrate(
     xs = _sample_grid(x_start, x_end, samples)
 
     if method == "adaptive":
-        out_x, out_r, out_phi, *counts = _eng._drive_adaptive(
+        out_x, out_r, out_phi, stats = _eng._drive_adaptive(
             xs, r0, phi0, k, coupling_power, form, rtol, atol, max_steps,
         )
-        stats = IntegratorStats("adaptive", *counts)
     else:
         if h_fixed is None:
             h_fixed = (x_start - x_end) / 1024.0
         if h_fixed <= 0:
             raise ValueError(f"h_fixed must be > 0, got {h_fixed}")
         n_sub = [max(1, math.ceil((a - b) / h_fixed)) for a, b in zip(xs, xs[1:])]
-        out_r, out_phi, ok, n_steps, capped, x_bad, r_bad = _eng._drive_rk4(
+        out_r, out_phi, stats, bad = _eng._drive_rk4(
             xs, n_sub, r0, phi0, k, coupling_power, form,
         )
-        if not ok:
+        if bad is not None:
+            x_bad, r_bad = bad
             raise ValueError(
                 f"h_fixed={h_fixed:.6g} is too coarse: the RK4 step from x={x_bad:.6g} "
                 f"(r={r_bad:.6g}) is not finite or leaves 0 <= r <= {_R_MAX:.4f}"
             )
         out_x = xs
-        stats = IntegratorStats(method="fixed", n_steps=n_steps, capped=capped)
 
     traj = Trajectory(
         x=tuple(out_x), r=tuple(out_r), phi=tuple(out_phi),

@@ -227,13 +227,13 @@ class TestVerify:
     def test_beta_magnitude_mutation_seen_by_wronskian(self, monkeypatch):
         # a 1% error in |beta| breaks |alpha|^2 - |beta|^2 = 1; the residual
         # of the stored pair must see it on its own (2.0e-2 measured)
-        alpha_beta = bogoliubov._alpha_beta
+        alpha_beta = bogoliubov.alpha_beta
 
         def scaled(state):
             alpha, beta = alpha_beta(state)
             return alpha, 1.01 * beta
 
-        monkeypatch.setattr(bogoliubov, "_alpha_beta", scaled)
+        monkeypatch.setattr(bogoliubov, "alpha_beta", scaled)
         code, lines = verify(SweepConfig())
         assert code == 3
         (line,) = [line for line in lines if line.startswith("FAIL wronskian-gamma")]
@@ -581,3 +581,7 @@ class TestLazyImports:
         assert config.bd_reference_power is sqspec.bd_reference_power
         assert not hasattr(spectrum, "bd_reference_power")
         assert squeeze_dynamics._geometric_nodes is config._geometric_nodes
+        # the stats record lives beside the drivers that build it
+        assert squeeze_dynamics.IntegratorStats is sqspec._integrators.IntegratorStats
+        assert "IntegratorStats" not in squeeze_dynamics.__all__
+        assert spectrum.alpha_beta is bogoliubov.alpha_beta

@@ -168,6 +168,20 @@ class TestSqueezeState:
             SqueezeState(r=0.1, phi=0.2, x=x)
 
 
+@pytest.fixture
+def driven(monkeypatch):
+    """What the engine's drivers return, in call order: adaptive runs give
+    (x, r, phi, stats) and RK4 runs (r, phi, stats, bad)."""
+    returns = []
+    for name in ("_drive_adaptive", "_drive_rk4"):
+        def spy(*args, drive=getattr(eng, name)):
+            returns.append(drive(*args))
+            return returns[-1]
+
+        monkeypatch.setattr(eng, name, spy)
+    return returns
+
+
 class TestIntegrate:
     def test_dual_integrator_agreement(self):
         ref = integrate(0.8, 5.0, 0.5, init=(0.05, PI4), samples=[5.0, 0.5])
@@ -275,7 +289,7 @@ class TestIntegrate:
         assert len(grid) == 6 and grid[0] == 1e10 and grid[-1] == 1e-320
         assert all(a > b for a, b in zip(grid, grid[1:]))
 
-    def test_cap_warning_and_flag(self):
+    def test_cap_warning_and_flag(self, driven):
         # r passing 30 is counted in the stats of either driver, and the
         # run warns about nothing
         with warnings.catch_warnings():
@@ -286,8 +300,15 @@ class TestIntegrate:
         assert adaptive.integrator_stats.capped and fixed.integrator_stats.capped
         assert max(adaptive.r) > 30.0 and max(fixed.r) > 30.0
         assert not below.integrator_stats.capped
+        # each driver builds the record that integrate hands on
+        (*_, a_stats), (_, _, f_stats, bad), (*_, b_stats) = driven
+        assert type(a_stats) is type(f_stats) is type(b_stats) is eng.IntegratorStats
+        assert a_stats == adaptive.integrator_stats and b_stats == below.integrator_stats
+        assert f_stats == fixed.integrator_stats and bad is None
+        assert f_stats.method == "fixed" and f_stats.n_steps == 2003
+        assert (a_stats.status, b_stats.status, f_stats.status) == ("ok",) * 3
 
-    def test_capped_run_that_fails_keeps_its_flag(self):
+    def test_capped_run_that_fails_keeps_its_flag(self, driven):
         # input 735 of tools/compare_integrate.py seed 0: r passes 30 and
         # then runs into the edge of the double range, so the run ends in a
         # typed failure whose partial trajectory is flagged
@@ -300,6 +321,8 @@ class TestIntegrate:
             )
         stats = excinfo.value.trajectory.integrator_stats
         assert stats.capped and stats.status == "step-underflow"
+        ((*_, returned),) = driven
+        assert type(returned) is eng.IntegratorStats and returned == stats
 
     def test_underflow_diagnostic_keeps_last_state(self):
         with pytest.raises(StepSizeUnderflowError) as excinfo:
@@ -308,7 +331,7 @@ class TestIntegrate:
         assert len(traj.x) >= 1
         assert traj.integrator_stats.status == "step-underflow"
 
-    def test_underflow_names_its_cause(self):
+    def test_underflow_names_its_cause(self, driven):
         # ln r meets r = 0 only at a seed there, which fails before any
         # attempt; a stiff window too short for the fast path underflows
         # with r untouched and is not blamed on r = 0
@@ -316,11 +339,12 @@ class TestIntegrate:
             integrate(0.5, 10.0, 1.0, init=(0.0, 0.3))
         stats = excinfo.value.trajectory.integrator_stats
         assert stats.n_steps + stats.n_rejected == 0
+        assert driven[0][3] == stats == eng.IntegratorStats("adaptive", 0, status="step-underflow")
         with pytest.raises(StepSizeUnderflowError, match="stiff window") as excinfo:
             integrate(1e-6, 10.0, 10.0 - 1e-12, init=(1e-9, PI4))
         assert "r = 0" not in str(excinfo.value)
 
-    def test_step_budget_keeps_partial_trajectory(self):
+    def test_step_budget_keeps_partial_trajectory(self, driven):
         with pytest.raises(StepBudgetError) as excinfo:
             integrate(0.5, 10.0, 1.0, max_steps=5)
         traj = excinfo.value.trajectory
@@ -328,6 +352,13 @@ class TestIntegrate:
         assert traj.x[0] == 10.0
         assert 1.0 < traj.x[-1] < 10.0
         assert all(map(math.isfinite, traj.r + traj.phi))
+        assert driven[-1][3] == traj.integrator_stats
+        # a budget that runs out after r passed 30 keeps the flag
+        with pytest.raises(StepBudgetError) as excinfo:
+            integrate(1.0, 100.0, 0.01, max_steps=220)
+        stats = excinfo.value.trajectory.integrator_stats
+        assert stats.capped and stats.status == "max-steps"
+        assert driven[-1][3] == stats and stats.n_steps + stats.n_rejected == 221
         # with no checkpoint inside the span, the seed and then the point
         # where the budget ran out (at k = 1e-4 the span takes 6 attempts)
         with pytest.raises(StepBudgetError) as excinfo:
@@ -405,10 +436,21 @@ class TestIntegrate:
             ),
         ],
     )
-    def test_coarse_fixed_step_is_named(self, args, kwargs):
+    def test_coarse_fixed_step_is_named(self, args, kwargs, driven):
         # the RK4 cross-validator stops where the adaptive guard would reject
-        with pytest.raises(ValueError, match=r"^h_fixed=.* from x=\S+ \(r=\S+\)"):
+        with pytest.raises(ValueError, match=r"^h_fixed=.* from x=\S+ \(r=\S+\)") as excinfo:
             integrate(*args, form="closed-reference", method="fixed", **kwargs)
+        # the driver counts the steps taken before the stop (the second
+        # input passed r = 30 on the way) and names where the bad one
+        # started, in both inputs the last checkpoint reached
+        ((out_r, _, stats, (x_bad, r_bad)),) = driven
+        n_steps, capped, x_stop = {
+            0.6737: (10, False, 5.7253495626078985),
+            977.2526736521054: (37, True, 1.9729824984529634),
+        }[args[0]]
+        assert stats == eng.IntegratorStats("fixed", n_steps, capped=capped)
+        assert (x_bad, r_bad) == (x_stop, out_r[-1])
+        assert f" from x={x_bad:.6g} (r={r_bad:.6g}) " in str(excinfo.value)
 
     def test_init_r_at_double_range_edge(self):
         # the largest valid seed evaluates without overflow; r grows from
