@@ -2,7 +2,8 @@
 
 Two engines, both explicit: an embedded Dormand-Prince 5(4) pair with
 proportional step control (the adaptive integrator), and a classical
-fixed-step fourth-order Runge-Kutta scheme used for cross-validation.
+fixed-step fourth-order Runge-Kutta scheme used for cross-validation, which
+integrate() runs when it is given a step h_fixed.
 
 Both follow the dimensionless variable x = -k eta, which decreases from deep
 sub-horizon (x >> 1) through horizon crossing (x = 1) to the super-horizon

@@ -22,6 +22,7 @@ assembled into a matrix (see LanczosChain.matrix).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -45,10 +46,10 @@ class CouplingCoefficients:
     coupling: float
 
     def __post_init__(self):
-        if self.mu2 < 0:
-            raise ValueError(f"mu2 must be >= 0, got {self.mu2}")
-        if self.coupling < 0:
-            raise ValueError(f"coupling must be >= 0, got {self.coupling}")
+        if not 0 <= self.mu2 < math.inf:
+            raise ValueError(f"mu2 must be >= 0 and finite, got mu2={self.mu2}")
+        if not 0 <= self.coupling < math.inf:
+            raise ValueError(f"coupling must be >= 0 and finite, got coupling={self.coupling}")
 
 
 @dataclass(frozen=True)
@@ -90,10 +91,10 @@ def couplings(eta: float, k: float) -> CouplingCoefficients:
     At horizon crossing (eta = -1/k) coupling * |eta| = 1 and coupling = mu2
     exactly.
     """
-    if eta >= 0:
-        raise ValueError(f"conformal time must be < 0 (inflation), got eta={eta}")
-    if k <= 0:
-        raise ValueError(f"wavenumber must be > 0, got k={k}")
+    if not -math.inf < eta < 0:
+        raise ValueError(f"conformal time must be < 0 (inflation) and finite, got eta={eta}")
+    if not 0 < k < math.inf:
+        raise ValueError(f"wavenumber must be > 0 and finite, got k={k}")
     return CouplingCoefficients(mu2=k, coupling=-1.0 / eta)
 
 
@@ -104,11 +105,11 @@ def lanczos_chain(n_max: int, eta: float, k: float) -> LanczosChain:
     maximally-growing chain; c_n magnitudes are affine in n with increment 2k.
     """
     if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if k <= 0:
-        raise ValueError(f"wavenumber must be > 0, got k={k}")
-    if eta >= 0:
-        raise ValueError(f"conformal time must be < 0 (inflation), got eta={eta}")
+        raise ValueError(f"n_max must be >= 0, got n_max={n_max}")
+    if not 0 < k < math.inf:
+        raise ValueError(f"wavenumber must be > 0 and finite, got k={k}")
+    if not -math.inf < eta < 0:
+        raise ValueError(f"conformal time must be < 0 (inflation) and finite, got eta={eta}")
     rate = -1.0 / eta
     n = [float(i) for i in range(n_max + 1)]
     return LanczosChain(

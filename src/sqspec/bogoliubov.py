@@ -52,10 +52,10 @@ class BogoliubovPair:
 
 def bd_mode(eta: float, k: float) -> complex:
     """Bunch-Davies mode e^{-i k eta}/sqrt(2k) * (1 - i/(k eta)) for eta < 0."""
-    if eta >= 0:
-        raise ValueError(f"conformal time must be < 0 (inflation), got eta={eta}")
-    if k <= 0:
-        raise ValueError(f"wavenumber must be > 0, got k={k}")
+    if not -math.inf < eta < 0:
+        raise ValueError(f"conformal time must be < 0 (inflation) and finite, got eta={eta}")
+    if not 0 < k < math.inf:
+        raise ValueError(f"wavenumber must be > 0 and finite, got k={k}")
     return cmath.exp(-1j * k * eta) / math.sqrt(2.0 * k) * (1.0 - 1j / (k * eta))
 
 

@@ -37,12 +37,6 @@ _OVERRIDE_FLAGS = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    for key, (flag, options) in _OVERRIDE_FLAGS.items():
-        parser.add_argument(flag, dest=key, **options)
-
-
 def _resolve(args: argparse.Namespace):
     config = load_config(args.config)
     overrides = {
@@ -63,17 +57,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sweep = sub.add_parser("sweep", help="run the k-grid sweep and write outputs")
-    _add_common(p_sweep)
+    p_verify = sub.add_parser("verify", help="run the built-in oracle suite")
+    p_show = sub.add_parser("show-config", help="print the resolved configuration")
+    for p in (p_sweep, p_verify, p_show):
+        p.add_argument("--config", metavar="PATH", help="flat key = value config file")
+    # verify reads only rtol and atol, so it takes no per-run overrides
+    for p in (p_sweep, p_show):
+        for key, (flag, options) in _OVERRIDE_FLAGS.items():
+            p.add_argument(flag, dest=key, **options)
     p_sweep.add_argument(
         "--out", metavar="DIR", default="sqspec-out", help="output directory"
     )
-
-    p_verify = sub.add_parser("verify", help="run the built-in oracle suite")
-    _add_common(p_verify)
-
-    p_show = sub.add_parser("show-config", help="print the resolved configuration")
-    _add_common(p_show)
-
     return parser
 
 
@@ -81,11 +75,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _resolve(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         if args.command == "show-config":
             print(serialize(config), end="")
             return 0

@@ -41,11 +41,15 @@ class ConfigError(ValueError):
 
 def bd_reference_power(k: float, a_s: float, n_s: float, k_pivot: float) -> float:
     """Anchored BD power law a_s (k/k_pivot)^(n_s - 1); k in pivot units (Mpc^-1)."""
-    if k <= 0:
-        raise ValueError(f"wavenumber must be > 0, got k={k}")
+    if not 0 < k < math.inf:
+        raise ValueError(f"wavenumber must be > 0 and finite, got k={k}")
     # a negative pivot would give a complex power
-    if not (a_s > 0 and k_pivot > 0):
-        raise ValueError(f"a_s and k_pivot must be > 0, got a_s={a_s}, k_pivot={k_pivot}")
+    if not (0 < a_s < math.inf and 0 < k_pivot < math.inf):
+        raise ValueError(
+            f"a_s and k_pivot must be > 0 and finite, got a_s={a_s}, k_pivot={k_pivot}"
+        )
+    if not math.isfinite(n_s):
+        raise ValueError(f"n_s must be finite, got n_s={n_s}")
     return a_s * (k / k_pivot) ** (n_s - 1.0)
 
 

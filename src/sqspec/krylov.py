@@ -76,9 +76,9 @@ def meixner_poly(n: int, x: complex, chain: LanczosChain) -> complex:
     P_0 = 1, P_1 = x - c~_0, P_{j+1} = (x - c~_j) P_j - b_j^2 P_{j-1}.
     """
     if n < 0:
-        raise ValueError(f"polynomial degree must be >= 0, got {n}")
+        raise ValueError(f"polynomial degree must be >= 0, got n={n}")
     if n > 0 and len(chain) < n:
-        raise ValueError(f"chain supplies {len(chain)} coefficients, need {n}")
+        raise ValueError(f"chain supplies {len(chain)} coefficients, need n={n}")
     p_prev = 1.0 + 0.0j
     if n == 0:
         return p_prev
@@ -98,7 +98,7 @@ def characteristic_poly_residual(n: int, x: complex, chain: LanczosChain) -> flo
     entry off the band moves it while P_n cannot see it.
     """
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise ValueError(f"need n >= 1, got n={n}")
     a = [
         [(x if i == j else 0.0) - entry for j, entry in enumerate(row)]
         for i, row in enumerate(chain.matrix(n))
@@ -136,8 +136,10 @@ def otmss_amplitudes(
     AmplitudeDivergenceError when the geometric ratio reaches 1 (the series
     no longer converges).
     """
-    if r < 0:
-        raise ValueError(f"squeeze amplitude must be >= 0, got r={r}")
+    if not 0 <= r < math.inf:
+        raise ValueError(f"squeeze amplitude must be >= 0 and finite, got r={r}")
+    if not math.isfinite(2.0 * phi):  # the series reads the angle as 2 phi
+        raise ValueError(f"squeeze angle must lie within +-DBL_MAX/2, got phi={phi}")
     root = couplings.coupling  # sqrt|1 - mu1^2|
     t = math.tanh(r)
     e = math.exp(-r)
@@ -169,7 +171,7 @@ def otmss_amplitudes(
                 f"{_MAX_AUTO_TERMS}; pass n_max"
             )
     if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+        raise ValueError(f"n_max must be >= 0, got n_max={n_max}")
 
     # cumulative powers of the ratio keep consecutive ratios exact to one rounding
     coeffs = [complex(prefactor)]

@@ -265,7 +265,7 @@ def _check_dual_integrator(rtol: float, atol: float) -> tuple[bool, str]:
             rtol=min(rtol, 1e-10), atol=min(atol, 1e-10),
         )
         ref = integrate(k, 5.0, 0.5, **kwargs)
-        fix = integrate(k, 5.0, 0.5, method="fixed", h_fixed=2e-3,
+        fix = integrate(k, 5.0, 0.5, h_fixed=2e-3,
                         init=(0.05, math.pi / 4), samples=[5.0, 1.0, 0.5])
         worst = max(worst, abs(ref.r[-1] - fix.r[-1]), abs(ref.phi[-1] - fix.phi[-1]))
     return worst < bound, f"max endpoint difference {worst:.3e} (bound {bound:.1e})"

@@ -162,6 +162,8 @@ def rhs(
     eta = -x/k.  An angle whose 2 phi overflows gives NaN."""
     _check_flow(form, coupling_power)
     if couplings is None:
+        if not 0 < k < math.inf:
+            raise ValueError(f"wavenumber must be > 0 and finite, got k={k}")
         couplings = _bg_couplings(-state.x / k, k)
     return _eng._flow(state.r, state.phi, couplings.coupling, couplings.mu2, coupling_power, form)
 
@@ -198,7 +200,6 @@ def integrate(
     coupling_power: str = "literal",
     rtol: float = SweepConfig.rtol,
     atol: float = SweepConfig.atol,
-    method: str = "adaptive",
     h_fixed: float | None = None,
     samples: int | Sequence[float] | None = None,
     max_steps: int = 2_000_000,
@@ -208,7 +209,7 @@ def integrate(
     init is the (r, phi) seed at x_start; it, rtol and atol default to
     SweepConfig's init_r, init_phi, rtol and atol (r = 1e-6, phi = pi/4,
     1e-10 and 1e-10).  The first sample is always init as passed.
-    method="adaptive" is the embedded 5(4) pair with tolerance control and
+    h_fixed=None runs the embedded 5(4) pair with tolerance control and
     the stiff-window fast path, whose entry and exit rules are fixed in
     _integrators.  It steps ln r against -1/x, so rtol is relative in r at
     any size of r, and atol guards the angle only (atol + rtol |phi|).  The fast path is entered at x_start
@@ -218,9 +219,11 @@ def integrate(
     initial relaxation layer from init phi is taken in closed form, with its
     first-order effect on ln r, and init phi only picks the copy of the
     branch (mod pi) nearest to it.  A window shorter than 8000 relaxation
-    lengths is stepped through with the full system.  method="fixed" is the
+    lengths is stepped through with the full system.  A given h_fixed runs the
     classical RK4 cross-validator in (r, phi) against x, with step h_fixed
-    subdivided exactly into each checkpoint segment.  mu2 = k is constant
+    subdivided exactly into each checkpoint segment; rtol, atol and
+    max_steps act on the adaptive pair only, so the RK4 run takes every step
+    it needs.  mu2 = k is constant
     along the trajectory, so mu2' = 0.  The coupling always follows the
     background (a sweep's zero_coupling debug run is answered by evolve_grid
     without integrating), and r is never clamped: an adaptive step that would
@@ -234,8 +237,8 @@ def integrate(
     the argument for any non-finite number, for an x_start whose x_start^2/k
     overflows, for an init r outside [0, ~354.9], where the seed itself
     would overflow, for an init phi past +-DBL_MAX/2, whose 2 phi overflows,
-    and for a fixed step that is not finite or leaves that
-    range of r (naming h_fixed, x and r);
+    for an h_fixed <= 0, and for a fixed step that is not finite or leaves
+    that range of r (naming h_fixed, x and r);
     raises StepSizeUnderflowError / StepBudgetError with the partial
     trajectory attached.  r passing 30 only sets integrator_stats.capped.
     """
@@ -256,8 +259,8 @@ def integrate(
     if rtol <= 0 or atol <= 0:
         raise ValueError("tolerances must be positive")
     _check_flow(form, coupling_power)
-    if method not in ("adaptive", "fixed"):
-        raise ValueError(f"unknown method {method!r}")
+    if h_fixed is not None and h_fixed <= 0:
+        raise ValueError(f"h_fixed must be > 0, got {h_fixed}")
     if k <= 0:
         raise ValueError(f"wavenumber must be > 0, got k={k}")
     k, x_start, x_end = float(k), float(x_start), float(x_end)
@@ -271,15 +274,11 @@ def integrate(
 
     xs = _sample_grid(x_start, x_end, samples)
 
-    if method == "adaptive":
+    if h_fixed is None:
         out_x, out_r, out_phi, stats = _eng._drive_adaptive(
             xs, r0, phi0, k, coupling_power, form, rtol, atol, max_steps,
         )
     else:
-        if h_fixed is None:
-            h_fixed = (x_start - x_end) / 1024.0
-        if h_fixed <= 0:
-            raise ValueError(f"h_fixed must be > 0, got {h_fixed}")
         n_sub = [max(1, math.ceil((a - b) / h_fixed)) for a, b in zip(xs, xs[1:])]
         out_r, out_phi, stats, bad = _eng._drive_rk4(
             xs, n_sub, r0, phi0, k, coupling_power, form,
@@ -339,8 +338,8 @@ def evolve_grid(
     entries produce bit-identical results (pure function).
     """
     ks = list(k_grid)
-    if any(k <= 0 for k in ks):
-        raise ValueError("k grid must be positive")
+    if not all(0 < k < math.inf for k in ks):
+        raise ValueError("k grid must be positive and finite")
     if any(b < a for a, b in zip(ks, ks[1:])):
         raise ValueError("k grid must be ascending")
 

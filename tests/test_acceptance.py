@@ -151,7 +151,7 @@ def test_criterion_06_integrator_cross_validation():
     for k in np.geomspace(0.05, 2.0, 20):
         kwargs = dict(init=(0.05, math.pi / 4), samples=[5.0, 0.5])
         ref = integrate(float(k), 5.0, 0.5, **kwargs)
-        fix = integrate(float(k), 5.0, 0.5, method="fixed", h_fixed=1e-3, **kwargs)
+        fix = integrate(float(k), 5.0, 0.5, h_fixed=1e-3, **kwargs)
         worst = max(worst, abs(ref.r[-1] - fix.r[-1]), abs(ref.phi[-1] - fix.phi[-1]))
     agreement_ok = worst <= 1e-6
 
@@ -162,8 +162,7 @@ def test_criterion_06_integrator_cross_validation():
     errs = []
     for h in (0.02, 0.01, 0.005, 0.0025):
         end = integrate(
-            0.8, 5.0, 0.5, init=(0.05, math.pi / 4), samples=[5.0, 0.5],
-            method="fixed", h_fixed=h,
+            0.8, 5.0, 0.5, init=(0.05, math.pi / 4), samples=[5.0, 0.5], h_fixed=h,
         ).state_at(0.5)
         errs.append(max(abs(end.r - ref.r), abs(end.phi - ref.phi)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))

@@ -1,7 +1,12 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
-from sqspec.background import couplings, lanczos_chain
+from sqspec.background import CouplingCoefficients, couplings, lanczos_chain
+
+NAN, INF = math.nan, math.inf
 
 
 class TestZRate:
@@ -43,6 +48,29 @@ class TestCouplings:
             couplings(0.5, 1.0)
         with pytest.raises(ValueError):
             couplings(-1.0, -2.0)
+
+
+@pytest.mark.parametrize(
+    "call,named",
+    [
+        (lambda: CouplingCoefficients(NAN, 0.1), "mu2=nan"),
+        (lambda: CouplingCoefficients(INF, 0.1), "mu2=inf"),
+        (lambda: CouplingCoefficients(-1.0, 0.1), "mu2=-1.0"),
+        (lambda: CouplingCoefficients(0.1, NAN), "coupling=nan"),
+        (lambda: CouplingCoefficients(0.1, -1.0), "coupling=-1.0"),
+        (lambda: couplings(NAN, 1.0), "eta=nan"),
+        (lambda: couplings(-INF, 1.0), "eta=-inf"),
+        (lambda: couplings(-1.0, NAN), "k=nan"),
+        (lambda: couplings(-1.0, INF), "k=inf"),
+        (lambda: lanczos_chain(3, -1.0, NAN), "k=nan"),
+        (lambda: lanczos_chain(3, -1.0, 0.0), "k=0.0"),
+        (lambda: lanczos_chain(3, NAN, 1.0), "eta=nan"),
+    ],
+)
+def test_bad_argument_named(call, named):
+    # NaN and +-inf fail the sign checks as a ValueError that names the argument
+    with pytest.raises(ValueError, match=re.escape(named) + "$"):
+        call()
 
 
 class TestLanczosChain:

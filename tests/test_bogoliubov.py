@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +44,22 @@ class TestBdMode:
     def test_rejects_nonnegative_eta(self):
         with pytest.raises(ValueError):
             bd_mode(0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "eta,k,named",
+        [
+            (math.nan, 1.0, "eta=nan"),
+            (-math.inf, 1.0, "eta=-inf"),
+            (0.0, 1.0, "eta=0.0"),
+            (-1.0, math.nan, "k=nan"),
+            (-1.0, math.inf, "k=inf"),
+            (-1.0, 0.0, "k=0.0"),
+        ],
+    )
+    def test_bad_argument_named(self, eta, k, named):
+        # NaN and +-inf fail the sign checks instead of returning NaN
+        with pytest.raises(ValueError, match=re.escape(named) + "$"):
+            bd_mode(eta, k)
 
     def test_mode_sample_asymptotic_invariant(self):
         # deep sub-horizon the BD mode carries |v_BD|^2 -> 1/(2k)

@@ -1,9 +1,12 @@
 import math
+import re
 from dataclasses import fields
 
 import pytest
 
-from sqspec.config import ConfigError, SweepConfig, load_config, parse_config, serialize
+from sqspec.config import (
+    ConfigError, SweepConfig, bd_reference_power, load_config, parse_config, serialize,
+)
 
 FLOAT_FIELDS = [f.name for f in fields(SweepConfig) if f.type == "float"]
 
@@ -47,9 +50,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("k_max = 1\nk_max = 2\n")
 
-    def test_type_errors_name_key_and_line(self):
-        with pytest.raises(ConfigError, match="line 1.*k_points"):
-            parse_config("k_points = many\n")
+    @pytest.mark.parametrize(
+        "text,expects",
+        [
+            ("k_points = many", "an integer"),
+            ("zero_coupling = maybe", "a boolean"),
+            ("k_max = big", "a number"),
+        ],
+    )
+    def test_type_errors_name_key_and_line(self, text, expects):
+        key = text.split()[0]
+        with pytest.raises(ConfigError, match=f"^line 1: key '{key}' expects {expects}, got "):
+            parse_config(f"{text}\n")
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="key = value"):
@@ -112,6 +124,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match="eval_point"):
             SweepConfig(eval_point="midway")
 
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            (dict(k_min=-1.0), "^k_min must be > 0, got -1.0"),
+            (dict(a_s=0.0), "^a_s must be > 0, got 0.0"),
+            (dict(k_pivot=-0.05), "^k_pivot must be > 0, got -0.05"),
+            (dict(unit_scale=0.0), "^unit_scale must be > 0, got 0.0"),
+            # (1e-4/0.05)^-1001 overflows a double
+            (dict(n_s=-1000.0), "BD power .* at k = 0.0001 it is inf$"),
+            # 1e-300/1e30 underflows to 0, and 0.0 ** (n_s - 1) divides by zero
+            (dict(k_min=1e-300, k_pivot=1e30), "BD power .* at k = 1e-300 it is inf$"),
+        ],
+    )
+    def test_constraint_named(self, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            SweepConfig(**kwargs)
+
     def test_positive_tolerances(self):
         with pytest.raises(ConfigError, match="tolerances"):
             SweepConfig(atol=-1e-10)
@@ -121,6 +150,24 @@ class TestValidation:
     def test_non_finite_float_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
             parse_config(f"{key} = {value}\n")
+
+
+@pytest.mark.parametrize(
+    "args,named",
+    [
+        ((math.nan, 1.0, 1.0, 1.0), "k=nan"),
+        ((math.inf, 1.0, 1.0, 1.0), "k=inf"),
+        ((0.0, 1.0, 1.0, 1.0), "k=0.0"),
+        ((1.0, math.nan, 1.0, 1.0), "a_s=nan, k_pivot=1.0"),
+        ((1.0, 1.0, 1.0, math.inf), "a_s=1.0, k_pivot=inf"),
+        ((1.0, 1.0, math.nan, 1.0), "n_s=nan"),
+    ],
+)
+def test_bd_reference_power_names_bad_argument(args, named):
+    # NaN and +-inf are a ValueError that names the argument (a NaN k would
+    # give nan ** 0 = 1.0)
+    with pytest.raises(ValueError, match=re.escape(named) + "$"):
+        bd_reference_power(*args)
 
 
 class TestSerialize:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import time
 
 import numpy as np
@@ -13,6 +14,34 @@ from sqspec.krylov import (
     otmss_amplitudes,
     tmss_amplitudes,
 )
+
+
+NAN, INF = math.nan, math.inf
+CC = CouplingCoefficients(mu2=0.1, coupling=1.0)
+
+
+@pytest.mark.parametrize(
+    "call,named",
+    [
+        (lambda: otmss_amplitudes(NAN, 0.3, CC), "r=nan"),
+        (lambda: otmss_amplitudes(INF, 0.3, CC), "r=inf"),
+        (lambda: otmss_amplitudes(-1.0, 0.3, CC), "r=-1.0"),
+        (lambda: otmss_amplitudes(0.5, NAN, CC), "phi=nan"),
+        (lambda: otmss_amplitudes(0.5, 1e308, CC), "phi=1e+308"),
+        (lambda: otmss_amplitudes(0.5, 0.3, CouplingCoefficients(NAN, 1.0)), "mu2=nan"),
+        (lambda: otmss_amplitudes(0.5, 0.3, CouplingCoefficients(0.1, NAN)), "coupling=nan"),
+        (lambda: otmss_amplitudes(0.5, 0.3, CC, n_max=-1), "n_max=-1"),
+        (lambda: tmss_amplitudes(NAN, 0.0), "r=nan"),
+        (lambda: meixner_poly(-1, 1.0, de_sitter_chain()), "n=-1"),
+        (lambda: meixner_poly(5, 1.0, de_sitter_chain(2)), "need n=5"),
+        (lambda: characteristic_poly_residual(0, 1.0, de_sitter_chain()), "n=0"),
+    ],
+)
+def test_bad_argument_named(call, named):
+    # NaN and +-inf fail the checks as a ValueError that names the argument,
+    # not as an error from the automatic truncation
+    with pytest.raises(ValueError, match=re.escape(named) + "$"):
+        call()
 
 
 def de_sitter_chain(n_max=12, eta=-1.0, k=1.0):
@@ -84,6 +113,13 @@ class TestMeixnerPoly:
         chain = de_sitter_chain()
         for x in (0.2, -1.0 + 2.0j):
             assert characteristic_poly_residual(1, x, chain) == 0.0
+
+    def test_zero_column_determinant(self):
+        # x = c~_0 with b_1 = 0 zeroes the first column of x I - L: the
+        # elimination stops at the zero pivot with determinant 0
+        chain = LanczosChain(b=(0.0, 0.0), c_mag=(1.0, 2.0))
+        assert meixner_poly(2, 1.0, chain) == 0.0
+        assert characteristic_poly_residual(2, 1.0, chain) == 0.0
 
     def test_determinant_reads_entries_off_the_band(self, monkeypatch):
         # the recurrence runs on the band alone; the determinant side must

@@ -478,6 +478,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
 
+    def test_verify_takes_only_config(self, tmp_path, capsys):
+        # verify reads rtol and atol alone, so it takes none of the
+        # per-run overrides; an override flag is a usage error
+        for flag in ("--k-points", "--eval", "--form", "--coupling-power"):
+            with pytest.raises(SystemExit) as excinfo:
+                cli_main(["verify", flag, "5"])
+            assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k_points = 2\nrtol = 1e-9\n")
+        assert cli_main(["verify", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.count("PASS") == 4
+
+    def test_exception_in_a_command_is_a_runtime_failure(self, monkeypatch, capsys):
+        def broken(config):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr(pipeline, "run_sweep", broken)
+        assert cli_main(["sweep", "--k-points", "3"]) == 2
+        assert capsys.readouterr().err == "runtime failure: disk on fire\n"
+
 
 _NO_NUMPY_RUN = """\
 import sys
@@ -569,6 +590,9 @@ class TestLazyImports:
             if name != "__version__":
                 home = importlib.import_module(f"sqspec.{sqspec._HOME[name]}")
                 assert name in home.__all__, (name, home.__name__)
+
+    def test_dir_lists_every_export(self):
+        assert set(sqspec.__all__) <= set(dir(sqspec))
 
     def test_unknown_name_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):

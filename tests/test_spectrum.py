@@ -49,6 +49,14 @@ class TestGammaRatio:
             g = gamma_ratio(state(r, rng.uniform(-math.pi, math.pi)))
             assert math.exp(-2 * r) - 1e-12 <= g <= math.exp(2 * r) + 1e-12
 
+    def test_broken_identity_raises(self, monkeypatch):
+        # a pair that disagrees with the closed form is a convention bug
+        import sqspec.spectrum as spectrum
+
+        monkeypatch.setattr(spectrum, "alpha_beta", lambda s: (1.0 + 0j, 1.0 + 0j))
+        with pytest.raises(AssertionError, match="spectrum-ratio identity broken"):
+            gamma_ratio(state(0.5, 0.3))
+
     def test_bounds_attained_at_phase_extremes(self):
         r = 0.8
         assert gamma_ratio(state(r, 0.0)) == pytest.approx(math.exp(2 * r), rel=1e-13)

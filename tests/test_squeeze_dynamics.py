@@ -105,11 +105,14 @@ class TestRhsPointwise:
             np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_closed_reference_is_analytic_limit(self):
+        # at r = 0 the conformal form's r rate is 0/0, and its limit is the
+        # closed form's; the angle rate is unbounded in both
         cc0 = CouplingCoefficients(mu2=0.0, coupling=0.7)
-        state = SqueezeState(r=0.9, phi=1.1, x=4.0)
-        closed = rhs(state, 1.0, couplings=cc0, form="closed-reference")
-        conformal = rhs(state, 1.0, couplings=cc0)
-        np.testing.assert_allclose(closed, conformal, rtol=1e-14)
+        for r in (0.9, 0.0):
+            state = SqueezeState(r=r, phi=1.1, x=4.0)
+            closed = rhs(state, 1.0, couplings=cc0, form="closed-reference")
+            conformal = rhs(state, 1.0, couplings=cc0)
+            np.testing.assert_allclose(closed, conformal, rtol=1e-14)
 
     def test_coupling_power_modes_differ(self):
         state = SqueezeState(r=0.5, phi=0.3, x=10.0)
@@ -154,6 +157,32 @@ class TestRhsPointwise:
             rhs(state, 1.0, coupling_power="nope")
 
 
+_STATE = SqueezeState(r=0.5, phi=0.3, x=2.0)
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        # rhs checks k where it forms the default couplings
+        (lambda: rhs(_STATE, 0.0), "k=0.0$"),
+        (lambda: rhs(_STATE, -1.0), "k=-1.0$"),
+        (lambda: rhs(_STATE, math.nan), "k=nan$"),
+        (lambda: rhs(_STATE, math.inf), "k=inf$"),
+        (lambda: integrate(-1.0, 5.0, 0.5), "k=-1.0$"),
+        (lambda: integrate(1.0, 5.0, 0.5, h_fixed=0.0), "^h_fixed must be > 0, got 0.0$"),
+        (lambda: integrate(1.0, 5.0, 0.5, h_fixed=-1e-3), "^h_fixed must be > 0, got -0.001$"),
+        (lambda: integrate(1.0, 5.0, 0.5, samples=[6.0]), "^sample points must lie within"),
+        (lambda: evolve_grid([0.0, 1.0], SweepConfig()), "^k grid must be positive"),
+        (lambda: evolve_grid([math.nan, 1.0], SweepConfig()), "^k grid must be positive"),
+    ],
+)
+def test_bad_argument_named(call, match):
+    # a bad number is a ValueError that names it, not a ZeroDivisionError,
+    # a NaN or a complaint about a derived eta
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestSqueezeState:
     @pytest.mark.parametrize(
         "r,phi", [(math.nan, 0.3), (math.inf, 0.3), (0.3, math.nan), (0.3, math.inf)]
@@ -186,8 +215,7 @@ class TestIntegrate:
     def test_dual_integrator_agreement(self):
         ref = integrate(0.8, 5.0, 0.5, init=(0.05, PI4), samples=[5.0, 0.5])
         fix = integrate(
-            0.8, 5.0, 0.5, init=(0.05, PI4), samples=[5.0, 0.5],
-            method="fixed", h_fixed=1e-3,
+            0.8, 5.0, 0.5, init=(0.05, PI4), samples=[5.0, 0.5], h_fixed=1e-3,
         )
         assert abs(ref.r[-1] - fix.r[-1]) < 1e-8
         assert abs(ref.phi[-1] - fix.phi[-1]) < 1e-8
@@ -200,8 +228,7 @@ class TestIntegrate:
         errs = []
         for h in (0.02, 0.01, 0.005, 0.0025):
             end = integrate(
-                0.8, 5.0, 0.5, init=(0.05, PI4), samples=[5.0, 0.5],
-                method="fixed", h_fixed=h,
+                0.8, 5.0, 0.5, init=(0.05, PI4), samples=[5.0, 0.5], h_fixed=h,
             ).state_at(0.5)
             errs.append(max(abs(end.r - ref.r), abs(end.phi - ref.phi)))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -289,13 +316,13 @@ class TestIntegrate:
         assert len(grid) == 6 and grid[0] == 1e10 and grid[-1] == 1e-320
         assert all(a > b for a, b in zip(grid, grid[1:]))
 
-    def test_cap_warning_and_flag(self, driven):
+    def test_cap_flag_of_either_driver(self, driven):
         # r passing 30 is counted in the stats of either driver, and the
         # run warns about nothing
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             adaptive = integrate(1.0, 100.0, 0.01)
-            fixed = integrate(1.0, 2.0, 0.01, init=(1.0, PI4), method="fixed", h_fixed=1e-3)
+            fixed = integrate(1.0, 2.0, 0.01, init=(1.0, PI4), h_fixed=1e-3)
             below = integrate(1.0, 100.0, 1.0)
         assert adaptive.integrator_stats.capped and fixed.integrator_stats.capped
         assert max(adaptive.r) > 30.0 and max(fixed.r) > 30.0
@@ -385,13 +412,13 @@ class TestIntegrate:
             with pytest.raises(ValueError, match="^init r must lie in"):
                 integrate(1.0, 5.0, 0.5, init=(r0, PI4))
 
-    @pytest.mark.parametrize("method", ["adaptive", "fixed"])
-    def test_seed_angle_past_half_double_range(self, method):
+    @pytest.mark.parametrize("h_fixed", [None, 1e-3])
+    def test_seed_angle_past_half_double_range(self, h_fixed):
         # its 2 phi overflows, so the seed is refused before the first stage
         half = 0.5 * sys.float_info.max
         for phi0 in (1e308, -1e308, math.nextafter(half, math.inf)):
             with pytest.raises(ValueError, match="^init phi must lie within"):
-                integrate(1.0, 5.0, 0.5, init=(0.05, phi0), method=method)
+                integrate(1.0, 5.0, 0.5, init=(0.05, phi0), h_fixed=h_fixed)
 
     def test_stage_scale_past_double_range(self):
         # each stage is scaled by x^2/k, which overflows at k = 1 between
@@ -411,8 +438,6 @@ class TestIntegrate:
     )
     def test_non_finite_argument_named(self, name, bad):
         kwargs = dict(k=0.5, x_start=10.0, x_end=1.0)
-        if name == "h_fixed":
-            kwargs["method"] = "fixed"
         if name == "init r":
             kwargs["init"] = (bad, PI4)
         elif name == "init phi":
@@ -428,25 +453,34 @@ class TestIntegrate:
         "args,kwargs",
         [
             # r steps below 0 ...
-            ((0.6737, 12.18, 0.0113), dict(init=(1.22e-4, 5.619), h_fixed=0.7608)),
-            # ... or overflows
+            (
+                (0.6737, 12.18, 0.0113),
+                dict(init=(1.22e-4, 5.619), h_fixed=0.7608, form="closed-reference"),
+            ),
+            # ... or overflows ...
             (
                 (977.2526736521054, 27.323547704854725, 0.03828269033793334),
-                dict(init=(0.9053720399273701, -5.615357814050393), h_fixed=0.8526645317036498),
+                dict(
+                    init=(0.9053720399273701, -5.615357814050393),
+                    h_fixed=0.8526645317036498, form="closed-reference",
+                ),
             ),
+            # ... or a stage overflows sinh 2r (r = 355.6 at x = 0.0155)
+            ((1.0, 0.02, 0.002), dict(init=(350.0, math.pi / 2), h_fixed=0.01, samples=[0.02])),
         ],
     )
     def test_coarse_fixed_step_is_named(self, args, kwargs, driven):
         # the RK4 cross-validator stops where the adaptive guard would reject
         with pytest.raises(ValueError, match=r"^h_fixed=.* from x=\S+ \(r=\S+\)") as excinfo:
-            integrate(*args, form="closed-reference", method="fixed", **kwargs)
+            integrate(*args, **kwargs)
         # the driver counts the steps taken before the stop (the second
         # input passed r = 30 on the way) and names where the bad one
-        # started, in both inputs the last checkpoint reached
+        # started, in each input the last checkpoint reached
         ((out_r, _, stats, (x_bad, r_bad)),) = driven
         n_steps, capped, x_stop = {
             0.6737: (10, False, 5.7253495626078985),
             977.2526736521054: (37, True, 1.9729824984529634),
+            1.0: (0, False, 0.02),
         }[args[0]]
         assert stats == eng.IntegratorStats("fixed", n_steps, capped=capped)
         assert (x_bad, r_bad) == (x_stop, out_r[-1])
@@ -852,6 +886,7 @@ class TestWrapAngle:
     def test_identity_inside(self):
         assert wrap_angle(1.2) == 1.2
         assert wrap_angle(math.pi) == math.pi
+        assert wrap_angle(-math.pi) == math.pi
 
     def test_winding_removed(self):
         assert wrap_angle(1.0 + 6 * math.pi) == pytest.approx(1.0, abs=1e-12)

@@ -13,14 +13,16 @@ same seeded random valid inputs in its own interpreter:
     log-uniform); init r = 0 (10%) or log-uniform in [1e-9, 5], init phi
     uniform in [-10, 10]; form conformal (2 in 3) or closed-reference;
     either coupling power; rtol and atol log-uniform in [1e-12, 1e-4];
-    max_steps 20,000; 10% method="fixed" with h_fixed = span/16 to span/256;
-    40% with 1 to 4 explicit sample points.
+    max_steps 20,000; 10% with a fixed step h_fixed = span/16 to span/256,
+    which runs the RK4 reference (a tree whose integrate() still takes a
+    method argument is passed method="fixed" with it); 40% with 1 to 4
+    explicit sample points.
 
 A result is the outcome (status, or the exception type and message; any
 exception other than a typed integrator failure, ValueError or OverflowError
 is an "untyped" outcome), the samples (x, r, phi) of the trajectory (the
-partial one for a typed integrator failure), the integrator stats and the
-warning types.  The script prints how many results are identical and how
+partial one for a typed integrator failure) and the integrator stats.  The
+script prints how many results are identical and how
 many differ, a table of outcome pairs, and the cause of each difference: a
 fixed-step input, an input where either tree evaluated a slaved stage off
 the angle's branch (one whose first derivative is NaN), or other.  The spy
@@ -46,20 +48,20 @@ from __future__ import annotations
 
 import argparse
 import collections
+import inspect
 import json
 import math
 import os
 import random
 import subprocess
 import sys
-import warnings
 
 # drawn from the historical three forms, so that a seed keeps naming the same
 # inputs; "transformed", the conformal form's printed twin, runs as "conformal"
 FORMS = ("conformal", "transformed", "closed-reference")
 POWERS = ("literal", "hamiltonian-consistent")
 # the reference run: tight tolerances and integrate()'s default step budget
-TIGHT = dict(rtol=1e-13, atol=1e-16, method="adaptive", max_steps=2_000_000)
+TIGHT = dict(rtol=1e-13, atol=1e-16, h_fixed=None, max_steps=2_000_000)
 
 
 def draw_inputs(n, seed):
@@ -85,7 +87,6 @@ def draw_inputs(n, seed):
             max_steps=20_000,
         )
         if rng.random() < 0.1:
-            kwargs["method"] = "fixed"
             kwargs["h_fixed"] = (x_start - x_end) / log_uniform(16.0, 256.0)
         if rng.random() < 0.4:
             kwargs["samples"] = [
@@ -114,29 +115,30 @@ def run_worker():
         return derivs
 
     eng._slaved_stage = spy
+    # a tree from before h_fixed picked the driver also needs method="fixed"
+    takes_method = "method" in inspect.signature(integrate).parameters
     results = []
     for kwargs in json.load(sys.stdin):
+        if takes_method and kwargs.get("h_fixed") is not None:
+            kwargs["method"] = "fixed"
         off_branch[0] = 0
         probe[0] = True
         traj = None
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                traj = integrate(**kwargs)
-                outcome = "ok"
-            except (StepSizeUnderflowError, StepBudgetError) as exc:
-                traj = exc.trajectory
-                outcome = f"{type(exc).__name__}: {exc}"
-            except (ValueError, OverflowError) as exc:
-                outcome = f"{type(exc).__name__}: {exc}"
-            except Exception as exc:  # a program error: recorded, not fatal
-                outcome = f"untyped {type(exc).__name__}: {exc}"
+        try:
+            traj = integrate(**kwargs)
+            outcome = "ok"
+        except (StepSizeUnderflowError, StepBudgetError) as exc:
+            traj = exc.trajectory
+            outcome = f"{type(exc).__name__}: {exc}"
+        except (ValueError, OverflowError) as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        except Exception as exc:  # a program error: recorded, not fatal
+            outcome = f"untyped {type(exc).__name__}: {exc}"
         results.append(
             dict(
                 outcome=outcome,
                 samples=[list(map(float, s)) for s in zip(traj.x, traj.r, traj.phi)] if traj else [],
                 stats=vars(traj.integrator_stats) if traj else {},
-                warnings=[w.category.__name__ for w in caught],
                 off_branch=off_branch[0],
             )
         )
@@ -185,7 +187,7 @@ def survey(src, inputs):
     runs = run_tree(src, list(inputs.values()))
     scored = [
         (i, kwargs, res) for (i, kwargs), res in zip(inputs.items(), runs)
-        if kwargs.get("method") != "fixed" and res["outcome"] == "ok"
+        if kwargs.get("h_fixed") is None and res["outcome"] == "ok"
     ]
     refs = run_tree(src, [dict(kwargs, **TIGHT) for _, kwargs, _ in scored])
     untyped = sum(kind(res).startswith("untyped") for res in runs + refs)
@@ -260,7 +262,7 @@ def main():
         print(f"  {count:6d}  {a} -> {b}")
 
     def cause(i):
-        if inputs[i].get("method") == "fixed":
+        if inputs[i].get("h_fixed") is not None:
             return "fixed-step"
         if old[i]["off_branch"] or new[i]["off_branch"]:
             return "off-branch"
