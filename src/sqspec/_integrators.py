@@ -3,51 +3,37 @@
 Two engines, both explicit: an embedded Dormand-Prince 5(4) pair with
 proportional step control (the adaptive integrator), and a classical
 fixed-step fourth-order Runge-Kutta scheme used for cross-validation, which
-integrate() runs when it is given a step h_fixed.
+integrate() runs when it is given a step h_fixed.  Both read the flow from
+_rhs.
 
 Both follow the dimensionless variable x = -k eta, which decreases from deep
 sub-horizon (x >> 1) through horizon crossing (x = 1) to the super-horizon
 evaluation point.  Each trajectory has one fixed comoving k, so in Planck
 units (M_P = 1) mu2 = k is constant and mu2' = 0.  The RK4 driver steps
-(r, phi) against x.  The adaptive driver steps (u, phi) = (ln r, phi)
-against tau = -1/x, where 1/x = a/a_k is the scale factor in units of its
-value at horizon crossing; tau decreases with x, so steps are negative in
-both.  On the attractor d ln r/dtau = -k/(r + k) (the Lambert-W form in
-perfbench/oracle.py), so ln r is linear in tau while r << k and the steps
-are long; the first trial step runs from the seed to the first checkpoint.
-The error norm of u is rtol alone, which is relative in r at any size of r,
-and atol guards the angle only (atol + rtol |phi|).
+(r, phi) against x.  The adaptive driver runs against tau = -1/x, where
+1/x = a/a_k is the scale factor in units of its value at horizon crossing;
+tau decreases with x, so steps are negative in both.  It steps the full
+system in (u, phi) = (ln r, phi), and on the slow manifold of the angle
+(_rhs) a slaved regime in which the angle is held on phi~ and r alone is
+stepped, with the same tableau; the first trial step runs from the seed to
+the first checkpoint.  The error norm of u is rtol alone, which is relative
+in r at any size of r, and atol guards the angle only (atol + rtol |phi|).
 
-_flow holds the printed flow in conformal time, each formula once: the
-closed-coupling factor A, the coth r Laurent series, the bracket B of the
-angle equation, dr/deta in the printed conformal form, and the closed form
-(the analytic mu2 = 0 limit) of the closed-reference oracle.  _stage turns
-it into (du/dtau, dphi/dtau) of the full system; the RK4 driver's _rhs_x
-and the public rhs in squeeze_dynamics read the same copy.
-_slaved_stage inlines it for the slaved regime below, so a slaved stage is
-one Python call.
-
-Stiffness handling.  The angle equation carries a coth(r) relaxation rate:
-for r ~ 1e-6 the angle is attracted to its quasi-static branch
-
-    sin(2 phi*) = s = 2 mu2 / B,   cos(2 phi*) = -c = -sqrt(1 - s^2)
-
-about 1e6/k times faster than any other scale, which an explicit method
-resolves only with ~coth(r)/k steps per unit x.  The adaptive driver
-therefore has a slaved regime: the angle is held on the slow manifold
-phi~ = phi* + delta1 + delta2 and u alone is stepped, with the same tableau
-and an error norm on u only (Kokotovic, Khalil & O'Reilly, Singular
-Perturbation Methods in Control, 1999, ch. 1-2).  With the relaxation rate
-nu = B c / k per unit x, delta1 = (dphi*/dx) / nu, where dphi*/dx =
-s (dB/dx) / (2 B c) and _slaved_stage forms dB/dx in closed form (A ~ x^-p
-at fixed r, p = 2 literal and 1 consistent, plus dB/dr times the
-zeroth-order dr/dx), and delta2 = (d delta1/dx) / nu, where d delta1/dx is
-the difference of delta1 between consecutive accepted slaved points, held
-through the next step.  The stage reads dr/deta at cos(2 phi~) =
--c cos(2 delta) - s sin(2 delta) and returns sin(2 phi~), from which
-_attractor_phi forms the accepted angle.  The closed form has s = 0, so
-delta = 0.  A slaved stage off the branch (s outside [0, 0.99)) is NaN and is
-rejected.  Both regimes are first-same-as-last (FSAL).
+The slaved regime steps w = r + k ln sinh r (w = r for the closed form),
+for which the printed r-equation is exactly dw/deta = -A' cos(2 phi).  On
+the attractor cos(2 phi) ~ -1, so dw/dtau ~ -k for literal coupling and
+e^w ~ |tau| for consistent coupling: a step (_slaved_step) advances omega =
+w - w0 (literal) or e^(w - w0) - 1 (consistent), with w0 at the step's
+base, which are linear in tau there, so the steps are long.  Each stage
+gets u back from w by Newton (_u_at), from the previous stage's point.  The
+error norm stays on u: the estimate in omega over d omega/du at the new
+point, over rtol.  A first slaved step is trusted only where the spread of
+its stage derivatives, |h| max|k_i - k_1| in u, is within rtol too: that
+bounds the error of any quadrature of the step, where the embedded estimate
+of a step far outside its asymptotic range does not (at consistent k =
+0.314, one from x = 100 to 4.8 estimated 7e-11 against a true error of
+1e-7).  A rejected first step shrinks by the square root of that spread.
+Both regimes are first-same-as-last (FSAL).
 
 The slaved regime is a prefix of the trajectory: it is entered at the seed
 x = xs[0] or never, when the branch exists, the seed is off the repelling
@@ -66,21 +52,27 @@ A window shorter than 8000 relaxation lengths is stepped with the full
 system.  The first sample keeps the caller's seed angle.
 
 The slaved regime is left once, on accuracy, not on cost.  phi~ omits the
-next term of the series, ~(d^2 delta1/dx^2) / nu^2, which shifts dr/dx by a
-relative 2 s |d^2 delta1/dx^2| / (rate^2 c^3); it is tested after each
-accepted slaved step, with the difference of the held d delta1/dx.  The
-regime is left once the slack is within _STIFF_BUDGET and that term exceeds
-rtol, or in any case _SLAVE_HANDBACK = 200 relaxation lengths before the
-last checkpoint, so the full system re-forms the lag before the angle is
-read.  Exit re-seeds the full system from phi~; the last landing is no exit.
+term delta3 of its series, which shifts dr/dx by a relative 2 s |delta3| / c
+(_lag).  The regime is left where the slack is within _STIFF_BUDGET and
+that term exceeds rtol, or _SLAVE_HANDBACK = 200 relaxation lengths before
+the last checkpoint, so the full system re-forms the lag before the angle
+is read (_leaves).  This is tested at the landing point of each slaved
+step that its error estimate accepts; where it holds there, the point
+where it first holds is found by bisection on the step's cubic Hermite
+interpolant of omega, and the step is re-taken to land on it, like a
+checkpoint.  A step that lands on the last checkpoint ends the run on the
+fast path where delta3 there is within tolerance, rtol in dr/dx and
+atol + rtol |phi| in the angle read off phi~; otherwise the regime is left
+before it, as above.  Exit re-seeds the full system from phi~.
 
 r is never clamped, and r = exp(u) > 0 holds by construction.  The
 coordinate singularity r = 0 has no logarithm: a seed there ends at once in
 a step-size underflow, before any evaluation.  An attempt whose new u passes
-ln _R_MAX, where cosh 2r overflows (_R_MAX = ln(DBL_MAX)/2 ~ 354.9), or whose
-stages overflow, divide by zero or leave a math domain, is rejected like a
-non-finite stage.  The run ends in a step-size underflow when it cannot
-advance: a rejected step shorter than 16 ulps of tau, a rejected attempt
+ln _R_MAX, where cosh 2r overflows (_R_MAX = ln(DBL_MAX)/2 ~ 354.9), whose
+stages overflow, divide by zero or leave a math domain, or whose slaved
+solve for u fails, is rejected like a non-finite stage.  The run ends in a
+step-size underflow when it cannot advance: a rejected step shorter than 16
+ulps of tau, a rejected attempt
 from r within rtol of _R_MAX, or an r that falls into r = 0 (the closed
 form's dr/deta is finite there) within 16 ulps of tau at its current rate.
 A seed past _R_MAX is refused before the first evaluation.  The fixed-step
@@ -104,6 +96,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._rhs import _attractor_phi, _lag, _rhs_x, _slaved_stage, _stage, _u_at, _w_at
 from .config import _R_MAX
 
 # relaxation lengths of slack to the last checkpoint: the seed is put on the
@@ -115,6 +108,8 @@ _LN_R_MAX = math.log(_R_MAX)
 _SLAVE_HANDBACK = 200.0
 # r past which a run is flagged in IntegratorStats.capped
 _R_CAP = 30.0
+# bisections of a slaved step for the point where the fast path is left
+_LEAVE_BISECTIONS = 10
 
 
 @dataclass(frozen=True)
@@ -143,101 +138,6 @@ class IntegratorStats:
     n_slaved_steps: int = 0
     capped: bool = False
     status: str = "ok"
-
-
-def _flow(r, phi, lam, mu2, power, form):
-    """(dr/deta, dphi/deta) of the printed flow at (r, phi) for |z'/z| = lam.
-    A non-finite angle (a stage driven through the r = 0 singularity) or one
-    whose 2 phi overflows gives NaN, which the step controller rejects."""
-    a_cc = lam * lam if power == "literal" else lam  # the closed-coupling factor
-    tr = math.tanh(r)
-    # Laurent form keeps coth(r)*sin(2 phi) accurate for tiny |r| (odd in r,
-    # so it also serves the RK4 driver's transient negative stage values).
-    # r = 0 is the genuine coordinate singularity of the angle equation.
-    if r == 0.0:
-        coth = math.inf
-    elif abs(r) < 1e-4:
-        coth = 1.0 / r + r / 3.0 + r * r * r / 45.0
-    else:
-        coth = 1.0 / tr
-    two_phi = 2.0 * phi
-    if not math.isfinite(two_phi):
-        return math.nan, math.nan
-    c2p = math.cos(two_phi)
-    if form == "closed-reference":  # the analytic mu2 = 0 limit, finite at r = 0
-        return -a_cc * c2p, 0.5 * math.sin(two_phi) * (a_cc * tr + coth)
-    # the bracket B of the angle equation; coth r + mu2 is summed first, as in
-    # the printed M_P (coth r + mu2)
-    bracket = a_cc * tr / (1.0 + mu2 * tr) + (coth + mu2)
-    dpdeta = 0.5 * math.sin(two_phi) * bracket - mu2
-    s2r = math.sinh(2.0 * r)
-    ch = math.cosh(r)
-    den = s2r + 2.0 * mu2 * (ch * ch)
-    if den == 0.0:  # r = 0 with mu2 = 0: the 0/0 limit is the closed form
-        return -a_cc * c2p, dpdeta
-    return -a_cc * s2r * c2p / den, dpdeta
-
-
-def _stage(tau, u, phi, k, power, form):
-    """(du/dtau, dphi/dtau) of the full system at tau = -1/x, u = ln r.
-    |z'/z| = 1/|eta| = k/x = -k tau, and d/dtau = x^2 d/dx = -(x^2/k) d/deta
-    with x^2 = 1/tau^2."""
-    r = math.exp(u)
-    drdeta, dpdeta = _flow(r, phi, -k * tau, k, power, form)
-    scale = -1.0 / (k * tau * tau)
-    return scale * drdeta / r, scale * dpdeta
-
-
-def _slaved_stage(tau, u, k, power, form, dlag):
-    """(du/dtau, sin 2phi~, delta1, B, s) with the angle on the slow manifold
-    phi~ (module docstring), for the held d delta1/dx = dlag; s = 0 for the
-    closed form.  Off the branch (s outside [0, 0.99), too marginal to hold
-    the angle) du/dtau is NaN, which the controller rejects."""
-    r = math.exp(u)
-    lam = -k * tau  # |z'/z| = k/x
-    literal = power == "literal"
-    a_cc = lam * lam if literal else lam
-    tr = math.tanh(r)
-    coth = 1.0 / r + r / 3.0 + r * r * r / 45.0 if r < 1e-4 else 1.0 / tr  # as in _flow
-    scale = -1.0 / (k * tau * tau)
-    if form == "closed-reference":  # s = 0, so delta = 0 and cos(2 phi~) = -1
-        return scale * a_cc / r, 0.0, 0.0, a_cc * tr + coth, 0.0
-    den1 = 1.0 + k * tr
-    bracket = a_cc * tr / den1 + (coth + k)
-    s = 2.0 * k / bracket
-    if not 0.0 <= s < 0.99:
-        return math.nan, s, 0.0, bracket, s
-    c = math.sqrt(1.0 - s * s)  # -cos(2 phi*)
-    s2r = math.sinh(2.0 * r)
-    ch = math.cosh(r)
-    g = a_cc * s2r / (s2r + 2.0 * k * (ch * ch))  # dr/deta = -g cos(2 phi)
-    # dB/dx / B^2, so that csch^2 r ~ 1/r^2 cannot overflow: a_cc ~ x^-p at
-    # fixed r, plus dB/dr times the zeroth-order dr/dx = -g c / k
-    ib = 1.0 / bracket
-    q = coth * ib
-    dbdx = (
-        (-2.0 if literal else -1.0) * a_cc * tr * -tau / den1 * ib * ib
-        - (a_cc * (1.0 - tr * tr) / (den1 * den1) * ib * ib - (q * q - ib * ib)) * g * c / k
-    )
-    # delta1 = (dphi*/dx) / nu and delta2 = dlag / nu with nu = B c / k
-    d1 = 0.5 * s * k * dbdx / (c * c)
-    delta = d1 + dlag * k * ib / c
-    c2d = math.cos(2.0 * delta)
-    s2d = math.sin(2.0 * delta)
-    return scale * g * (c * c2d + s * s2d) / r, s * c2d - c * s2d, d1, bracket, s
-
-
-def _rhs_x(x, r, phi, k, power, form):
-    """(dr/dx, dphi/dx) of the full system, for the RK4 driver."""
-    drdeta, dpdeta = _flow(r, phi, k / x, k, power, form)
-    return -drdeta / k, -dpdeta / k
-
-
-def _attractor_phi(s, phi_anchor):
-    """The attractor angle with sin(2 phi*) = s, on the copy (mod pi) nearest
-    phi_anchor; the attracting branch has cos(2 phi*) = -sqrt(1 - s^2)."""
-    base = 0.5 * (math.pi - math.asin(s))
-    return base + round((phi_anchor - base) / math.pi) * math.pi
 
 
 # Dormand-Prince 5(4) tableau
@@ -276,9 +176,80 @@ _DP_E1, _DP_E3, _DP_E4, _DP_E5, _DP_E6, _DP_E7 = (
 )
 
 
+def _leaves(tau, u, x_end, k, power, form, rtol):
+    """Whether the fast path is left at (tau, u): within _SLAVE_HANDBACK
+    relaxation lengths of x_end, or within _STIFF_BUDGET where the omitted
+    term shifts dr/dx by more than rtol (or is NaN)."""
+    st = _slaved_stage(tau, u, k, power, form)
+    slack = st[3] / k * (-1.0 / tau - x_end)
+    return slack <= _SLAVE_HANDBACK or (
+        slack <= _STIFF_BUDGET and not _lag(tau, u, st, k, power, form)[0] <= rtol
+    )
+
+
+def _slaved_step(tau, h, u, w, dw, f1, k, power, form, first):
+    """One Dormand-Prince attempt on the slow manifold from (tau, u), where
+    w = w0 and dw/du = dw, stepping omega = w - w0 (literal coupling) or
+    e^(w - w0) - 1 (consistent), both 0 at tau and linear in tau on the
+    attractor; f1 = dw/dtau at tau.  Each stage gets u back by _u_at from
+    the previous stage's point.  Returns (u, w, dw/du, stage) at tau + h,
+    the error estimate and, on a first step, the spread |h| max|k_i - f1|
+    of the stages (else 0), both in u, and (omega at tau + h, d omega/dtau
+    at tau and at tau + h) for _leave_fraction; stage is _slaved_stage's
+    tuple there."""
+    expo = power != "literal"
+    closed = form == "closed-reference"
+    ui, wi, dwi, st = u, w, dw, None  # the last stage's, where the next solve starts
+
+    def stage(c, om):  # d omega/dtau at tau + c h
+        nonlocal ui, wi, dwi, st
+        wt = w + (math.log1p(om) if expo else om)
+        ut, dwt = _u_at(wt, ui, wi, dwi, k, closed)
+        if ut != ut:  # the solve failed: a NaN stage
+            return math.nan
+        ui, wi, dwi = ut, wt, dwt
+        st = _slaved_stage(tau + c * h, ui, k, power, form)
+        return st[0] * (1.0 + om) if expo else st[0]
+
+    k2 = stage(_DP_C2, h * _DP_A21 * f1)
+    k3 = stage(_DP_C3, h * (_DP_A31 * f1 + _DP_A32 * k2))
+    k4 = stage(_DP_C4, h * (_DP_A41 * f1 + _DP_A42 * k2 + _DP_A43 * k3))
+    k5 = stage(_DP_C5, h * (_DP_A51 * f1 + _DP_A52 * k2 + _DP_A53 * k3 + _DP_A54 * k4))
+    k6 = stage(1.0, h * (_DP_A61 * f1 + _DP_A62 * k2 + _DP_A63 * k3 + _DP_A64 * k4 + _DP_A65 * k5))
+    om = h * (_DP_B1 * f1 + _DP_B3 * k3 + _DP_B4 * k4 + _DP_B5 * k5 + _DP_B6 * k6)
+    k7 = stage(1.0, om)  # FSAL; where it failed, k7 is NaN and so is the error
+    dom = dwi * (1.0 + om) if expo else dwi  # d omega/du
+    err = h * (_DP_E1 * f1 + _DP_E3 * k3 + _DP_E4 * k4 + _DP_E5 * k5 + _DP_E6 * k6 + _DP_E7 * k7) / dom
+    spread = 0.0
+    if first:
+        spread = abs(h) * max(abs(k2 - f1), abs(k3 - f1), abs(k4 - f1), abs(k5 - f1), abs(k6 - f1), abs(k7 - f1)) / dom
+    return ui, wi, dwi, st, err, spread, (om, f1, k7)
+
+
+def _leave_fraction(tau, h, u, w, dw, omegas, x_end, k, power, form, rtol):
+    """Where the fast path is first left in the accepted slaved attempt
+    (tau, tau + h) whose end leaves it, as a fraction of h: bisection of
+    _leaves on the cubic Hermite interpolant of omega (_slaved_step's
+    omegas)."""
+    om1, f0, f1 = omegas
+    expo = power != "literal"
+    closed = form == "closed-reference"
+    lo, hi = 0.0, 1.0
+    for _ in range(_LEAVE_BISECTIONS):
+        t = 0.5 * (lo + hi)
+        om = h * f0 * t * (1.0 - t) ** 2 + om1 * t * t * (3.0 - 2.0 * t) + h * f1 * t * t * (t - 1.0)
+        ut = _u_at(w + (math.log1p(om) if expo else om), u, w, dw, k, closed)[0]
+        if _leaves(tau + t * h, ut, x_end, k, power, form, rtol):
+            hi = t
+        else:
+            lo = t
+    return hi
+
+
 def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, max_steps):
-    """Advance (r, phi) through the decreasing checkpoints xs, stepping
-    (ln r, phi) against tau = -1/x and landing on each checkpoint exactly.
+    """Advance (r, phi) through the decreasing checkpoints xs against
+    tau = -1/x, stepping (ln r, phi) on the full system and w on the slow
+    manifold, and landing on each checkpoint exactly.
 
     Returns (out_x, out_r, out_phi, stats): out_x, out_r and out_phi hold
     each checkpoint reached and, when integration stopped between two, the
@@ -295,6 +266,7 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, max_steps):
     tau = -1.0 / x
     u = math.log(r0)
     phi = phi0
+    closed = form == "closed-reference"
 
     status = "ok"
     n_steps = 0
@@ -306,8 +278,7 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, max_steps):
     h = -1.0 / x_end - tau  # negative: tau decreases with x
 
     # the seed is the only way onto the slaved branch (module docstring)
-    dlag = d2 = 0.0  # d delta1/dx and its derivative, held between accepted points
-    fu, s2p, d1, bracket, s = _slaved_stage(tau, u, k, power, form, dlag)
+    fw, s2p, _, bracket, s, _ = _slaved_stage(tau, u, k, power, form)
     rate = bracket / k
     slaved = math.isfinite(rate) and rate * (x - x_end) > 2.0 * _STIFF_BUDGET and 0.0 <= s < 0.99
     if slaved:
@@ -318,13 +289,16 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, max_steps):
         cos_sum = math.cos(phi0) * math.sqrt(0.5 * (1.0 - c)) - math.sin(phi0) * math.sqrt(0.5 * (1.0 + c))
         slaved = cos_sum != 0.0
     if slaved:
+        w, dw = _w_at(u, k, closed)
         # the layer term with A' c / r0 = du/deta = -k tau^2 du/dtau
-        layer = 2.0 * fu * k * tau * tau * math.log(c / abs(cos_sum)) / (c * bracket)
+        layer = 2.0 * fw / dw * k * tau * tau * math.log(c / abs(cos_sum)) / (c * bracket)
         phi = _attractor_phi(s2p, phi)
-        fp, x_prev, d1_prev = 0.0, x, d1
         if abs(layer) <= 1.0:  # a first-order term: beyond |Delta ln r| = 1, none
             u += layer
-            fu = _slaved_stage(tau, u, k, power, form, dlag)[0]
+            fw = _slaved_stage(tau, u, k, power, form)[0]
+            w, dw = _w_at(u, k, closed)
+        first = True  # no slaved step accepted yet
+        tau_leave = None  # where the fast path is left, once found
     else:
         fu, fp = _stage(tau, u, phi, k, power, form)
 
@@ -335,27 +309,33 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, max_steps):
                 status = "max-steps"
                 break
 
-            land = False
+            land = leave = False
             if h <= tau_target - tau:
                 h = tau_target - tau
                 land = True
+            if slaved and tau_leave is not None and h <= tau_leave - tau:
+                h = tau_leave - tau
+                land = tau_leave == tau_target
+                leave = True
+            h_next = None
 
-            k1u, k1p = fu, fp
             try:
-                if slaved:  # the angle is held on phi~, so u alone is stepped
-                    k2u = _slaved_stage(tau + _DP_C2 * h, u + h * _DP_A21 * k1u, k, power, form, dlag)[0]
-                    u3 = u + h * (_DP_A31 * k1u + _DP_A32 * k2u)
-                    k3u = _slaved_stage(tau + _DP_C3 * h, u3, k, power, form, dlag)[0]
-                    u4 = u + h * (_DP_A41 * k1u + _DP_A42 * k2u + _DP_A43 * k3u)
-                    k4u = _slaved_stage(tau + _DP_C4 * h, u4, k, power, form, dlag)[0]
-                    u5 = u + h * (_DP_A51 * k1u + _DP_A52 * k2u + _DP_A53 * k3u + _DP_A54 * k4u)
-                    k5u = _slaved_stage(tau + _DP_C5 * h, u5, k, power, form, dlag)[0]
-                    u6 = u + h * (_DP_A61 * k1u + _DP_A62 * k2u + _DP_A63 * k3u + _DP_A64 * k4u + _DP_A65 * k5u)
-                    k6u = _slaved_stage(tau + h, u6, k, power, form, dlag)[0]
-                    u_new = u + h * (_DP_B1 * k1u + _DP_B3 * k3u + _DP_B4 * k4u + _DP_B5 * k5u + _DP_B6 * k6u)
-                    k7u, s2p, d1, bracket, s = _slaved_stage(tau + h, u_new, k, power, form, dlag)
-                    p_new, k7p = phi, 0.0
+                if slaved:  # the angle is held on phi~, so w alone is stepped
+                    x_prev = x
+                    u_new, w_new, dw_new, st, err, spread, omegas = _slaved_step(
+                        tau, h, u, w, dw, fw, k, power, form, first
+                    )
+                    err = abs(err) / rtol
+                    spread /= rtol
+                    # a first step's estimate is trusted only where the spread of its
+                    # stages, a first-order bound of its error, is within tolerance
+                    # too; it grows at least as h^2, so the retry shrinks by its root
+                    if spread > max(err, 1.0):
+                        err = spread
+                        h_next = h * 0.9 / math.sqrt(spread)
+                    p_new = phi
                 else:
+                    k1u, k1p = fu, fp
                     u2 = u + h * _DP_A21 * k1u
                     q2 = phi + h * _DP_A21 * k1p
                     k2u, k2p = _stage(tau + _DP_C2 * h, u2, q2, k, power, form)
@@ -374,28 +354,36 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, max_steps):
                     u_new = u + h * (_DP_B1 * k1u + _DP_B3 * k3u + _DP_B4 * k4u + _DP_B5 * k5u + _DP_B6 * k6u)
                     p_new = phi + h * (_DP_B1 * k1p + _DP_B3 * k3p + _DP_B4 * k4p + _DP_B5 * k5p + _DP_B6 * k6p)
                     k7u, k7p = _stage(tau + h, u_new, p_new, k, power, form)
-                # rtol on u = ln r is relative in r; atol guards the angle only
-                err_u = h * (_DP_E1 * k1u + _DP_E3 * k3u + _DP_E4 * k4u + _DP_E5 * k5u + _DP_E6 * k6u + _DP_E7 * k7u) / rtol
-                if slaved:  # the angle is held, so u alone carries the error
-                    err = abs(err_u)
-                else:
+                    # rtol on u = ln r is relative in r; atol guards the angle only
+                    err_u = h * (_DP_E1 * k1u + _DP_E3 * k3u + _DP_E4 * k4u + _DP_E5 * k5u + _DP_E6 * k6u + _DP_E7 * k7u) / rtol
                     err_p = h * (_DP_E1 * k1p + _DP_E3 * k3p + _DP_E4 * k4p + _DP_E5 * k5p + _DP_E6 * k6p + _DP_E7 * k7p)
                     sp = atol + rtol * max(abs(phi), abs(p_new))
                     err = math.sqrt(0.5 * (err_u * err_u + (err_p / sp) ** 2))
                 if not u_new <= _LN_R_MAX:  # cosh 2r would overflow
                     err = math.nan
+                tau_new, x_new = (tau_target, x_target) if land else (tau + h, -1.0 / (tau + h))
+                # a step that leaves x unchanged (a sub-ulp landing) stays where its base did
+                if slaved and err <= 1.0 and not leave and x_new != x_prev:
+                    # leave on the omitted term or near the last checkpoint; on it,
+                    # end on the fast path where phi~ holds the angle to tolerance
+                    if land and x_target == x_end:
+                        lag_r, lag_phi = _lag(tau_new, u_new, st, k, power, form)
+                        leave = not (lag_r <= rtol and lag_phi <= atol + rtol * abs(phi))
+                    else:
+                        leave = _leaves(tau_new, u_new, x_end, k, power, form, rtol)
+                    if leave:
+                        t = _leave_fraction(tau, h, u, w, dw, omegas, x_end, k, power, form, rtol)
+                        tau_leave = tau + t * h
+                        if tau_new < tau_leave < tau:  # re-take the step to land there
+                            h_next = tau_leave - tau
+                            err = math.inf
             except (OverflowError, ZeroDivisionError, ValueError):  # beyond the double range, or a pole
                 err = math.nan
             accepted = err <= 1.0
             if accepted:
-                tau_step = tau + h
-                if land:  # checkpoints are landed exactly in x
-                    tau, x = tau_target, x_target
-                else:
-                    tau, x = tau_step, -1.0 / tau_step
+                tau, x = tau_new, x_new  # checkpoints are landed exactly in x
                 u = u_new
                 phi = p_new
-                fu, fp = k7u, k7p  # FSAL
                 n_steps += 1
                 if err > max_err:
                     max_err = err
@@ -403,34 +391,32 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, max_steps):
                     capped = True
                 if slaved:
                     n_slaved += 1
-                    # stage 7 ran on phi~ here, so its B, s and delta1 hold there
-                    rate = bracket / k
-                    phi = _attractor_phi(s2p, phi)
-                    if x != x_prev:  # a sub-ulp step can leave x unchanged
-                        slope = (d1 - d1_prev) / (x - x_prev)
-                        d2 = (slope - dlag) / (x - x_prev)
-                        dlag, x_prev, d1_prev = slope, x, d1
-                    # leave for good on the next-order term or near (not at) the last checkpoint
-                    slack = rate * (x - x_end)
-                    lagging = slack <= _STIFF_BUDGET and 2.0 * s * abs(d2) > rtol * rate * rate * (1.0 - s * s) ** 1.5
-                    if (lagging or slack <= _SLAVE_HANDBACK) and x != x_end:
+                    first = False
+                    w, dw, fw = w_new, dw_new, st[0]  # FSAL
+                    phi = _attractor_phi(st[1], phi)
+                    if leave:  # hand the angle phi~ to the full system
                         slaved = False
                         fu, fp = _stage(tau, u, phi, k, power, form)
+                else:
+                    fu, fp = k7u, k7p  # FSAL
             else:
                 n_rejected += 1
 
             # proportional controller on the scalar error
-            if err == 0.0:
-                factor = 10.0
-            elif math.isnan(err):  # a bad stage or u out of range: shrink as hard as allowed
-                factor = 0.2
+            if h_next is not None:
+                h = h_next
             else:
-                factor = min(10.0, max(0.2, 0.9 * err ** -0.2))
-            h = h * factor
+                if err == 0.0:
+                    factor = 10.0
+                elif math.isnan(err):  # a bad stage or u out of range: shrink as hard as allowed
+                    factor = 0.2
+                else:
+                    factor = min(10.0, max(0.2, 0.9 * err ** -0.2))
+                h = h * factor
             # the integrator cannot advance: r falls into 0 within 16 ulps of tau at its
             # rate, or a rejected step is shorter than that or starts within rtol of _R_MAX
             floor = 16.0 * math.ulp(tau)
-            if (fu * floor > 1.0) if accepted else (-h < floor or u >= _LN_R_MAX - rtol):
+            if (not slaved and fu * floor > 1.0) if accepted else (-h < floor or u >= _LN_R_MAX - rtol):
                 status = "step-underflow"
                 break
         if status == "ok" or x < out_x[-1]:  # or a failed run stopped between two

@@ -23,14 +23,14 @@ The paper also prints r' in a transformed form,
 
 which is the same expression: sinh 2r / (sinh 2r + 2 mu2 cosh^2 r) ==
 tanh r / (tanh r + mu2).  The flow is evaluated once, in the conformal
-form, by _integrators._flow; the tests check the identity against the
+form, by _rhs._flow; the tests check the identity against the
 printed transformed expression.  rhs evaluates it at a state; its second
 form, "closed-reference", is the analytic mu2 = 0 limit (the pure
 two-mode-squeezed flow) used as a weak-dissipation oracle.
 
 Trajectories are sampled in the dimensionless variable x = -k eta (d/dx =
 -(1/k) d/deta), from deep sub-horizon x_start >> 1 down through horizon
-crossing x = 1 to x_end; the adaptive driver steps ln r against -1/x.
+crossing x = 1 to x_end; the adaptive driver runs against -1/x.
 r = 0 is a coordinate singularity of the angle equation (coth r), so
 trajectories are seeded with a tiny positive r.  The default initial angle
 pi/4 is the fixed point of the r equation (cos 2phi = 0), not of the angle
@@ -47,6 +47,7 @@ from typing import Iterable, Sequence
 
 from . import _integrators as _eng
 from ._integrators import IntegratorStats
+from ._rhs import _flow
 from .background import CouplingCoefficients, couplings as _bg_couplings
 from .config import _R_MAX, COUPLING_POWERS, FORMS, SweepConfig, _geometric_nodes
 
@@ -61,6 +62,10 @@ __all__ = [
     "evolve_grid",
     "wrap_angle",
 ]
+
+# RK4 steps a run of integrate() may ask for, which max_steps does not bound
+_MAX_FIXED_STEPS = 10_000_000
+
 
 class _IntegrationError(RuntimeError):
     """An integration that stopped short; carries the partial trajectory."""
@@ -165,7 +170,7 @@ def rhs(
         if not 0 < k < math.inf:
             raise ValueError(f"wavenumber must be > 0 and finite, got k={k}")
         couplings = _bg_couplings(-state.x / k, k)
-    return _eng._flow(state.r, state.phi, couplings.coupling, couplings.mu2, coupling_power, form)
+    return _flow(state.r, state.phi, couplings.coupling, couplings.mu2, coupling_power, form)
 
 
 def _sample_grid(
@@ -211,12 +216,14 @@ def integrate(
     1e-10 and 1e-10).  The first sample is always init as passed.
     h_fixed=None runs the embedded 5(4) pair with tolerance control and
     the stiff-window fast path, whose entry and exit rules are fixed in
-    _integrators.  It steps ln r against -1/x, so rtol is relative in r at
-    any size of r, and atol guards the angle only (atol + rtol |phi|).  The fast path is entered at x_start
-    or not at all, and once left it is not re-entered.  On it the angle is
-    held on its slow manifold, the attracting branch to second order in the
-    relaxation rate.  Where it is entered, the angle starts there: the
-    initial relaxation layer from init phi is taken in closed form, with its
+    _integrators.  It runs against -1/x with its error norm on ln r, so
+    rtol is relative in r at any size of r, and atol guards the angle only
+    (atol + rtol |phi|).  The fast path is entered at x_start or not at
+    all, and once left it is not re-entered.  On it the angle is held on its
+    slow manifold, the attracting branch to second order in the relaxation
+    rate, and w = r + k ln sinh r is stepped in a form that is linear in
+    -1/x there.  Where it is entered, the angle starts there: the initial
+    relaxation layer from init phi is taken in closed form, with its
     first-order effect on ln r, and init phi only picks the copy of the
     branch (mod pi) nearest to it.  A window shorter than 8000 relaxation
     lengths is stepped through with the full system.  A given h_fixed runs the
@@ -237,8 +244,9 @@ def integrate(
     the argument for any non-finite number, for an x_start whose x_start^2/k
     overflows, for an init r outside [0, ~354.9], where the seed itself
     would overflow, for an init phi past +-DBL_MAX/2, whose 2 phi overflows,
-    for an h_fixed <= 0, and for a fixed step that is not finite or leaves
-    that range of r (naming h_fixed, x and r);
+    for an h_fixed <= 0 or one that asks for more than 10^7 RK4 steps, and
+    for a fixed step that is not finite or leaves that range of r (naming
+    h_fixed, x and r);
     raises StepSizeUnderflowError / StepBudgetError with the partial
     trajectory attached.  r passing 30 only sets integrator_stats.capped.
     """
@@ -261,6 +269,11 @@ def integrate(
     _check_flow(form, coupling_power)
     if h_fixed is not None and h_fixed <= 0:
         raise ValueError(f"h_fixed must be > 0, got {h_fixed}")
+    if h_fixed is not None and not (x_start - x_end) / h_fixed <= _MAX_FIXED_STEPS:
+        raise ValueError(
+            f"h_fixed={h_fixed!r} asks for {(x_start - x_end) / h_fixed:.3g} RK4 steps "
+            f"over x_start - x_end = {x_start - x_end:.6g}; the limit is {_MAX_FIXED_STEPS:.0e}"
+        )
     if k <= 0:
         raise ValueError(f"wavenumber must be > 0, got k={k}")
     k, x_start, x_end = float(k), float(x_start), float(x_end)

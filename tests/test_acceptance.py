@@ -302,13 +302,14 @@ def test_supplementary_crossing_closed_form(default_report):
 
 
 def test_supplementary_step_attempts(default_report):
-    # each mode's first trial step spans its whole window, so no mode takes
-    # a start-up ramp of short steps
+    # each mode's first trial step spans its whole window, and on the
+    # attractor the slaved variable is linear in tau, so each of the 200
+    # modes lands in one attempt
     summary = default_report.summary
     attempts = summary.n_steps + summary.n_rejected
     _criterion(
         0, "step-attempts",
-        attempts <= 750, f"{attempts} step attempts over {summary.n_records} modes (bound 750)",
+        attempts <= 300, f"{attempts} step attempts over {summary.n_records} modes (bound 300)",
     )
 
 

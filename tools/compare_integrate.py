@@ -4,6 +4,7 @@ the accuracy of one.
 Usage:
     python tools/compare_integrate.py OLD_SRC NEW_SRC [--n 1200] [--seed 0]
     python tools/compare_integrate.py SRC [--n 1200] [--seed 0]
+    python tools/compare_integrate.py --sweep REF_SRC SRC [--k-points 200]
 
 OLD_SRC, NEW_SRC and SRC are directories that hold an importable ``sqspec``
 package (for a second checkout, its ``src`` directory).  Each tree runs the
@@ -42,6 +43,14 @@ prints the median, p90, p99 (nearest rank) and max of both, the inputs
 beyond 10x and 100x, split by fast path (a run with slaved steps) and full
 system, and the worst inputs of each split.  The exit status is 1 when either
 run has an untyped outcome.
+
+With --sweep the script scores SRC's default sweep on each of the three
+benchmark workloads (crossing, superhorizon, consistent; the settings of
+perfbench/run.py) against REF_SRC's tight sweep (rtol 1e-13, atol 1e-16),
+mode by mode at the evaluation point: it prints the median and max over
+modes of the r error in units of rtol and of the phi error in units of
+atol + rtol |phi_ref|, for SRC's default rtol and atol.  --k-points shrinks the grids.  The exit status is 1
+when a mode fails in either sweep.
 """
 
 from __future__ import annotations
@@ -53,6 +62,7 @@ import json
 import math
 import os
 import random
+import statistics
 import subprocess
 import sys
 
@@ -62,6 +72,12 @@ FORMS = ("conformal", "transformed", "closed-reference")
 POWERS = ("literal", "hamiltonian-consistent")
 # the reference run: tight tolerances and integrate()'s default step budget
 TIGHT = dict(rtol=1e-13, atol=1e-16, h_fixed=None, max_steps=2_000_000)
+# the benchmark workloads as SweepConfig overrides (perfbench/run.py)
+WORKLOADS = {
+    "crossing": {},
+    "superhorizon": {"eval_point": "super-horizon"},
+    "consistent": {"coupling_power": "hamiltonian-consistent"},
+}
 
 
 def draw_inputs(n, seed):
@@ -145,9 +161,26 @@ def run_worker():
     json.dump(results, sys.stdout)
 
 
-def run_tree(src, inputs):
+def run_sweep_worker():
+    """Read SweepConfig overrides as JSON from stdin, write the sweep's rtol,
+    atol and [k, r, phi] of each mode (null for a failed mode) to stdout."""
+    from sqspec.config import SweepConfig, make_k_grid
+    from sqspec.squeeze_dynamics import evolve_grid
+
+    config = SweepConfig(**json.load(sys.stdin))
+    modes = evolve_grid(make_k_grid(config), config)
+    json.dump(
+        dict(
+            rtol=config.rtol, atol=config.atol,
+            modes=[[m.k, m.state.r, m.state.phi] if m.state else None for m in modes],
+        ),
+        sys.stdout,
+    )
+
+
+def run_tree(src, inputs, worker="--worker"):
     proc = subprocess.run(
-        [sys.executable, __file__, "--worker"],
+        [sys.executable, __file__, worker],
         input=json.dumps(inputs),
         capture_output=True,
         text=True,
@@ -228,9 +261,42 @@ def report_survey(rows):
             print(f"  input {row['index']} (k = {row['k']:.4g}): r {row['r']:.3g}, phi {row['phi']:.3g}")
 
 
+def sweep_errors(ref_src, src, k_points):
+    """{workload: (r errors / rtol, phi errors / (atol + rtol |phi_ref|), failed
+    modes)} of src's default sweep against ref_src's tight sweep."""
+    errors = {}
+    for name, overrides in WORKLOADS.items():
+        config = dict(overrides, k_points=k_points)
+        got = run_tree(src, config, "--sweep-worker")
+        ref = run_tree(ref_src, dict(config, rtol=TIGHT["rtol"], atol=TIGHT["atol"]), "--sweep-worker")
+        rtol, atol = got["rtol"], got["atol"]
+        pairs = [(a, b) for a, b in zip(got["modes"], ref["modes"]) if a and b]
+        errors[name] = (
+            [abs(r - r_ref) / r_ref / rtol for (_, r, _), (_, r_ref, _) in pairs],
+            [abs(phi - p_ref) / (atol + rtol * abs(p_ref)) for (_, _, phi), (_, _, p_ref) in pairs],
+            len(got["modes"]) - len(pairs),
+        )
+    return errors
+
+
+def report_sweep(errors):
+    print("default sweeps against the reference's tight sweep, over modes at the evaluation point")
+    print(f"  {'workload':12s}  {'r err / rtol':>19s}  {'phi err / (atol + rtol |phi|)':>30s}")
+    print(f"  {'':12s}  {'median':>9s} {'max':>9s}  {'median':>19s} {'max':>10s}")
+    for name, (err_r, err_phi, failed) in errors.items():
+        line = f"  {name:12s}"
+        if err_r:
+            line += f"  {statistics.median(err_r):9.3g} {max(err_r):9.3g}  "
+            line += f"{statistics.median(err_phi):19.3g} {max(err_phi):10.3g}"
+        print(line + (f"  ({failed} failed modes)" if failed else ""))
+
+
 def main():
     if sys.argv[1:] == ["--worker"]:
         run_worker()
+        return
+    if sys.argv[1:] == ["--sweep-worker"]:
+        run_sweep_worker()
         return
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", metavar="OLD_SRC")
@@ -239,8 +305,21 @@ def main():
     )
     parser.add_argument("--n", type=int, default=1200, help="number of inputs")
     parser.add_argument("--seed", type=int, default=0, help="seed of the input draw")
+    parser.add_argument(
+        "--sweep", action="store_true",
+        help="score NEW_SRC's default sweeps against OLD_SRC's tight ones (REF_SRC SRC)",
+    )
+    parser.add_argument("--k-points", type=int, default=200, help="modes per sweep, with --sweep")
     args = parser.parse_args()
 
+    if args.sweep:
+        if args.new_src is None:
+            parser.error("--sweep takes REF_SRC and SRC")
+        errors = sweep_errors(args.old_src, args.new_src, args.k_points)
+        report_sweep(errors)
+        if any(failed for _, _, failed in errors.values()):
+            sys.exit(1)
+        return
     inputs = draw_inputs(args.n, args.seed)
     if args.new_src is None:
         rows, untyped = survey(args.old_src, dict(enumerate(inputs)))
