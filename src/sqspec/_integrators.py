@@ -8,8 +8,10 @@ _rhs.
 
 Both follow the dimensionless variable x = -k eta, which decreases from deep
 sub-horizon (x >> 1) through horizon crossing (x = 1) to the super-horizon
-evaluation point.  Each trajectory has one fixed comoving k, so in Planck
-units (M_P = 1) mu2 = k is constant and mu2' = 0.  The RK4 driver steps
+evaluation point.  Each trajectory has one fixed comoving k, so mu2 is
+constant and mu2' = 0: mu2 = k in Planck units (M_P = 1), or 0 for the
+closed-reference form, the printed flow at mu2 = 0, which integrate()
+resolves.  The RK4 driver steps
 (r, phi) against x.  The adaptive driver runs against tau = -1/x, where
 1/x = a/a_k is the scale factor in units of its value at horizon crossing;
 tau decreases with x, so steps are negative in both.  It steps the full
@@ -19,8 +21,8 @@ stepped, with the same tableau; the first trial step runs from the seed to
 the first checkpoint.  The error norm of u is rtol alone, which is relative
 in r at any size of r, and atol guards the angle only (atol + rtol |phi|).
 
-The slaved regime steps w = r + k ln sinh r (w = r for the closed form),
-for which the printed r-equation is exactly dw/deta = -A' cos(2 phi).  On
+The slaved regime steps w = r + mu2 ln sinh r (w = r at mu2 = 0), for
+which the printed r-equation is exactly dw/deta = -A' cos(2 phi).  On
 the attractor cos(2 phi) ~ -1, so dw/dtau ~ -k for literal coupling and
 e^w ~ |tau| for consistent coupling: a step (_slaved_step) advances omega =
 w - w0 (literal) or e^(w - w0) - 1 (consistent), with w0 at the step's
@@ -37,8 +39,8 @@ Both regimes are first-same-as-last (FSAL).
 
 The slaved regime is a prefix of the trajectory: it is entered at the seed
 x = xs[0] or never, when the branch exists, the seed is off the repelling
-branch cos(phi0 + phi*) = 0 (the closed form from phi0 = 0, where sin 2 phi
-= 0 holds the angle for good), and the rate B/k (per unit x) times the span
+branch cos(phi0 + phi*) = 0 (at mu2 = 0, phi0 = 0, where sin 2 phi = 0
+holds the angle for good), and the rate B/k (per unit x) times the span
 to the last checkpoint, the slack, exceeds twice _STIFF_BUDGET (4000
 relaxation lengths).  rate * dx is invariant under the change of variable,
 so these rules are evaluated in x.  The angle then
@@ -73,8 +75,8 @@ stages overflow, divide by zero or leave a math domain, or whose slaved
 solve for u fails, is rejected like a non-finite stage.  The run ends in a
 step-size underflow when it cannot advance: a rejected step shorter than 16
 ulps of tau, a rejected attempt
-from r within rtol of _R_MAX, or an r that falls into r = 0 (the closed
-form's dr/deta is finite there) within 16 ulps of tau at its current rate.
+from r within rtol of _R_MAX, or an r that falls into r = 0 (at mu2 = 0,
+dr/deta is finite there) within 16 ulps of tau at its current rate.
 A seed past _R_MAX is refused before the first evaluation.  The fixed-step
 RK4 driver has no step to shrink: it stops at the first step that a
 non-finite stage, an overflow or a pole spoils or that takes r outside
@@ -84,9 +86,9 @@ The engine runs on Python floats, fills lists and imports no numpy: each
 stage is a chain of scalar operations, and numpy scalar arithmetic about
 doubles their cost, so integrate() converts its numbers once.  A float
 divided by zero raises ZeroDivisionError where a numpy scalar gave inf, so a
-stage that divides by zero is a rejected stage.  form and coupling_power are
-dispatched on their names, config's FORMS and COUPLING_POWERS, which
-squeeze_dynamics checks them against.  config defines those and _R_MAX, since
+stage that divides by zero is a rejected stage.  coupling_power is
+dispatched on its name, one of config's COUPLING_POWERS, which
+squeeze_dynamics checks it against.  config defines those and _R_MAX, since
 the sweep configuration accepts and bounds the same values, and imports only
 the standard library.
 """
@@ -120,8 +122,6 @@ class IntegratorStats:
     method: "adaptive" or "fixed".
     n_steps: accepted steps, slaved ones included; RK4 steps for "fixed".
     n_rejected: rejected step attempts (0 for "fixed").
-    max_error_estimate: the largest scaled error of an accepted step, in
-        units of the tolerance, so at most 1 (0 for "fixed").
     n_slaved_steps: accepted steps on the fast path, with the angle held on
         its slow manifold.
     capped: r exceeded 30 (_R_CAP) somewhere along the run; the run goes
@@ -134,7 +134,6 @@ class IntegratorStats:
     method: str
     n_steps: int
     n_rejected: int = 0
-    max_error_estimate: float = 0.0
     n_slaved_steps: int = 0
     capped: bool = False
     status: str = "ok"
@@ -176,18 +175,18 @@ _DP_E1, _DP_E3, _DP_E4, _DP_E5, _DP_E6, _DP_E7 = (
 )
 
 
-def _leaves(tau, u, x_end, k, power, form, rtol):
+def _leaves(tau, u, x_end, k, power, mu2, rtol):
     """Whether the fast path is left at (tau, u): within _SLAVE_HANDBACK
     relaxation lengths of x_end, or within _STIFF_BUDGET where the omitted
     term shifts dr/dx by more than rtol (or is NaN)."""
-    st = _slaved_stage(tau, u, k, power, form)
+    st = _slaved_stage(tau, u, k, power, mu2)
     slack = st[3] / k * (-1.0 / tau - x_end)
     return slack <= _SLAVE_HANDBACK or (
-        slack <= _STIFF_BUDGET and not _lag(tau, u, st, k, power, form)[0] <= rtol
+        slack <= _STIFF_BUDGET and not _lag(tau, u, st, k, power, mu2)[0] <= rtol
     )
 
 
-def _slaved_step(tau, h, u, w, dw, f1, k, power, form, first):
+def _slaved_step(tau, h, u, w, dw, f1, k, power, mu2, first):
     """One Dormand-Prince attempt on the slow manifold from (tau, u), where
     w = w0 and dw/du = dw, stepping omega = w - w0 (literal coupling) or
     e^(w - w0) - 1 (consistent), both 0 at tau and linear in tau on the
@@ -198,17 +197,16 @@ def _slaved_step(tau, h, u, w, dw, f1, k, power, form, first):
     at tau and at tau + h) for _leave_fraction; stage is _slaved_stage's
     tuple there."""
     expo = power != "literal"
-    closed = form == "closed-reference"
     ui, wi, dwi, st = u, w, dw, None  # the last stage's, where the next solve starts
 
     def stage(c, om):  # d omega/dtau at tau + c h
         nonlocal ui, wi, dwi, st
         wt = w + (math.log1p(om) if expo else om)
-        ut, dwt = _u_at(wt, ui, wi, dwi, k, closed)
+        ut, dwt = _u_at(wt, ui, wi, dwi, mu2)
         if ut != ut:  # the solve failed: a NaN stage
             return math.nan
         ui, wi, dwi = ut, wt, dwt
-        st = _slaved_stage(tau + c * h, ui, k, power, form)
+        st = _slaved_stage(tau + c * h, ui, k, power, mu2)
         return st[0] * (1.0 + om) if expo else st[0]
 
     k2 = stage(_DP_C2, h * _DP_A21 * f1)
@@ -226,27 +224,26 @@ def _slaved_step(tau, h, u, w, dw, f1, k, power, form, first):
     return ui, wi, dwi, st, err, spread, (om, f1, k7)
 
 
-def _leave_fraction(tau, h, u, w, dw, omegas, x_end, k, power, form, rtol):
+def _leave_fraction(tau, h, u, w, dw, omegas, x_end, k, power, mu2, rtol):
     """Where the fast path is first left in the accepted slaved attempt
     (tau, tau + h) whose end leaves it, as a fraction of h: bisection of
     _leaves on the cubic Hermite interpolant of omega (_slaved_step's
     omegas)."""
     om1, f0, f1 = omegas
     expo = power != "literal"
-    closed = form == "closed-reference"
     lo, hi = 0.0, 1.0
     for _ in range(_LEAVE_BISECTIONS):
         t = 0.5 * (lo + hi)
         om = h * f0 * t * (1.0 - t) ** 2 + om1 * t * t * (3.0 - 2.0 * t) + h * f1 * t * t * (t - 1.0)
-        ut = _u_at(w + (math.log1p(om) if expo else om), u, w, dw, k, closed)[0]
-        if _leaves(tau + t * h, ut, x_end, k, power, form, rtol):
+        ut = _u_at(w + (math.log1p(om) if expo else om), u, w, dw, mu2)[0]
+        if _leaves(tau + t * h, ut, x_end, k, power, mu2, rtol):
             hi = t
         else:
             lo = t
     return hi
 
 
-def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, max_steps):
+def _drive_adaptive(xs, r0, phi0, k, power, mu2, rtol, atol, max_steps):
     """Advance (r, phi) through the decreasing checkpoints xs against
     tau = -1/x, stepping (ln r, phi) on the full system and w on the slow
     manifold, and landing on each checkpoint exactly.
@@ -266,41 +263,39 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, max_steps):
     tau = -1.0 / x
     u = math.log(r0)
     phi = phi0
-    closed = form == "closed-reference"
 
     status = "ok"
     n_steps = 0
     n_rejected = 0
     n_slaved = 0
-    max_err = 0.0
     capped = False
 
     h = -1.0 / x_end - tau  # negative: tau decreases with x
 
     # the seed is the only way onto the slaved branch (module docstring)
-    fw, s2p, _, bracket, s, _ = _slaved_stage(tau, u, k, power, form)
+    fw, s2p, _, bracket, s, _ = _slaved_stage(tau, u, k, power, mu2)
     rate = bracket / k
     slaved = math.isfinite(rate) and rate * (x - x_end) > 2.0 * _STIFF_BUDGET and 0.0 <= s < 0.99
     if slaved:
         # cos(phi0 + phi*) from half angles is exactly 0 on the repelling
-        # branch, from which the angle does not relax (the closed form keeps
+        # branch, from which the angle does not relax (at mu2 = 0 it keeps
         # phi0 = 0 for good): that seed is stepped on the full system
         c = math.sqrt(1.0 - s * s)
         cos_sum = math.cos(phi0) * math.sqrt(0.5 * (1.0 - c)) - math.sin(phi0) * math.sqrt(0.5 * (1.0 + c))
         slaved = cos_sum != 0.0
     if slaved:
-        w, dw = _w_at(u, k, closed)
+        w, dw = _w_at(u, mu2)
         # the layer term with A' c / r0 = du/deta = -k tau^2 du/dtau
         layer = 2.0 * fw / dw * k * tau * tau * math.log(c / abs(cos_sum)) / (c * bracket)
         phi = _attractor_phi(s2p, phi)
         if abs(layer) <= 1.0:  # a first-order term: beyond |Delta ln r| = 1, none
             u += layer
-            fw = _slaved_stage(tau, u, k, power, form)[0]
-            w, dw = _w_at(u, k, closed)
+            fw = _slaved_stage(tau, u, k, power, mu2)[0]
+            w, dw = _w_at(u, mu2)
         first = True  # no slaved step accepted yet
         tau_leave = None  # where the fast path is left, once found
     else:
-        fu, fp = _stage(tau, u, phi, k, power, form)
+        fu, fp = _stage(tau, u, phi, k, power, mu2)
 
     for x_target in xs[1:]:
         tau_target = -1.0 / x_target
@@ -321,9 +316,8 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, max_steps):
 
             try:
                 if slaved:  # the angle is held on phi~, so w alone is stepped
-                    x_prev = x
                     u_new, w_new, dw_new, st, err, spread, omegas = _slaved_step(
-                        tau, h, u, w, dw, fw, k, power, form, first
+                        tau, h, u, w, dw, fw, k, power, mu2, first
                     )
                     err = abs(err) / rtol
                     spread /= rtol
@@ -338,22 +332,22 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, max_steps):
                     k1u, k1p = fu, fp
                     u2 = u + h * _DP_A21 * k1u
                     q2 = phi + h * _DP_A21 * k1p
-                    k2u, k2p = _stage(tau + _DP_C2 * h, u2, q2, k, power, form)
+                    k2u, k2p = _stage(tau + _DP_C2 * h, u2, q2, k, power, mu2)
                     u3 = u + h * (_DP_A31 * k1u + _DP_A32 * k2u)
                     q3 = phi + h * (_DP_A31 * k1p + _DP_A32 * k2p)
-                    k3u, k3p = _stage(tau + _DP_C3 * h, u3, q3, k, power, form)
+                    k3u, k3p = _stage(tau + _DP_C3 * h, u3, q3, k, power, mu2)
                     u4 = u + h * (_DP_A41 * k1u + _DP_A42 * k2u + _DP_A43 * k3u)
                     q4 = phi + h * (_DP_A41 * k1p + _DP_A42 * k2p + _DP_A43 * k3p)
-                    k4u, k4p = _stage(tau + _DP_C4 * h, u4, q4, k, power, form)
+                    k4u, k4p = _stage(tau + _DP_C4 * h, u4, q4, k, power, mu2)
                     u5 = u + h * (_DP_A51 * k1u + _DP_A52 * k2u + _DP_A53 * k3u + _DP_A54 * k4u)
                     q5 = phi + h * (_DP_A51 * k1p + _DP_A52 * k2p + _DP_A53 * k3p + _DP_A54 * k4p)
-                    k5u, k5p = _stage(tau + _DP_C5 * h, u5, q5, k, power, form)
+                    k5u, k5p = _stage(tau + _DP_C5 * h, u5, q5, k, power, mu2)
                     u6 = u + h * (_DP_A61 * k1u + _DP_A62 * k2u + _DP_A63 * k3u + _DP_A64 * k4u + _DP_A65 * k5u)
                     q6 = phi + h * (_DP_A61 * k1p + _DP_A62 * k2p + _DP_A63 * k3p + _DP_A64 * k4p + _DP_A65 * k5p)
-                    k6u, k6p = _stage(tau + h, u6, q6, k, power, form)
+                    k6u, k6p = _stage(tau + h, u6, q6, k, power, mu2)
                     u_new = u + h * (_DP_B1 * k1u + _DP_B3 * k3u + _DP_B4 * k4u + _DP_B5 * k5u + _DP_B6 * k6u)
                     p_new = phi + h * (_DP_B1 * k1p + _DP_B3 * k3p + _DP_B4 * k4p + _DP_B5 * k5p + _DP_B6 * k6p)
-                    k7u, k7p = _stage(tau + h, u_new, p_new, k, power, form)
+                    k7u, k7p = _stage(tau + h, u_new, p_new, k, power, mu2)
                     # rtol on u = ln r is relative in r; atol guards the angle only
                     err_u = h * (_DP_E1 * k1u + _DP_E3 * k3u + _DP_E4 * k4u + _DP_E5 * k5u + _DP_E6 * k6u + _DP_E7 * k7u) / rtol
                     err_p = h * (_DP_E1 * k1p + _DP_E3 * k3p + _DP_E4 * k4p + _DP_E5 * k5p + _DP_E6 * k6p + _DP_E7 * k7p)
@@ -363,16 +357,16 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, max_steps):
                     err = math.nan
                 tau_new, x_new = (tau_target, x_target) if land else (tau + h, -1.0 / (tau + h))
                 # a step that leaves x unchanged (a sub-ulp landing) stays where its base did
-                if slaved and err <= 1.0 and not leave and x_new != x_prev:
+                if slaved and err <= 1.0 and not leave and x_new != x:
                     # leave on the omitted term or near the last checkpoint; on it,
                     # end on the fast path where phi~ holds the angle to tolerance
                     if land and x_target == x_end:
-                        lag_r, lag_phi = _lag(tau_new, u_new, st, k, power, form)
+                        lag_r, lag_phi = _lag(tau_new, u_new, st, k, power, mu2)
                         leave = not (lag_r <= rtol and lag_phi <= atol + rtol * abs(phi))
                     else:
-                        leave = _leaves(tau_new, u_new, x_end, k, power, form, rtol)
+                        leave = _leaves(tau_new, u_new, x_end, k, power, mu2, rtol)
                     if leave:
-                        t = _leave_fraction(tau, h, u, w, dw, omegas, x_end, k, power, form, rtol)
+                        t = _leave_fraction(tau, h, u, w, dw, omegas, x_end, k, power, mu2, rtol)
                         tau_leave = tau + t * h
                         if tau_new < tau_leave < tau:  # re-take the step to land there
                             h_next = tau_leave - tau
@@ -385,8 +379,6 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, max_steps):
                 u = u_new
                 phi = p_new
                 n_steps += 1
-                if err > max_err:
-                    max_err = err
                 if math.exp(u) > _R_CAP:
                     capped = True
                 if slaved:
@@ -396,7 +388,7 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, max_steps):
                     phi = _attractor_phi(st[1], phi)
                     if leave:  # hand the angle phi~ to the full system
                         slaved = False
-                        fu, fp = _stage(tau, u, phi, k, power, form)
+                        fu, fp = _stage(tau, u, phi, k, power, mu2)
                 else:
                     fu, fp = k7u, k7p  # FSAL
             else:
@@ -428,10 +420,10 @@ def _drive_adaptive(xs, r0, phi0, k, power, form, rtol, atol, max_steps):
         if status != "ok":
             break
 
-    return out_x, out_r, out_phi, IntegratorStats("adaptive", n_steps, n_rejected, max_err, n_slaved, capped, status)
+    return out_x, out_r, out_phi, IntegratorStats("adaptive", n_steps, n_rejected, n_slaved, capped, status)
 
 
-def _drive_rk4(xs, n_sub, r0, phi0, k, power, form):
+def _drive_rk4(xs, n_sub, r0, phi0, k, power, mu2):
     """Classical RK4 with n_sub[i] equal steps on segment xs[i] -> xs[i+1].
 
     Plain full-system stepping, no stiffness bypass; meant for
@@ -455,10 +447,10 @@ def _drive_rk4(xs, n_sub, r0, phi0, k, power, form):
         x = x0
         for _ in range(n):
             try:
-                k1r, k1p = _rhs_x(x, r, phi, k, power, form)
-                k2r, k2p = _rhs_x(x + 0.5 * h, r + 0.5 * h * k1r, phi + 0.5 * h * k1p, k, power, form)
-                k3r, k3p = _rhs_x(x + 0.5 * h, r + 0.5 * h * k2r, phi + 0.5 * h * k2p, k, power, form)
-                k4r, k4p = _rhs_x(x + h, r + h * k3r, phi + h * k3p, k, power, form)
+                k1r, k1p = _rhs_x(x, r, phi, k, power, mu2)
+                k2r, k2p = _rhs_x(x + 0.5 * h, r + 0.5 * h * k1r, phi + 0.5 * h * k1p, k, power, mu2)
+                k3r, k3p = _rhs_x(x + 0.5 * h, r + 0.5 * h * k2r, phi + 0.5 * h * k2p, k, power, mu2)
+                k4r, k4p = _rhs_x(x + h, r + h * k3r, phi + h * k3p, k, power, mu2)
                 r_new = r + h * (k1r + 2.0 * k2r + 2.0 * k3r + k4r) / 6.0
                 p_new = phi + h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
             except (OverflowError, ZeroDivisionError):

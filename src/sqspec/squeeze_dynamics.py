@@ -25,8 +25,9 @@ which is the same expression: sinh 2r / (sinh 2r + 2 mu2 cosh^2 r) ==
 tanh r / (tanh r + mu2).  The flow is evaluated once, in the conformal
 form, by _rhs._flow; the tests check the identity against the
 printed transformed expression.  rhs evaluates it at a state; its second
-form, "closed-reference", is the analytic mu2 = 0 limit (the pure
-two-mode-squeezed flow) used as a weak-dissipation oracle.
+form, "closed-reference", is the same flow at mu2 = 0 (the pure
+two-mode-squeezed flow), used as a weak-dissipation oracle.  rhs and
+integrate resolve the form to mu2 (k, or 0), and the engine reads only mu2.
 
 Trajectories are sampled in the dimensionless variable x = -k eta (d/dx =
 -(1/k) d/deta), from deep sub-horizon x_start >> 1 down through horizon
@@ -162,15 +163,16 @@ def rhs(
     form: str = "conformal",
 ) -> tuple[float, float]:
     """(dr/deta, dphi/deta) of the flow at the given state: the printed
-    conformal form, or with form="closed-reference" its analytic
-    dissipation-free limit.  couplings default to the background's at
-    eta = -x/k.  An angle whose 2 phi overflows gives NaN."""
+    conformal form, or with form="closed-reference" the same flow at
+    mu2 = 0, its dissipation-free limit.  couplings default to the
+    background's at eta = -x/k.  An angle whose 2 phi overflows gives NaN."""
     _check_flow(form, coupling_power)
     if couplings is None:
         if not 0 < k < math.inf:
             raise ValueError(f"wavenumber must be > 0 and finite, got k={k}")
         couplings = _bg_couplings(-state.x / k, k)
-    return _flow(state.r, state.phi, couplings.coupling, couplings.mu2, coupling_power, form)
+    mu2 = couplings.mu2 if form == "conformal" else 0.0
+    return _flow(state.r, state.phi, couplings.coupling, mu2, coupling_power)
 
 
 def _sample_grid(
@@ -221,7 +223,7 @@ def integrate(
     (atol + rtol |phi|).  The fast path is entered at x_start or not at
     all, and once left it is not re-entered.  On it the angle is held on its
     slow manifold, the attracting branch to second order in the relaxation
-    rate, and w = r + k ln sinh r is stepped in a form that is linear in
+    rate, and w = r + mu2 ln sinh r is stepped in a form that is linear in
     -1/x there.  Where it is entered, the angle starts there: the initial
     relaxation layer from init phi is taken in closed form, with its
     first-order effect on ln r, and init phi only picks the copy of the
@@ -230,8 +232,9 @@ def integrate(
     classical RK4 cross-validator in (r, phi) against x, with step h_fixed
     subdivided exactly into each checkpoint segment; rtol, atol and
     max_steps act on the adaptive pair only, so the RK4 run takes every step
-    it needs.  mu2 = k is constant
-    along the trajectory, so mu2' = 0.  The coupling always follows the
+    it needs.  mu2 is k for the conformal form and 0 for closed-reference,
+    which is the printed flow at mu2 = 0; it is constant along the
+    trajectory, so mu2' = 0.  The coupling always follows the
     background (a sweep's zero_coupling debug run is answered by evolve_grid
     without integrating), and r is never clamped: an adaptive step that would
     take r past ~354.9, where cosh 2r overflows, is rejected, so a mode that
@@ -244,9 +247,9 @@ def integrate(
     the argument for any non-finite number, for an x_start whose x_start^2/k
     overflows, for an init r outside [0, ~354.9], where the seed itself
     would overflow, for an init phi past +-DBL_MAX/2, whose 2 phi overflows,
-    for an h_fixed <= 0 or one that asks for more than 10^7 RK4 steps, and
-    for a fixed step that is not finite or leaves that range of r (naming
-    h_fixed, x and r);
+    for an h_fixed <= 0 or one that asks for more than 10^7 RK4 steps, for a
+    max_steps that is not >= 0, and for a fixed step that is not finite or
+    leaves that range of r (naming h_fixed, x and r);
     raises StepSizeUnderflowError / StepBudgetError with the partial
     trajectory attached.  r passing 30 only sets integrator_stats.capped.
     """
@@ -266,6 +269,8 @@ def integrate(
         raise ValueError(f"require x_start > x_end > 0, got {x_start}, {x_end}")
     if rtol <= 0 or atol <= 0:
         raise ValueError("tolerances must be positive")
+    if not max_steps >= 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     _check_flow(form, coupling_power)
     if h_fixed is not None and h_fixed <= 0:
         raise ValueError(f"h_fixed must be > 0, got {h_fixed}")
@@ -277,6 +282,7 @@ def integrate(
     if k <= 0:
         raise ValueError(f"wavenumber must be > 0, got k={k}")
     k, x_start, x_end = float(k), float(x_start), float(x_end)
+    mu2 = k if form == "conformal" else 0.0  # closed-reference: the flow at mu2 = 0
     rtol, atol = float(rtol), float(atol)
     # the engine scales each stage by x^2/k, largest at x_start
     if not math.isfinite(x_start / k * x_start):
@@ -289,12 +295,12 @@ def integrate(
 
     if h_fixed is None:
         out_x, out_r, out_phi, stats = _eng._drive_adaptive(
-            xs, r0, phi0, k, coupling_power, form, rtol, atol, max_steps,
+            xs, r0, phi0, k, coupling_power, mu2, rtol, atol, max_steps,
         )
     else:
         n_sub = [max(1, math.ceil((a - b) / h_fixed)) for a, b in zip(xs, xs[1:])]
         out_r, out_phi, stats, bad = _eng._drive_rk4(
-            xs, n_sub, r0, phi0, k, coupling_power, form,
+            xs, n_sub, r0, phi0, k, coupling_power, mu2,
         )
         if bad is not None:
             x_bad, r_bad = bad

@@ -119,14 +119,17 @@ class TestRhsPointwise:
             np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_closed_reference_is_analytic_limit(self):
-        # at r = 0 the conformal form's r rate is 0/0, and its limit is the
-        # closed form's; the angle rate is unbounded in both
-        cc0 = CouplingCoefficients(mu2=0.0, coupling=0.7)
-        for r in (0.9, 0.0):
-            state = SqueezeState(r=r, phi=1.1, x=4.0)
-            closed = rhs(state, 1.0, couplings=cc0, form="closed-reference")
-            conformal = rhs(state, 1.0, couplings=cc0)
-            np.testing.assert_allclose(closed, conformal, rtol=1e-14)
+        # closed-reference is the printed flow at mu2 = 0, whatever the
+        # couplings' mu2: the test-local transformed form at r = 0.9, and at
+        # r = 0, where the conformal r rate is 0/0, its limit -A cos 2 phi,
+        # with an unbounded angle rate
+        cc = CouplingCoefficients(mu2=0.8, coupling=0.7)
+        phi = 1.1
+        got = rhs(SqueezeState(r=0.9, phi=phi, x=4.0), 1.0, couplings=cc, form="closed-reference")
+        np.testing.assert_allclose(got, _printed_transformed(0.9, phi, 0.7 * 0.7, 0.0), rtol=1e-14)
+        dr, dp = rhs(SqueezeState(r=0.0, phi=phi, x=4.0), 1.0, couplings=cc, form="closed-reference")
+        assert dr == pytest.approx(-0.7 * 0.7 * math.cos(2.0 * phi), rel=1e-15)
+        assert dp == math.inf
 
     def test_coupling_power_modes_differ(self):
         state = SqueezeState(r=0.5, phi=0.3, x=10.0)
@@ -189,6 +192,9 @@ _STATE = SqueezeState(r=0.5, phi=0.3, x=2.0)
         (lambda: integrate(1.0, 5.0, 0.5, h_fixed=5e-324), "^h_fixed=5e-324 asks for inf RK4 steps"),
         (lambda: integrate(1.0, 5.0, 0.5, h_fixed=1e-12), "^h_fixed=1e-12 asks for 4.5e\\+12 RK4 steps"),
         (lambda: integrate(1.0, 5.0, 0.5, samples=[6.0]), "^sample points must lie within"),
+        # a NaN budget would never run out, and a negative one at the first step
+        (lambda: integrate(1.0, 5.0, 0.5, max_steps=math.nan), "^max_steps must be >= 0, got nan$"),
+        (lambda: integrate(1.0, 5.0, 0.5, max_steps=-1), "^max_steps must be >= 0, got -1$"),
         (lambda: evolve_grid([0.0, 1.0], SweepConfig()), "^k grid must be positive"),
         (lambda: evolve_grid([math.nan, 1.0], SweepConfig()), "^k grid must be positive"),
     ],
@@ -565,16 +571,20 @@ def _stage_at(x, r, phi, *args):
     return _rhs._stage(-1.0 / x, math.log(r), phi, *args)
 
 
-def _slaved_at(x, r, k, power, form):
+def _slaved_at(x, r, k, power, mu2):
     """The adaptive driver's slaved stage at (x, r): (dw/dtau, sin 2phi~,
     delta1, B, s, d delta1/dx) at tau = -1/x, u = ln r."""
-    return _rhs._slaved_stage(-1.0 / x, math.log(r), k, power, form)
+    return _rhs._slaved_stage(-1.0 / x, math.log(r), k, power, mu2)
 
 
-def _w_per_r(r, k, form):
-    """dw/dr of the slaved regime's variable: w = r + k ln sinh r, or r for
-    the closed form, where mu2 = 0."""
-    return 1.0 if form == "closed-reference" else 1.0 + k / math.tanh(r)
+def _mu2(form, k):
+    """The mu2 that integrate() runs a form at: k, or 0 for closed-reference."""
+    return k if form == "conformal" else 0.0
+
+
+def _w_per_r(r, mu2):
+    """dw/dr of the slaved regime's variable w = r + mu2 ln sinh r."""
+    return 1.0 + mu2 / math.tanh(r)
 
 
 def _spy_stages(monkeypatch):
@@ -604,45 +614,57 @@ _SLAVED_POINTS = [
 
 class TestSlavedBranch:
     """The slaved stage holds the angle on the slow manifold phi~ and takes
-    dw/deta from it, w = r + k ln sinh r; it must agree with the full
+    dw/deta from it, w = r + mu2 ln sinh r; it must agree with the full
     right-hand side at the angle it reports."""
 
     @pytest.mark.parametrize("form", FORMS)
     @pytest.mark.parametrize("power", COUPLING_POWERS)
     @pytest.mark.parametrize("x,r,k", _SLAVED_POINTS)
     def test_matches_rhs_at_attractor(self, form, power, x, r, k):
-        args = (k, power, form)
-        fast, s2p, _, _, s, _ = _slaved_at(x, r, *args)
+        mu2 = _mu2(form, k)
+        fast, s2p, _, _, s, _ = _slaved_at(x, r, k, power, mu2)
         assert 0.0 <= s < 0.99
         phi = _rhs._attractor_phi(s2p, math.pi / 2)
-        full = _stage_at(x, r, phi, *args)[0]  # du/dtau
-        assert fast == pytest.approx(full * r * _w_per_r(r, k, form), rel=1e-13)
+        full = _stage_at(x, r, phi, k, power, mu2)[0]  # du/dtau
+        assert fast == pytest.approx(full * r * _w_per_r(r, mu2), rel=1e-13)
 
     @pytest.mark.parametrize("power", COUPLING_POWERS)
     @pytest.mark.parametrize("x,r,k", _SLAVED_POINTS)
     def test_matches_printed_transformed_form(self, power, x, r, k):
         # the slaved stage inlines its own copy of the conformal r'; the
         # printed transformed form, the same expression, must agree with it
-        fast, s2p, _, _, s, _ = _slaved_at(x, r, k, power, "conformal")
+        fast, s2p, _, _, s, _ = _slaved_at(x, r, k, power, k)
         assert 0.0 <= s < 0.99
         phi = _rhs._attractor_phi(s2p, math.pi / 2)
         lam = k / x
         drdeta = _printed_transformed(r, phi, lam * lam if power == "literal" else lam, k)[0]
-        dwdeta = drdeta * _w_per_r(r, k, "conformal")
+        dwdeta = drdeta * _w_per_r(r, k)
         assert fast == pytest.approx(-x * x / k * dwdeta, rel=1e-13)
+
+    @pytest.mark.parametrize("power", COUPLING_POWERS)
+    @pytest.mark.parametrize("x,r,k", _SLAVED_POINTS)
+    def test_no_slow_manifold_terms_at_zero_mu2(self, power, x, r, k):
+        # at mu2 = 0 the branch is sin 2 phi* = 0 and both delta terms vanish
+        # exactly, so dw/dtau = dr/dtau = -A' / (k tau^2)
+        dw, s2p, d1, _, s, dd1 = _slaved_at(x, r, k, power, 0.0)
+        assert (s2p, d1, s, dd1) == (0.0, 0.0, 0.0, 0.0)
+        tau = -1.0 / x
+        lam = -k * tau
+        assert dw == -(lam * lam if power == "literal" else lam) / (k * tau * tau)
 
     @pytest.mark.parametrize("form", FORMS)
     def test_first_order_term_matches_a_difference(self, form):
         # delta1 = (dphi*/dx) / nu, nu = B c / k, is formed from dB/dx in closed form; a
         # central difference of phi* along the zeroth-order flow must agree
         k, x, r, power = 0.05, 3.0, 0.02, "hamiltonian-consistent"
-        dw, _, d1, bracket, s, _ = _slaved_at(x, r, k, power, form)
+        mu2 = _mu2(form, k)
+        dw, _, d1, bracket, s, _ = _slaved_at(x, r, k, power, mu2)
         c = math.sqrt(1.0 - s * s)
-        drdx = dw / _w_per_r(r, k, form) / (x * x)  # dr/dtau = x^2 dr/dx
+        drdx = dw / _w_per_r(r, mu2) / (x * x)  # dr/dtau = x^2 dr/dx
         eps = 1e-5
 
         def phi_star(xx):
-            s_at = _slaved_at(xx, r + (xx - x) * drdx, k, power, form)[4]
+            s_at = _slaved_at(xx, r + (xx - x) * drdx, k, power, mu2)[4]
             return 0.5 * (math.pi - math.asin(s_at))
 
         dphi = (phi_star(x + eps) - phi_star(x - eps)) / (2.0 * eps)
@@ -658,14 +680,14 @@ class TestSlavedBranch:
         # flow must agree (ln r varies as steeply as x^(-1/k), so the
         # difference is narrow in both x and ln r)
         u = math.log(r)
-        *_, s, dd1 = _slaved_at(x, r, k, power, "conformal")
+        *_, s, dd1 = _slaved_at(x, r, k, power, k)
         lam = k / x
         t = math.tanh(r)
         dudx = -(lam * lam if power == "literal" else lam) * t / (t + k) * math.sqrt(1.0 - s * s) / (k * r)
         eps = 1e-5 * x / max(1.0, abs(x * dudx))
 
         def delta1(xx, uu):
-            return _rhs._slaved_stage(-1.0 / xx, uu, k, power, "conformal")[2]
+            return _rhs._slaved_stage(-1.0 / xx, uu, k, power, k)[2]
 
         diff = (delta1(x + eps, u + eps * dudx) - delta1(x - eps, u - eps * dudx)) / (2.0 * eps)
         assert dd1 == pytest.approx(diff, rel=1e-7)
@@ -683,13 +705,13 @@ class TestSlavedBranch:
     def test_slaved_stage_off_the_branch_is_nan(self):
         # at x = 10, r = 3, k = 10 the bracket is ~11.1, so sin(2 phi*) =
         # 2 mu2 / B ~ 1.8: no fixed point, and the stage is rejected
-        dw, _, _, _, s, _ = _slaved_at(10.0, 3.0, 10.0, "literal", "conformal")
+        dw, _, _, _, s, _ = _slaved_at(10.0, 3.0, 10.0, "literal", 10.0)
         assert s > 1.0
         assert math.isnan(dw)
 
     def test_non_finite_angle_gives_nan(self):
         # a stage angle driven to inf through coth(0) must be rejected, not raise
-        derivs = _rhs._flow(1e-6, math.inf, 1.0, 0.1, "literal", "conformal")[:2]
+        derivs = _rhs._flow(1e-6, math.inf, 1.0, 0.1, "literal")[:2]
         assert all(math.isnan(v) for v in derivs)
 
 
@@ -765,7 +787,7 @@ class TestSeededLayer:
         # sample L relaxation lengths past the seed, where the stepped layer
         # has decayed to the branch: a tight plain run must agree there (its
         # window is shorter than 8000 relaxation lengths, so it is not seeded)
-        rate = _slaved_at(100.0, 1e-6, k, "literal", "conformal")[3] / k
+        rate = _slaved_at(100.0, 1e-6, k, "literal", k)[3] / k
         x_s = 100.0 - lengths / rate
         seeded = integrate(k, 100.0, 0.01, samples=[100.0, x_s, 0.01])
         plain = integrate(
@@ -799,14 +821,12 @@ class TestSeededLayer:
         # checkpoint but on it in x, and the 1-ulp landing that follows
         # leaves x unchanged; the lag estimate must skip that step, not
         # divide by the zero difference in x
-        unmoved = []
+        seen = []
         attractor_phi = eng._attractor_phi
 
         def spy(s, phi_anchor):
-            # called once per accepted slaved step, just before the skip's test
-            driver = sys._getframe(1).f_locals
-            if "x_prev" in driver:
-                unmoved.append(driver["x"] == driver["x_prev"])
+            # called at the seed and once per accepted slaved step, after x moves
+            seen.append(sys._getframe(1).f_locals["x"])
             return attractor_phi(s, phi_anchor)
 
         monkeypatch.setattr(eng, "_attractor_phi", spy)
@@ -816,6 +836,7 @@ class TestSeededLayer:
             warnings.simplefilter("error")
             traj = integrate(1e-6, x0, xs[-1], init=(1e-9, PI4), samples=xs)
         stats = traj.integrator_stats
+        unmoved = [a == b for a, b in zip(seen, seen[1:])]
         assert stats.status == "ok"
         assert stats.n_steps == stats.n_slaved_steps == len(unmoved)
         assert any(unmoved)

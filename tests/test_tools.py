@@ -1,4 +1,5 @@
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,25 @@ def test_compare_integrate_runs_on_this_tree():
         cwd=ROOT, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+    assert "10 identical" in proc.stdout
+
+
+def test_compare_integrate_compares_shared_stats_fields(tmp_path):
+    # a tree whose IntegratorStats carries one more field is compared on the
+    # fields both report, and the extra field is named
+    pkg = tmp_path / "sqspec"
+    shutil.copytree(ROOT / "src" / "sqspec", pkg, ignore=shutil.ignore_patterns("__pycache__"))
+    source = (pkg / "_integrators.py").read_text()
+    assert source.count('    status: str = "ok"\n') == 1
+    (pkg / "_integrators.py").write_text(
+        source.replace('    status: str = "ok"\n', '    status: str = "ok"\n    extra: int = 7\n')
+    )
+    proc = subprocess.run(
+        [sys.executable, "tools/compare_integrate.py", "src", str(tmp_path), "--n", "10"],
+        cwd=ROOT, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "stats fields only NEW_SRC reports, not compared: extra" in proc.stdout
     assert "10 identical" in proc.stdout
 
 

@@ -15,15 +15,14 @@ same seeded random valid inputs in its own interpreter:
     uniform in [-10, 10]; form conformal (2 in 3) or closed-reference;
     either coupling power; rtol and atol log-uniform in [1e-12, 1e-4];
     max_steps 20,000; 10% with a fixed step h_fixed = span/16 to span/256,
-    which runs the RK4 reference (a tree whose integrate() still takes a
-    method argument is passed method="fixed" with it); 40% with 1 to 4
-    explicit sample points.
+    which runs the RK4 reference; 40% with 1 to 4 explicit sample points.
 
 A result is the outcome (status, or the exception type and message; any
 exception other than a typed integrator failure, ValueError or OverflowError
 is an "untyped" outcome), the samples (x, r, phi) of the trajectory (the
-partial one for a typed integrator failure) and the integrator stats.  The
-script prints how many results are identical and how
+partial one for a typed integrator failure) and the integrator stats, on the
+fields that both trees report; the script names any field that only one
+tree reports.  It prints how many results are identical and how
 many differ, a table of outcome pairs, and the cause of each difference: a
 fixed-step input, an input where either tree evaluated a slaved stage off
 the angle's branch (one whose first derivative is NaN), or other.  The spy
@@ -57,7 +56,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import inspect
 import json
 import math
 import os
@@ -131,12 +129,8 @@ def run_worker():
         return derivs
 
     eng._slaved_stage = spy
-    # a tree from before h_fixed picked the driver also needs method="fixed"
-    takes_method = "method" in inspect.signature(integrate).parameters
     results = []
     for kwargs in json.load(sys.stdin):
-        if takes_method and kwargs.get("h_fixed") is not None:
-            kwargs["method"] = "fixed"
         off_branch[0] = 0
         probe[0] = True
         traj = None
@@ -330,6 +324,14 @@ def main():
         return
     old = run_tree(args.old_src, inputs)
     new = run_tree(args.new_src, inputs)
+    # the stats are compared on the fields both trees report
+    fields = [set().union(*(res["stats"] for res in runs)) for runs in (old, new)]
+    for name, only in (("OLD_SRC", fields[0] - fields[1]), ("NEW_SRC", fields[1] - fields[0])):
+        if only:
+            print(f"stats fields only {name} reports, not compared: {', '.join(sorted(only))}")
+    shared = fields[0] & fields[1]
+    for res in old + new:
+        res["stats"] = {f: v for f, v in res["stats"].items() if f in shared}
     differ = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
     print(f"{len(inputs)} inputs: {len(inputs) - len(differ)} identical, {len(differ)} differ")
     off = sum(1 for a in old if a["off_branch"]), sum(1 for b in new if b["off_branch"])
