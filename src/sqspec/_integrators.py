@@ -175,11 +175,11 @@ _DP_E1, _DP_E3, _DP_E4, _DP_E5, _DP_E6, _DP_E7 = (
 )
 
 
-def _leaves(tau, u, x_end, k, power, mu2, rtol):
-    """Whether the fast path is left at (tau, u): within _SLAVE_HANDBACK
-    relaxation lengths of x_end, or within _STIFF_BUDGET where the omitted
-    term shifts dr/dx by more than rtol (or is NaN)."""
-    st = _slaved_stage(tau, u, k, power, mu2)
+def _leaves(tau, u, st, x_end, k, power, mu2, rtol):
+    """Whether the fast path is left at (tau, u), where the slaved stage gave
+    the tuple st: within _SLAVE_HANDBACK relaxation lengths of x_end, or
+    within _STIFF_BUDGET where the omitted term shifts dr/dx by more than
+    rtol (or is NaN)."""
     slack = st[3] / k * (-1.0 / tau - x_end)
     return slack <= _SLAVE_HANDBACK or (
         slack <= _STIFF_BUDGET and not _lag(tau, u, st, k, power, mu2)[0] <= rtol
@@ -235,8 +235,9 @@ def _leave_fraction(tau, h, u, w, dw, omegas, x_end, k, power, mu2, rtol):
     for _ in range(_LEAVE_BISECTIONS):
         t = 0.5 * (lo + hi)
         om = h * f0 * t * (1.0 - t) ** 2 + om1 * t * t * (3.0 - 2.0 * t) + h * f1 * t * t * (t - 1.0)
+        tt = tau + t * h
         ut = _u_at(w + (math.log1p(om) if expo else om), u, w, dw, mu2)[0]
-        if _leaves(tau + t * h, ut, x_end, k, power, mu2, rtol):
+        if _leaves(tt, ut, _slaved_stage(tt, ut, k, power, mu2), x_end, k, power, mu2, rtol):
             hi = t
         else:
             lo = t
@@ -364,7 +365,7 @@ def _drive_adaptive(xs, r0, phi0, k, power, mu2, rtol, atol, max_steps):
                         lag_r, lag_phi = _lag(tau_new, u_new, st, k, power, mu2)
                         leave = not (lag_r <= rtol and lag_phi <= atol + rtol * abs(phi))
                     else:
-                        leave = _leaves(tau_new, u_new, x_end, k, power, mu2, rtol)
+                        leave = _leaves(tau_new, u_new, st, x_end, k, power, mu2, rtol)
                     if leave:
                         t = _leave_fraction(tau, h, u, w, dw, omegas, x_end, k, power, mu2, rtol)
                         tau_leave = tau + t * h

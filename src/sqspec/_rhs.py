@@ -2,14 +2,18 @@
 
 _flow holds the printed flow in conformal time, each formula once: the
 closed-coupling factor A, the coth r Laurent series, the bracket B of the
-angle equation and dr/deta in the printed conformal form.  Every function
-here takes mu2 as a number: k for the conformal form, and 0 for the
-closed-reference oracle, which is the printed flow at mu2 = 0 (integrate
-and rhs in squeeze_dynamics resolve the form's name).  _stage turns it
-into (du/dtau, dphi/dtau) of the full system, u = ln r and tau = -1/x; the
-RK4 driver's _rhs_x and the public rhs in squeeze_dynamics read the same
-copy.  _slaved_stage inlines it for the adaptive driver's slaved
-regime, so a slaved stage is one Python call.
+angle equation and dr/deta in the printed transformed form, with the
+ratio tanh r / (tanh r + mu2) in place of the conformal form's sinh 2r /
+(sinh 2r + 2 mu2 cosh^2 r), the same expression (squeeze_dynamics).  It
+takes no sinh or cosh and stays finite where A sinh 2r would overflow.
+Every function here takes mu2 as a number: k for the conformal form, and 0
+for the closed-reference oracle, which is the printed flow at mu2 = 0
+(integrate and rhs in squeeze_dynamics resolve the form's name).  The
+RK4 driver's _rhs_x and the public rhs in squeeze_dynamics read _flow.
+The adaptive driver's two stages inline it, so each stage is one Python
+call: _stage gives (du/dtau, dphi/dtau) of the full system, u = ln r and
+tau = -1/x, and _slaved_stage the slaved regime's; tests hold both to
+_flow.
 
 Stiffness handling.  The angle equation carries a coth(r) relaxation rate:
 for r ~ 1e-6 the angle is attracted to its quasi-static branch
@@ -72,22 +76,26 @@ def _flow(r, phi, lam, mu2, power):
     # the bracket B of the angle equation; coth r + mu2 is summed first, as in
     # the printed M_P (coth r + mu2)
     bracket = a_cc * tr / (1.0 + mu2 * tr) + (coth + mu2)
-    dpdeta = 0.5 * math.sin(two_phi) * bracket - mu2
-    if mu2 == 0.0:  # sinh 2r / (sinh 2r + 2 mu2 cosh^2 r) is 1, also at r = 0
-        return -a_cc * c2p, dpdeta
-    s2r = math.sinh(2.0 * r)
-    ch = math.cosh(r)
-    return -a_cc * s2r * c2p / (s2r + 2.0 * mu2 * (ch * ch)), dpdeta
+    ratio = tr / (tr + mu2) if mu2 != 0.0 else 1.0  # 1 at mu2 = 0, also at r = 0
+    return -a_cc * ratio * c2p, 0.5 * math.sin(two_phi) * bracket - mu2
 
 
 def _stage(tau, u, phi, k, power, mu2):
-    """(du/dtau, dphi/dtau) of the full system at tau = -1/x, u = ln r.
-    |z'/z| = 1/|eta| = k/x = -k tau, and d/dtau = x^2 d/dx = -(x^2/k) d/deta
-    with x^2 = 1/tau^2."""
+    """(du/dtau, dphi/dtau) of the full system at tau = -1/x, u = ln r: _flow
+    inlined, |z'/z| = 1/|eta| = k/x = -k tau, and d/dtau = x^2 d/dx =
+    -(x^2/k) d/deta with x^2 = 1/tau^2.  An angle whose 2 phi is not finite
+    raises ValueError in cos, and the driver rejects the attempt."""
     r = math.exp(u)
-    drdeta, dpdeta = _flow(r, phi, -k * tau, mu2, power)
+    lam = -k * tau
+    a_cc = lam * lam if power == "literal" else lam
+    tr = math.tanh(r)
+    coth = 1.0 / r + r / 3.0 + r * r * r / 45.0 if r < 1e-4 else 1.0 / tr  # as in _flow
+    two_phi = 2.0 * phi
+    c2p = math.cos(two_phi)
+    bracket = a_cc * tr / (1.0 + mu2 * tr) + (coth + mu2)
+    drdeta = -a_cc * (tr / (tr + mu2)) * c2p
     scale = -1.0 / (k * tau * tau)
-    return scale * drdeta / r, scale * dpdeta
+    return scale * drdeta / r, scale * (0.5 * math.sin(two_phi) * bracket - mu2)
 
 
 def _rhs_x(x, r, phi, k, power, mu2):

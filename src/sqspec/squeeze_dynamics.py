@@ -22,10 +22,12 @@ The paper also prints r' in a transformed form,
     r' = - tanh(r) (mu2' + A cos 2 phi) / (tanh r + mu2),      (transformed form)
 
 which is the same expression: sinh 2r / (sinh 2r + 2 mu2 cosh^2 r) ==
-tanh r / (tanh r + mu2).  The flow is evaluated once, in the conformal
-form, by _rhs._flow; the tests check the identity against the
-printed transformed expression.  rhs evaluates it at a state; its second
-form, "closed-reference", is the same flow at mu2 = 0 (the pure
+tanh r / (tanh r + mu2).  sqspec evaluates r' in the transformed form,
+which needs no sinh or cosh and stays finite up to the r edge, where
+A sinh 2r passes the double range; the tests check it against the
+printed conformal expression.  _rhs._flow holds the flow, and the
+adaptive driver's stages inline it (_rhs).  rhs evaluates it at a state;
+its second form, "closed-reference", is the same flow at mu2 = 0 (the pure
 two-mode-squeezed flow), used as a weak-dissipation oracle.  rhs and
 integrate resolve the form to mu2 (k, or 0), and the engine reads only mu2.
 
@@ -163,8 +165,9 @@ def rhs(
     form: str = "conformal",
 ) -> tuple[float, float]:
     """(dr/deta, dphi/deta) of the flow at the given state: the printed
-    conformal form, or with form="closed-reference" the same flow at
-    mu2 = 0, its dissipation-free limit.  couplings default to the
+    flow with mu2 from the couplings (form="conformal"), or with
+    form="closed-reference" the same flow at mu2 = 0, its
+    dissipation-free limit.  couplings default to the
     background's at eta = -x/k.  An angle whose 2 phi overflows gives NaN."""
     _check_flow(form, coupling_power)
     if couplings is None:

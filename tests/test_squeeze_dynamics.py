@@ -63,6 +63,16 @@ def _printed_transformed(r, phi, a, mu2):
     return dr, 0.5 * math.sin(2.0 * phi) * bracket - mu2
 
 
+def _printed_conformal(r, phi, a, mu2):
+    """(dr/deta, dphi/deta) of the paper's conformal form at mu2' = 0, written
+    out independently of the package: r' = -A sinh 2r cos 2 phi / (sinh 2r +
+    2 mu2 cosh^2 r)."""
+    s2r = math.sinh(2.0 * r)
+    dr = -a * s2r * math.cos(2.0 * phi) / (s2r + 2.0 * mu2 * math.cosh(r) ** 2)
+    bracket = a * math.tanh(r) / (1.0 + mu2 * math.tanh(r)) + 1.0 / math.tanh(r) + mu2
+    return dr, 0.5 * math.sin(2.0 * phi) * bracket - mu2
+
+
 class TestRhsPointwise:
     def test_quarter_pi_is_fixed_point_of_r(self):
         # cos(2 phi) = 0 kills the only surviving numerator term at mu2' = 0
@@ -101,8 +111,9 @@ class TestRhsPointwise:
         assert dp == pytest.approx(1.6440707015465308, rel=1e-14)
 
     def test_conformal_equals_transformed(self):
-        # the two printed forms are algebraically identical; the transformed
-        # one is evaluated by the test-local reference
+        # the two printed forms are algebraically identical; sqspec evaluates
+        # the transformed one, and the test-local reference the conformal one
+        # (r <= 4, where sinh 2r cannot overflow)
         rng = np.random.RandomState(11)
         for _ in range(200):
             state = SqueezeState(
@@ -115,13 +126,23 @@ class TestRhsPointwise:
                 coupling=rng.uniform(0.01, 3.0),
             )
             a = rhs(state, 1.0, couplings=cc)
-            b = _printed_transformed(state.r, state.phi, cc.coupling**2, cc.mu2)
+            b = _printed_conformal(state.r, state.phi, cc.coupling**2, cc.mu2)
             np.testing.assert_allclose(a, b, rtol=1e-12)
+
+    def test_r_rate_finite_at_the_r_edge(self):
+        # A sinh 2r passes the double range near r = 354, while the ratio
+        # tanh r / (tanh r + mu2) has long saturated: the rate at r = 354 is
+        # the one at r = 340
+        cc = CouplingCoefficients(mu2=0.5, coupling=10.0)
+        edge = rhs(SqueezeState(r=354.0, phi=0.3, x=1.0), 1.0, couplings=cc)[0]
+        inner = rhs(SqueezeState(r=340.0, phi=0.3, x=1.0), 1.0, couplings=cc)[0]
+        assert inner == pytest.approx(-55.0224, abs=1e-4)
+        assert edge == pytest.approx(inner, rel=1e-12)
 
     def test_closed_reference_is_analytic_limit(self):
         # closed-reference is the printed flow at mu2 = 0, whatever the
         # couplings' mu2: the test-local transformed form at r = 0.9, and at
-        # r = 0, where the conformal r rate is 0/0, its limit -A cos 2 phi,
+        # r = 0, where either printed r rate is 0/0, its limit -A cos 2 phi,
         # with an unbounded angle rate
         cc = CouplingCoefficients(mu2=0.8, coupling=0.7)
         phi = 1.1
@@ -606,6 +627,33 @@ def _spy_stages(monkeypatch):
     return flags
 
 
+class TestFullStage:
+    """The full-system stage inlines _flow, so a stage is one Python call; it
+    must agree with _flow through du/dtau = -(x^2/k) (dr/deta) / r and
+    dphi/dtau = -(x^2/k) dphi/deta."""
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("power", COUPLING_POWERS)
+    @pytest.mark.parametrize("r", [1e-8, 3e-5, 0.2, 5.0, 300.0])  # 3e-5: the Laurent coth
+    def test_matches_flow(self, r, power, form):
+        x, k, phi = 3.0, 0.05, 1.3
+        mu2 = _mu2(form, k)
+        dudtau, dpdtau = _stage_at(x, r, phi, k, power, mu2)
+        r = math.exp(math.log(r))  # the r the stage sees
+        drdeta, dpdeta = _rhs._flow(r, phi, k / x, mu2, power)
+        assert dudtau == pytest.approx(-(x * x / k) * drdeta / r, rel=1e-14)
+        assert dpdtau == pytest.approx(-(x * x / k) * dpdeta, rel=1e-14)
+
+    @pytest.mark.parametrize("power", COUPLING_POWERS)
+    def test_finite_at_the_r_edge(self, power):
+        # at x = 0.05, k = 1, A' is 400 (literal) or 20 (consistent), past the
+        # 12 where A' sinh 2r would leave the double range at r = 354
+        x, k = 0.05, 1.0
+        lam = k / x
+        assert (lam * lam if power == "literal" else lam) > 12.0
+        assert all(map(math.isfinite, _rhs._stage(-1.0 / x, math.log(354.0), 0.3, k, power, k)))
+
+
 # (x, r, k) on the branch, from deep inside the horizon to r = 4
 _SLAVED_POINTS = [
     (100.0, 1e-6, 0.05), (1.0, 2.7e-6, 1e-4), (3.0, 5e-5, 0.7), (0.5, 0.3, 0.2), (0.02, 4.0, 1.0),
@@ -631,8 +679,8 @@ class TestSlavedBranch:
     @pytest.mark.parametrize("power", COUPLING_POWERS)
     @pytest.mark.parametrize("x,r,k", _SLAVED_POINTS)
     def test_matches_printed_transformed_form(self, power, x, r, k):
-        # the slaved stage inlines its own copy of the conformal r'; the
-        # printed transformed form, the same expression, must agree with it
+        # the slaved stage inlines its own copy of r' as dw/deta; the printed
+        # transformed form, written out by the test, must agree with it
         fast, s2p, _, _, s, _ = _slaved_at(x, r, k, power, k)
         assert 0.0 <= s < 0.99
         phi = _rhs._attractor_phi(s2p, math.pi / 2)
