@@ -119,9 +119,9 @@ class IntegratorStats:
     """Counters of one integration, built by the driver that counts them and
     kept on its Trajectory (a failed run's too) and on its ModeResult.
 
-    method: "adaptive" or "fixed".
-    n_steps: accepted steps, slaved ones included; RK4 steps for "fixed".
-    n_rejected: rejected step attempts (0 for "fixed").
+    n_steps: accepted steps, slaved ones included; RK4 steps for the
+        fixed-step driver.
+    n_rejected: rejected step attempts (0 for the fixed-step driver).
     n_slaved_steps: accepted steps on the fast path, with the angle held on
         its slow manifold.
     capped: r exceeded 30 (_R_CAP) somewhere along the run; the run goes
@@ -131,7 +131,6 @@ class IntegratorStats:
         out (integrate raises StepBudgetError).
     """
 
-    method: str
     n_steps: int
     n_rejected: int = 0
     n_slaved_steps: int = 0
@@ -260,7 +259,7 @@ def _drive_adaptive(xs, r0, phi0, k, power, mu2, rtol, atol, max_steps):
     out_phi = [phi0]
     x_end = xs[-1]
     if r0 == 0.0:  # the singularity itself: u = ln r has no seed
-        return out_x, out_r, out_phi, IntegratorStats("adaptive", 0, status="step-underflow")
+        return out_x, out_r, out_phi, IntegratorStats(0, status="step-underflow")
     tau = -1.0 / x
     u = math.log(r0)
     phi = phi0
@@ -274,7 +273,7 @@ def _drive_adaptive(xs, r0, phi0, k, power, mu2, rtol, atol, max_steps):
     h = -1.0 / x_end - tau  # negative: tau decreases with x
 
     # the seed is the only way onto the slaved branch (module docstring)
-    fw, s2p, _, bracket, s, _ = _slaved_stage(tau, u, k, power, mu2)
+    fw, s2p, _, bracket, s, _, _ = _slaved_stage(tau, u, k, power, mu2)
     rate = bracket / k
     slaved = math.isfinite(rate) and rate * (x - x_end) > 2.0 * _STIFF_BUDGET and 0.0 <= s < 0.99
     if slaved:
@@ -421,7 +420,7 @@ def _drive_adaptive(xs, r0, phi0, k, power, mu2, rtol, atol, max_steps):
         if status != "ok":
             break
 
-    return out_x, out_r, out_phi, IntegratorStats("adaptive", n_steps, n_rejected, n_slaved, capped, status)
+    return out_x, out_r, out_phi, IntegratorStats(n_steps, n_rejected, n_slaved, capped, status)
 
 
 def _drive_rk4(xs, n_sub, r0, phi0, k, power, mu2):
@@ -471,4 +470,4 @@ def _drive_rk4(xs, n_sub, r0, phi0, k, power, mu2):
         out_r.append(r)
         out_phi.append(phi)
 
-    return out_r, out_phi, IntegratorStats("fixed", n_steps, capped=capped), bad
+    return out_r, out_phi, IntegratorStats(n_steps, capped=capped), bad

@@ -105,11 +105,11 @@ def _rhs_x(x, r, phi, k, power, mu2):
 
 
 def _slaved_stage(tau, u, k, power, mu2):
-    """(dw/dtau, sin 2phi~, delta1, B, s, d delta1/dx) with the angle on the
-    slow manifold phi~ (module docstring), at tau = -1/x, u = ln r; s = 0
-    at mu2 = 0.  Off the branch (s outside [0, 0.99), too marginal
-    to hold the angle) dw/dtau and the delta terms are NaN, which the
-    controller rejects."""
+    """(dw/dtau, sin 2phi~, delta1, B, s, d delta1/dx, du/dx) with the angle
+    on the slow manifold phi~ (module docstring), at tau = -1/x, u = ln r;
+    s = 0 at mu2 = 0, and du/dx is that of the zeroth-order flow.  Off the
+    branch (s outside [0, 0.99), too marginal to hold the angle) dw/dtau,
+    the delta terms and du/dx are NaN, which the controller rejects."""
     r = math.exp(u)
     lam = -k * tau  # |z'/z| = k/x
     literal = power == "literal"
@@ -122,7 +122,7 @@ def _slaved_stage(tau, u, k, power, mu2):
     bracket = a_cc * tr / den1 + (coth + mu2)
     s = 2.0 * mu2 / bracket
     if not 0.0 <= s < 0.99:
-        return math.nan, s, math.nan, bracket, s, math.nan
+        return math.nan, s, math.nan, bracket, s, math.nan, math.nan
     cc = 1.0 - s * s
     c = math.sqrt(cc)  # -cos(2 phi*)
     # x-derivatives along the zeroth-order flow dr/dx = -g c / k, g = A' tanh r
@@ -155,7 +155,7 @@ def _slaved_stage(tau, u, k, power, mu2):
     delta = d1 + dd1 * k * ib / c
     c2d = math.cos(2.0 * delta)
     s2d = math.sin(2.0 * delta)
-    return scale * (c * c2d + s * s2d), s * c2d - c * s2d, d1, bracket, s, dd1
+    return scale * (c * c2d + s * s2d), s * c2d - c * s2d, d1, bracket, s, dd1, drdx / r
 
 
 def _attractor_phi(s, phi_anchor):
@@ -169,20 +169,16 @@ def _lag(tau, u, st, k, power, mu2):
     """The omitted term delta3 = (d^2 delta1/dx^2) / nu^2 of phi~ at (tau,
     u), where the slaved stage gave the tuple st: (2 s |delta3| / c, the
     relative shift of dr/dx, and |delta3|, the angle's).  d^2 delta1/dx^2 is
-    a difference of the closed form d delta1/dx along the zeroth-order flow,
-    over _LAG_DX of x or of ln r, whichever is narrower, towards smaller x;
-    NaN where that leaves the branch."""
-    _, _, _, bracket, s, dd1 = st
+    a difference of the closed form d delta1/dx along the zeroth-order flow
+    du/dx of st, over _LAG_DX of x or of ln r, whichever is narrower,
+    towards smaller x; NaN where that leaves the branch."""
+    _, _, _, bracket, s, dd1, dudx = st
     if s == 0.0:  # mu2 = 0: phi~ = phi* exactly
         return 0.0, 0.0
     if not 0.0 < s < 0.99:  # off the branch
         return math.nan, math.nan
     c = math.sqrt(1.0 - s * s)
     x = -1.0 / tau
-    r = math.exp(u)
-    lam = k / x
-    tr = math.tanh(r)
-    dudx = -(lam * lam if power == "literal" else lam) * tr / (tr + mu2) * c / (k * r)
     dx = _LAG_DX * x / max(1.0, abs(x * dudx))  # ln r may vary as x^(-1/mu2)
     ahead = _slaved_stage(-1.0 / (x - dx), u - dx * dudx, k, power, mu2)[5]
     delta3 = abs(dd1 - ahead) / dx * (k / (bracket * c)) ** 2

@@ -376,7 +376,7 @@ class TestIntegrate:
         assert type(a_stats) is type(f_stats) is type(b_stats) is eng.IntegratorStats
         assert a_stats == adaptive.integrator_stats and b_stats == below.integrator_stats
         assert f_stats == fixed.integrator_stats and bad is None
-        assert f_stats.method == "fixed" and f_stats.n_steps == 2003
+        assert f_stats.n_steps == 2003
         assert (a_stats.status, b_stats.status, f_stats.status) == ("ok",) * 3
 
     def test_capped_run_that_fails_keeps_its_flag(self, driven):
@@ -410,7 +410,7 @@ class TestIntegrate:
             integrate(0.5, 10.0, 1.0, init=(0.0, 0.3))
         stats = excinfo.value.trajectory.integrator_stats
         assert stats.n_steps + stats.n_rejected == 0
-        assert driven[0][3] == stats == eng.IntegratorStats("adaptive", 0, status="step-underflow")
+        assert driven[0][3] == stats == eng.IntegratorStats(0, status="step-underflow")
         with pytest.raises(StepSizeUnderflowError, match="stiff window") as excinfo:
             integrate(1e-6, 10.0, 10.0 - 1e-12, init=(1e-9, PI4))
         assert "r = 0" not in str(excinfo.value)
@@ -530,7 +530,7 @@ class TestIntegrate:
             977.2526736521054: (37, True, 1.9729824984529634),
             1.0: (0, False, 0.02),
         }[args[0]]
-        assert stats == eng.IntegratorStats("fixed", n_steps, capped=capped)
+        assert stats == eng.IntegratorStats(n_steps, capped=capped)
         assert (x_bad, r_bad) == (x_stop, out_r[-1])
         assert f" from x={x_bad:.6g} (r={r_bad:.6g}) " in str(excinfo.value)
 
@@ -670,7 +670,7 @@ class TestSlavedBranch:
     @pytest.mark.parametrize("x,r,k", _SLAVED_POINTS)
     def test_matches_rhs_at_attractor(self, form, power, x, r, k):
         mu2 = _mu2(form, k)
-        fast, s2p, _, _, s, _ = _slaved_at(x, r, k, power, mu2)
+        fast, s2p, _, _, s, _, _ = _slaved_at(x, r, k, power, mu2)
         assert 0.0 <= s < 0.99
         phi = _rhs._attractor_phi(s2p, math.pi / 2)
         full = _stage_at(x, r, phi, k, power, mu2)[0]  # du/dtau
@@ -681,7 +681,7 @@ class TestSlavedBranch:
     def test_matches_printed_transformed_form(self, power, x, r, k):
         # the slaved stage inlines its own copy of r' as dw/deta; the printed
         # transformed form, written out by the test, must agree with it
-        fast, s2p, _, _, s, _ = _slaved_at(x, r, k, power, k)
+        fast, s2p, _, _, s, _, _ = _slaved_at(x, r, k, power, k)
         assert 0.0 <= s < 0.99
         phi = _rhs._attractor_phi(s2p, math.pi / 2)
         lam = k / x
@@ -694,7 +694,7 @@ class TestSlavedBranch:
     def test_no_slow_manifold_terms_at_zero_mu2(self, power, x, r, k):
         # at mu2 = 0 the branch is sin 2 phi* = 0 and both delta terms vanish
         # exactly, so dw/dtau = dr/dtau = -A' / (k tau^2)
-        dw, s2p, d1, _, s, dd1 = _slaved_at(x, r, k, power, 0.0)
+        dw, s2p, d1, _, s, dd1, _ = _slaved_at(x, r, k, power, 0.0)
         assert (s2p, d1, s, dd1) == (0.0, 0.0, 0.0, 0.0)
         tau = -1.0 / x
         lam = -k * tau
@@ -706,7 +706,7 @@ class TestSlavedBranch:
         # central difference of phi* along the zeroth-order flow must agree
         k, x, r, power = 0.05, 3.0, 0.02, "hamiltonian-consistent"
         mu2 = _mu2(form, k)
-        dw, _, d1, bracket, s, _ = _slaved_at(x, r, k, power, mu2)
+        dw, _, d1, bracket, s, _, _ = _slaved_at(x, r, k, power, mu2)
         c = math.sqrt(1.0 - s * s)
         drdx = dw / _w_per_r(r, mu2) / (x * x)  # dr/dtau = x^2 dr/dx
         eps = 1e-5
@@ -728,7 +728,7 @@ class TestSlavedBranch:
         # flow must agree (ln r varies as steeply as x^(-1/k), so the
         # difference is narrow in both x and ln r)
         u = math.log(r)
-        *_, s, dd1 = _slaved_at(x, r, k, power, k)
+        *_, s, dd1, dudx_stage = _slaved_at(x, r, k, power, k)
         lam = k / x
         t = math.tanh(r)
         dudx = -(lam * lam if power == "literal" else lam) * t / (t + k) * math.sqrt(1.0 - s * s) / (k * r)
@@ -739,6 +739,8 @@ class TestSlavedBranch:
 
         diff = (delta1(x + eps, u + eps * dudx) - delta1(x - eps, u - eps * dudx)) / (2.0 * eps)
         assert dd1 == pytest.approx(diff, rel=1e-7)
+        # the stage returns that flow, which _lag steps along
+        assert dudx_stage == pytest.approx(dudx, rel=1e-14)
 
     def test_attractor_angle_nearest_the_anchor(self):
         # sin(2 phi*) = s on the attracting branch (cos(2 phi*) < 0), on the
@@ -753,9 +755,9 @@ class TestSlavedBranch:
     def test_slaved_stage_off_the_branch_is_nan(self):
         # at x = 10, r = 3, k = 10 the bracket is ~11.1, so sin(2 phi*) =
         # 2 mu2 / B ~ 1.8: no fixed point, and the stage is rejected
-        dw, _, _, _, s, _ = _slaved_at(10.0, 3.0, 10.0, "literal", 10.0)
+        dw, _, _, _, s, _, dudx = _slaved_at(10.0, 3.0, 10.0, "literal", 10.0)
         assert s > 1.0
-        assert math.isnan(dw)
+        assert math.isnan(dw) and math.isnan(dudx)
 
     def test_non_finite_angle_gives_nan(self):
         # a stage angle driven to inf through coth(0) must be rejected, not raise

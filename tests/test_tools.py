@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import shutil
 import subprocess
 import sys
@@ -27,6 +28,19 @@ def test_compare_integrate_runs_on_this_tree():
     assert "10 identical" in proc.stdout
 
 
+def test_compare_integrate_tables_each_driver():
+    # one outcome table per driver, adaptive first, each headed by how many
+    # of its inputs differ, so that a gate can read the adaptive one alone
+    proc = subprocess.run(
+        [sys.executable, "tools/compare_integrate.py", "src", "src", "--n", "40"],
+        cwd=ROOT, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    heads = re.findall(r"^(adaptive|fixed-step): 0 of (\d+) inputs differ;", proc.stdout, re.M)
+    assert [name for name, _ in heads] == ["adaptive", "fixed-step"]
+    assert sum(int(n) for _, n in heads) == 40
+
+
 def test_compare_integrate_compares_shared_stats_fields(tmp_path):
     # a tree whose IntegratorStats carries one more field is compared on the
     # fields both report, and the extra field is named
@@ -47,11 +61,11 @@ def test_compare_integrate_compares_shared_stats_fields(tmp_path):
 
 
 def _broken_tree(tmp_path):
-    """A tree whose integrate() dies with a program error on every input."""
+    """A tree whose integrate() dies with a program error on every input; the
+    worker needs nothing of it but squeeze_dynamics."""
     pkg = tmp_path / "sqspec"
     pkg.mkdir()
     (pkg / "__init__.py").write_text("")
-    (pkg / "_integrators.py").write_text("def _slaved_stage(*args):\n    return (0.0,)\n")
     (pkg / "squeeze_dynamics.py").write_text(
         "class StepBudgetError(RuntimeError):\n    pass\n\n\n"
         "class StepSizeUnderflowError(RuntimeError):\n    pass\n\n\n"

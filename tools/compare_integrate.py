@@ -22,11 +22,11 @@ exception other than a typed integrator failure, ValueError or OverflowError
 is an "untyped" outcome), the samples (x, r, phi) of the trajectory (the
 partial one for a typed integrator failure) and the integrator stats, on the
 fields that both trees report; the script names any field that only one
-tree reports.  It prints how many results are identical and how
-many differ, a table of outcome pairs, and the cause of each difference: a
-fixed-step input, an input where either tree evaluated a slaved stage off
-the angle's branch (one whose first derivative is NaN), or other.  The spy
-sits on the adaptive driver's slaved stage, _slaved_stage.
+tree reports.  It prints how many results are identical and how many
+differ, then one table per driver, adaptive first and fixed-step (RK4) second,
+each headed by how many of its inputs differ and listing its outcome pairs.
+A fixed-step input's "h_fixed is too coarse" outcome can turn on the last
+bit of the flow, so a gate on unchanged outcomes reads the adaptive table.
 For each differing input that has samples on both sides it prints the error
 of both sides against a tight run (rtol 1e-13, atol 1e-16, max_steps
 2,000,000) of each tree: the largest relative error of r and absolute error
@@ -44,12 +44,12 @@ system, and the worst inputs of each split.  The exit status is 1 when either
 run has an untyped outcome.
 
 With --sweep the script scores SRC's default sweep on each of the three
-benchmark workloads (crossing, superhorizon, consistent; the settings of
-perfbench/run.py) against REF_SRC's tight sweep (rtol 1e-13, atol 1e-16),
-mode by mode at the evaluation point: it prints the median and max over
-modes of the r error in units of rtol and of the phi error in units of
-atol + rtol |phi_ref|, for SRC's default rtol and atol.  --k-points shrinks the grids.  The exit status is 1
-when a mode fails in either sweep.
+benchmark workloads (WORKLOADS of perfbench/run.py: crossing, superhorizon,
+consistent) against REF_SRC's tight sweep (rtol 1e-13, atol 1e-16), mode by
+mode at the evaluation point: it prints the median and max over modes of the
+r error in units of rtol and of the phi error in units of atol + rtol
+|phi_ref|, for SRC's default rtol and atol.  --k-points shrinks the grids.
+The exit status is 1 when a mode fails in either sweep.
 """
 
 from __future__ import annotations
@@ -64,18 +64,9 @@ import statistics
 import subprocess
 import sys
 
-# drawn from the historical three forms, so that a seed keeps naming the same
-# inputs; "transformed", the conformal form's printed twin, runs as "conformal"
-FORMS = ("conformal", "transformed", "closed-reference")
 POWERS = ("literal", "hamiltonian-consistent")
 # the reference run: tight tolerances and integrate()'s default step budget
 TIGHT = dict(rtol=1e-13, atol=1e-16, h_fixed=None, max_steps=2_000_000)
-# the benchmark workloads as SweepConfig overrides (perfbench/run.py)
-WORKLOADS = {
-    "crossing": {},
-    "superhorizon": {"eval_point": "super-horizon"},
-    "consistent": {"coupling_power": "hamiltonian-consistent"},
-}
 
 
 def draw_inputs(n, seed):
@@ -94,7 +85,8 @@ def draw_inputs(n, seed):
             x_start=x_start,
             x_end=x_end,
             init=[r0, rng.uniform(-10.0, 10.0)],
-            form=rng.choice(FORMS).replace("transformed", "conformal"),
+            # the draw of a choice among three names, so a seed keeps its inputs
+            form="closed-reference" if rng.randrange(3) == 2 else "conformal",
             coupling_power=rng.choice(POWERS),
             rtol=log_uniform(1e-12, 1e-4),
             atol=log_uniform(1e-12, 1e-4),
@@ -112,27 +104,10 @@ def draw_inputs(n, seed):
 
 def run_worker():
     """Read inputs as JSON from stdin, write one result per input to stdout."""
-    from sqspec import _integrators as eng
     from sqspec.squeeze_dynamics import StepBudgetError, StepSizeUnderflowError, integrate
 
-    stage = eng._slaved_stage
-    off_branch = [0]
-    probe = [False]  # the first slaved stage of a run only tests the seed
-
-    def spy(*args):
-        # a slaved stage off the branch returns a NaN first derivative
-        derivs = stage(*args)
-        if probe[0]:
-            probe[0] = False
-        elif math.isnan(derivs[0]):
-            off_branch[0] += 1
-        return derivs
-
-    eng._slaved_stage = spy
     results = []
     for kwargs in json.load(sys.stdin):
-        off_branch[0] = 0
-        probe[0] = True
         traj = None
         try:
             traj = integrate(**kwargs)
@@ -149,7 +124,6 @@ def run_worker():
                 outcome=outcome,
                 samples=[list(map(float, s)) for s in zip(traj.x, traj.r, traj.phi)] if traj else [],
                 stats=vars(traj.integrator_stats) if traj else {},
-                off_branch=off_branch[0],
             )
         )
     json.dump(results, sys.stdout)
@@ -200,6 +174,10 @@ def kind(result):
     return result["outcome"].split(":")[0]
 
 
+def driver(kwargs):
+    return "adaptive" if kwargs.get("h_fixed") is None else "fixed-step"
+
+
 def nearest_rank(values, p):
     """The p-quantile of values by the nearest-rank rule (p = 1: the max)."""
     ordered = sorted(values)
@@ -214,7 +192,7 @@ def survey(src, inputs):
     runs = run_tree(src, list(inputs.values()))
     scored = [
         (i, kwargs, res) for (i, kwargs), res in zip(inputs.items(), runs)
-        if kwargs.get("h_fixed") is None and res["outcome"] == "ok"
+        if driver(kwargs) == "adaptive" and res["outcome"] == "ok"
     ]
     refs = run_tree(src, [dict(kwargs, **TIGHT) for _, kwargs, _ in scored])
     untyped = sum(kind(res).startswith("untyped") for res in runs + refs)
@@ -258,8 +236,11 @@ def report_survey(rows):
 def sweep_errors(ref_src, src, k_points):
     """{workload: (r errors / rtol, phi errors / (atol + rtol |phi_ref|), failed
     modes)} of src's default sweep against ref_src's tight sweep."""
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    from perfbench.run import WORKLOADS  # name -> (SweepConfig overrides, why)
+
     errors = {}
-    for name, overrides in WORKLOADS.items():
+    for name, (overrides, _) in WORKLOADS.items():
         config = dict(overrides, k_points=k_points)
         got = run_tree(src, config, "--sweep-worker")
         ref = run_tree(ref_src, dict(config, rtol=TIGHT["rtol"], atol=TIGHT["atol"]), "--sweep-worker")
@@ -334,23 +315,12 @@ def main():
         res["stats"] = {f: v for f, v in res["stats"].items() if f in shared}
     differ = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
     print(f"{len(inputs)} inputs: {len(inputs) - len(differ)} identical, {len(differ)} differ")
-    off = sum(1 for a in old if a["off_branch"]), sum(1 for b in new if b["off_branch"])
-    print(f"inputs with a slaved stage off the branch: old {off[0]}, new {off[1]}")
-
-    pairs = collections.Counter((kind(a), kind(b)) for a, b in zip(old, new))
-    print("outcome pairs (old -> new):")
-    for (a, b), count in sorted(pairs.items()):
-        print(f"  {count:6d}  {a} -> {b}")
-
-    def cause(i):
-        if inputs[i].get("h_fixed") is not None:
-            return "fixed-step"
-        if old[i]["off_branch"] or new[i]["off_branch"]:
-            return "off-branch"
-        return "other"
-
-    causes = collections.Counter(cause(i) for i in differ)
-    print("differing inputs by cause:", dict(sorted(causes.items())))
+    for name in ("adaptive", "fixed-step"):
+        part = [i for i, kwargs in enumerate(inputs) if driver(kwargs) == name]
+        print(f"{name}: {len(set(part) & set(differ))} of {len(part)} inputs differ; outcome pairs (old -> new):")
+        pairs = collections.Counter((kind(old[i]), kind(new[i])) for i in part)
+        for (a, b), count in sorted(pairs.items()):
+            print(f"  {count:6d}  {a} -> {b}")
 
     compared = [i for i in differ if old[i]["samples"] and new[i]["samples"]]
     tight_inputs = [dict(inputs[i], **TIGHT) for i in compared]
@@ -372,8 +342,8 @@ def main():
             for j in range(2)
         ])
         print(
-            f"input {i} ({cause(i)}, off-branch stages {a['off_branch']} -> {b['off_branch']}): "
-            f"{kind(a)} -> {kind(b)}; against old/new tight runs: r rel err "
+            f"input {i} ({driver(inputs[i])}): {kind(a)} -> {kind(b)}; "
+            f"against old/new tight runs: r rel err "
             f"{errs[0][0][0]:.3e} -> {errs[0][0][1]:.3e} / {errs[1][0][0]:.3e} -> {errs[1][0][1]:.3e}, "
             f"phi abs err {errs[0][1][0]:.3e} -> {errs[0][1][1]:.3e} / "
             f"{errs[1][1][0]:.3e} -> {errs[1][1][1]:.3e}"
